@@ -10,7 +10,6 @@ from .vehicle import (
 )
 from .linearize import (
     AffineLtiModel,
-    DeltaLtiModel,
     OperatingPoint,
     linearize_initial,
     linearize_position,
@@ -37,13 +36,9 @@ from .controllers import (
     ControllerConfig,
     ControllerState,
     EndOfPath,
-    baseline_step,
     config_for,
     generate_delta_refs,
     init_state,
-    position_sl_step,
-    velocity_sl_step,
-    weight_tuned_step,
 )
 from .simulate import (
     DisturbanceSpec,

@@ -1,7 +1,7 @@
-"""Receding-horizon steering laws over the shared prediction/QP pipeline.
+"""Receding-horizon steering laws over one shared prediction/QP pipeline.
 
 Four variants, differing in the model they predict with and the reference
-they consume:
+they consume, not in the QP machinery:
 
 * baseline: fixed small-angle model, never re-derived. Decision variables
   are the slip moves, so the rate limit is a plain box and consecutive
@@ -13,14 +13,15 @@ they consume:
 * velocity_sl: difference-state model over per-sample displacements,
   tracking displacement references selected by a monotone path cursor.
 
-Every step function takes and returns an explicit ControllerState, returns
-the single applied move, and leaves the plant untouched.
+controller_step runs every variant; it takes and returns an explicit
+ControllerState, returns the single applied move, and leaves the plant
+untouched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,10 +70,10 @@ class ControllerConfig:
     ts: float
     horizon: int
     control_horizon: int
-    weights: TrackingWeights
+    weights: TrackingWeights                # w_u bites on baseline and weight_tuned only
     rate_limit: float = DEFAULT_RATE_LIMIT  # [rad/s]
     q_heading: float = 0.0                  # heading weight in Q (positions tracked by default)
-    u_target: float = 0.0                   # [rad] slip pulled toward this when w_u > 0
+    u_target: float = 0.0                   # [rad] slip pulled toward this when w_u > 0 (ditto)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -86,6 +87,8 @@ class ControllerConfig:
             raise ValueError(f"rate limit must be positive, got {self.rate_limit}")
         if self.q_heading < 0.0:
             raise ValueError(f"heading weight must be nonnegative, got {self.q_heading}")
+        if not self.weights.w_du > 0.0:
+            raise ValueError(f"move weight w_du must be positive, got {self.weights.w_du}")
 
 
 def config_for(variant: str, alpha: float = DEFAULT_ALPHA, w_y: float = 10.0,
@@ -114,7 +117,6 @@ class ControllerState:
     """What a controller carries between steps."""
 
     last_beta: float = 0.0
-    op: OperatingPoint = field(default_factory=OperatingPoint)
     ref_cursor: int = 0
     prev_state: VehicleState | None = None  # previous measured state (velocity variant)
 
@@ -136,12 +138,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
             psi=plant.psi - params.v / params.lr * math.sin(plant.beta) * cfg.ts,
             beta=plant.beta,
         )
-    return ControllerState(
-        last_beta=plant.beta,
-        op=OperatingPoint(psi=plant.psi, beta=plant.beta),
-        ref_cursor=0,
-        prev_state=prev,
-    )
+    return ControllerState(last_beta=plant.beta, ref_cursor=0, prev_state=prev)
 
 
 def _stack_position_refs(path: "ReferencePath", cursor: int, n: int) -> np.ndarray:
@@ -152,104 +149,6 @@ def _stack_position_refs(path: "ReferencePath", cursor: int, n: int) -> np.ndarr
     refs[0::3] = path.x[idx]
     refs[1::3] = path.y[idx]
     return refs
-
-
-def _solve_or_raise(qp, variant: str) -> np.ndarray:
-    sol = solve_box_qp(qp)
-    if sol.status != "converged":
-        raise ControlError(
-            f"{variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e}")
-    return sol.u
-
-
-def _fixed_model_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
-                      cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
-    """Shared pipeline for the fixed-model variants (baseline, weight_tuned).
-
-    The model input is the absolute slip angle; the QP is posed over the
-    slip moves du via beta_j = last_beta + sum(du_0..du_j), which turns the
-    slew bound into a box on every move and makes the move-suppression
-    weight a plain diagonal.
-    """
-    n, m = cfg.horizon, cfg.control_horizon
-    model = linearize_initial(params, cfg.ts)
-    pred = build_prediction(model, n, m)
-
-    # Reparameterize absolute slip commands as cumulative moves.
-    t_low = np.tril(np.ones((m, m)))
-    su_mv = pred.su @ t_low
-    sk_mv = pred.sk + pred.su @ np.full(m, ctrl.last_beta)
-    pred_mv = PredictionMatrices(sx=pred.sx, su=su_mv, sk=sk_mv, n=n, m=m)
-
-    x0 = np.array([plant.x, plant.y, plant.psi])
-    x_ref = _stack_position_refs(path, ctrl.ref_cursor, n)
-    hw = horizon_weights(cfg.weights, n, m, cfg.q_heading)
-    bound = cfg.rate_limit * cfg.ts
-    qp = build_tracking_qp(pred_mv, x0, x_ref, hw, (-bound, bound))
-
-    scaled = scale_tracking_weights(cfg.weights)
-    if scaled.w_u > 0.0:
-        # Input-target term on the absolute slip commands, written over moves.
-        wu2 = scaled.w_u ** 2
-        offset = np.full(m, ctrl.last_beta - cfg.u_target)
-        qp = qp.add_cost(wu2 * (t_low.T @ t_low), wu2 * (t_low.T @ offset))
-
-    u = float(_solve_or_raise(qp, cfg.variant)[0])
-    new_ctrl = replace(
-        ctrl,
-        last_beta=plant.beta + u,
-        op=OperatingPoint(psi=plant.psi, beta=plant.beta),
-        ref_cursor=ctrl.ref_cursor + 1,
-        prev_state=plant,
-    )
-    return u, new_ctrl
-
-
-def baseline_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
-                  cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
-    """One step of the fixed-model controller at its stock tuning."""
-    if cfg.variant != "baseline":
-        raise ValueError(f"baseline_step called with variant {cfg.variant!r}")
-    return _fixed_model_step(ctrl, plant, path, cfg, params)
-
-
-def weight_tuned_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
-                      cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
-    """One step of the fixed-model controller with the retuned horizon/sampling."""
-    if cfg.variant != "weight_tuned":
-        raise ValueError(f"weight_tuned_step called with variant {cfg.variant!r}")
-    return _fixed_model_step(ctrl, plant, path, cfg, params)
-
-
-def position_sl_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
-                     cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
-    """One step of the successively re-linearized position controller.
-
-    The model is re-derived at the measured (psi, beta) every call; the
-    decision variables are slip changes, bounded directly by the rate limit.
-    """
-    if cfg.variant != "position_sl":
-        raise ValueError(f"position_sl_step called with variant {cfg.variant!r}")
-    n, m = cfg.horizon, cfg.control_horizon
-    op = OperatingPoint(psi=plant.psi, beta=plant.beta)
-    model = linearize_position(op, params, cfg.ts)
-    pred = build_prediction(model, n, m)
-
-    x0 = np.array([plant.x, plant.y, plant.psi])
-    x_ref = _stack_position_refs(path, ctrl.ref_cursor, n)
-    hw = horizon_weights(cfg.weights, n, m, cfg.q_heading)
-    bound = cfg.rate_limit * cfg.ts
-    qp = build_tracking_qp(pred, x0, x_ref, hw, (-bound, bound))
-
-    u = float(_solve_or_raise(qp, cfg.variant)[0])
-    new_ctrl = replace(
-        ctrl,
-        last_beta=plant.beta + u,
-        op=op,
-        ref_cursor=ctrl.ref_cursor + 1,
-        prev_state=plant,
-    )
-    return u, new_ctrl
 
 
 class EndOfPath(ControlError):
@@ -284,55 +183,80 @@ def generate_delta_refs(plant: VehicleState, path: "ReferencePath", cursor: int,
     )
 
 
-def velocity_sl_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
-                     cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
-    """One step of the difference-state (velocity-space) controller.
+def controller_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
+                    cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
+    """One receding-horizon step of any variant.
 
-    The measured difference state is the backward difference of the last two
-    measured plant states.  The first-stage displacement reference comes from
-    generate_delta_refs; later stages chain the per-sample displacements along
-    the path from the picked sample onward (the final displacement repeats if
-    the path runs out).  Heading-difference references are zero, which is
-    unweighted under the default Q.
+    Every variant predicts with a linear model, condenses the tracking cost
+    into one box QP over the slip moves and applies the first move. Two
+    facts of the variant pick the rest:
+
+    * fixed absolute-slip model (baseline, weight_tuned): the model is
+      linearize_initial, whose input is the absolute slip angle. The QP is
+      posed over the slip moves du via beta_j = last_beta + sum(du_0..du_j),
+      which turns the slew bound into a box on every move, and the w_u term
+      pulls those absolute commands toward u_target.
+    * difference state (velocity_sl): the measured state is the backward
+      difference of the last two measured plant states. The first-stage
+      displacement reference comes from generate_delta_refs; later stages
+      chain the per-sample displacements along the path from the picked
+      sample onward (the final displacement repeats if the path runs out).
+      Heading-difference references are zero, which is unweighted under the
+      default Q.
+
+    position_sl is neither: it re-linearizes the pose model at the measured
+    (psi, beta) every call and tracks the indexed position stack with slip
+    changes bounded directly by the rate limit.
     """
-    if cfg.variant != "velocity_sl":
-        raise ValueError(f"velocity_sl_step called with variant {cfg.variant!r}")
-    if ctrl.prev_state is None:
+    fixed_model = cfg.variant in ("baseline", "weight_tuned")
+    difference_state = cfg.variant == "velocity_sl"
+    if difference_state and ctrl.prev_state is None:
         raise ControlError("velocity controller state has no previous sample; use init_state")
     n, m = cfg.horizon, cfg.control_horizon
-    op = OperatingPoint(psi=plant.psi, beta=plant.beta)
-    model = linearize_velocity(op, params, cfg.ts)
+    if fixed_model:
+        model = linearize_initial(params, cfg.ts)
+    else:
+        op = OperatingPoint(psi=plant.psi, beta=plant.beta)
+        linearize = linearize_velocity if difference_state else linearize_position
+        model = linearize(op, params, cfg.ts)
     pred = build_prediction(model, n, m)
 
-    prev = ctrl.prev_state
-    d0 = np.array([plant.x - prev.x, plant.y - prev.y, plant.psi - prev.psi])
-    dx_ref, dy_ref, cursor = generate_delta_refs(plant, path, ctrl.ref_cursor, params, cfg.ts)
-    last = len(path) - 1
-    d_ref = np.zeros(3 * n)
-    d_ref[0], d_ref[1] = dx_ref, dy_ref
-    for i in range(1, n):
-        ahead = min(cursor + i, last)
-        behind = max(min(cursor + i - 1, last - 1), 0)
-        d_ref[3 * i] = path.x[ahead] - path.x[behind]
-        d_ref[3 * i + 1] = path.y[ahead] - path.y[behind]
+    input_target = None
+    if fixed_model:
+        # Reparameterize absolute slip commands as cumulative moves.
+        t_low = np.tril(np.ones((m, m)))
+        sk_mv = pred.sk + pred.su @ np.full(m, ctrl.last_beta)
+        pred = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=sk_mv, n=n, m=m)
+        w_u = scale_tracking_weights(cfg.weights).w_u
+        if w_u > 0.0:
+            input_target = (w_u ** 2, t_low, np.full(m, ctrl.last_beta - cfg.u_target))
+
+    if difference_state:
+        prev = ctrl.prev_state
+        x0 = np.array([plant.x - prev.x, plant.y - prev.y, plant.psi - prev.psi])
+        dx_ref, dy_ref, cursor = generate_delta_refs(plant, path, ctrl.ref_cursor, params, cfg.ts)
+        last = len(path) - 1
+        x_ref = np.zeros(3 * n)
+        x_ref[0], x_ref[1] = dx_ref, dy_ref
+        for i in range(1, n):
+            ahead = min(cursor + i, last)
+            behind = max(min(cursor + i - 1, last - 1), 0)
+            x_ref[3 * i] = path.x[ahead] - path.x[behind]
+            x_ref[3 * i + 1] = path.y[ahead] - path.y[behind]
+    else:
+        x0 = np.array([plant.x, plant.y, plant.psi])
+        x_ref = _stack_position_refs(path, ctrl.ref_cursor, n)
+        cursor = ctrl.ref_cursor + 1
 
     hw = horizon_weights(cfg.weights, n, m, cfg.q_heading)
     bound = cfg.rate_limit * cfg.ts
-    qp = build_tracking_qp(pred, d0, d_ref, hw, (-bound, bound))
-
-    u = float(_solve_or_raise(qp, cfg.variant)[0])
-    new_ctrl = ControllerState(
-        last_beta=plant.beta + u,
-        op=op,
-        ref_cursor=cursor,
-        prev_state=plant,
-    )
-    return u, new_ctrl
+    qp = build_tracking_qp(pred, x0, x_ref, hw, (-bound, bound), input_target)
+    sol = solve_box_qp(qp)
+    if sol.status != "converged":
+        raise ControlError(
+            f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e}")
+    u = float(sol.u[0])
+    return u, ControllerState(last_beta=plant.beta + u, ref_cursor=cursor, prev_state=plant)
 
 
-CONTROLLER_STEPS = {
-    "baseline": baseline_step,
-    "weight_tuned": weight_tuned_step,
-    "position_sl": position_sl_step,
-    "velocity_sl": velocity_sl_step,
-}
+CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

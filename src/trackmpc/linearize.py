@@ -10,7 +10,7 @@ Three model builders, all over the sample time ts and column input u:
   the slip change away from beta_o, plus an affine drift K.
 * linearize_velocity: the same expansion written over per-sample state
   differences (dx, dy, dpsi). The drift cancels in the differencing, leaving
-  a homogeneous model.
+  a homogeneous model (K = 0).
 
 State order is always (x, y, psi); the slip angle is carried by the input
 channel rather than the state vector.
@@ -26,10 +26,6 @@ import numpy as np
 from .vehicle import VehicleParams
 
 _HALF_PI = math.pi / 2.0
-
-# Input channel tags.
-INPUT_SLIP = "slip"                      # u is the absolute slip angle [rad]
-INPUT_SLIP_INCREMENT = "slip_increment"  # u is a per-sample slip change [rad]
 
 
 @dataclass(frozen=True)
@@ -48,27 +44,11 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class AffineLtiModel:
-    """x(k+1) = A x(k) + B u(k) + K over the pose (x, y, psi)."""
+    """x(k+1) = A x(k) + B u(k) + K over the pose (x, y, psi) or its differences."""
 
     a: np.ndarray      # (3, 3)
     b: np.ndarray      # (3,)
     k: np.ndarray      # (3,) affine drift per step
-    ts: float          # [s]
-    input_kind: str    # INPUT_SLIP or INPUT_SLIP_INCREMENT
-
-
-@dataclass(frozen=True)
-class DeltaLtiModel:
-    """d(k+1) = A d(k) + B u(k) over pose differences d = (dx, dy, dpsi).
-
-    Homogeneous by construction: the drift of the affine expansion cancels
-    when consecutive samples are subtracted.
-    """
-
-    a: np.ndarray      # (3, 3)
-    b: np.ndarray      # (3,)
-    ts: float          # [s]
-    input_kind: str = INPUT_SLIP_INCREMENT
 
 
 def linearize_initial(params: VehicleParams, ts: float) -> AffineLtiModel:
@@ -92,7 +72,7 @@ def linearize_initial(params: VehicleParams, ts: float) -> AffineLtiModel:
     ])
     b = np.array([0.0, c, c / params.lr])
     k = np.array([c, 0.0, 0.0])
-    return AffineLtiModel(a=a, b=b, k=k, ts=ts, input_kind=INPUT_SLIP)
+    return AffineLtiModel(a=a, b=b, k=k)
 
 
 def linearize_position(op: OperatingPoint, params: VehicleParams, ts: float) -> AffineLtiModel:
@@ -122,10 +102,10 @@ def linearize_position(op: OperatingPoint, params: VehicleParams, ts: float) -> 
         v * math.sin(heading),
         v / params.lr * math.sin(op.beta),
     ])
-    return AffineLtiModel(a=a, b=b, k=k, ts=ts, input_kind=INPUT_SLIP_INCREMENT)
+    return AffineLtiModel(a=a, b=b, k=k)
 
 
-def linearize_velocity(op: OperatingPoint, params: VehicleParams, ts: float) -> DeltaLtiModel:
+def linearize_velocity(op: OperatingPoint, params: VehicleParams, ts: float) -> AffineLtiModel:
     """Difference-state expansion about (psi_o, beta_o).
 
     Subtracting consecutive affine steps cancels the drift and promotes the
@@ -136,7 +116,7 @@ def linearize_velocity(op: OperatingPoint, params: VehicleParams, ts: float) -> 
              [0, 0,  1]]
         B = ts * [-v*sin(psi_o+beta_o), v*cos(psi_o+beta_o), (v/lr)*cos(beta_o)]
 
-    Input is the per-sample slip change.
+    Input is the per-sample slip change; the drift K is zero.
     """
     if ts < 0.0:
         raise ValueError(f"sample time must be nonnegative, got {ts}")
@@ -152,4 +132,4 @@ def linearize_velocity(op: OperatingPoint, params: VehicleParams, ts: float) -> 
         v * math.cos(heading),
         v / params.lr * math.cos(op.beta),
     ])
-    return DeltaLtiModel(a=a, b=b, ts=ts)
+    return AffineLtiModel(a=a, b=b, k=np.zeros(3))

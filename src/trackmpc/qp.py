@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linearize import AffineLtiModel, DeltaLtiModel
+from .linearize import AffineLtiModel
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class PredictionMatrices:
     m: int
 
 
-def build_prediction(model: AffineLtiModel | DeltaLtiModel, n: int, m: int) -> PredictionMatrices:
+def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrices:
     """Unroll a one-step model over the horizon with last-move hold.
 
     Block (i, j) of Su is A^(i-j) B for i >= j (1-indexed stages/moves); the
@@ -116,7 +116,7 @@ def build_prediction(model: AffineLtiModel | DeltaLtiModel, n: int, m: int) -> P
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
     a = np.asarray(model.a, dtype=float)
     b = np.asarray(model.b, dtype=float).reshape(3)
-    k = np.asarray(getattr(model, "k", np.zeros(3)), dtype=float).reshape(3)
+    k = np.asarray(model.k, dtype=float).reshape(3)
 
     a_pow = [np.eye(3)]
     for _ in range(n):
@@ -178,13 +178,6 @@ class QpProblem:
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
 
-    def add_cost(self, dh: np.ndarray, df: np.ndarray) -> "QpProblem":
-        """New problem with an extra quadratic term 0.5 u'(dh)u + df'u."""
-        return QpProblem(h=self.h + dh, f=self.f + df, lb=self.lb, ub=self.ub)
-
-    def cost(self, u: np.ndarray) -> float:
-        return float(0.5 * u @ self.h @ u + self.f @ u)
-
 
 def build_tracking_qp(
     pred: PredictionMatrices,
@@ -192,12 +185,15 @@ def build_tracking_qp(
     x_ref: np.ndarray,
     weights: HorizonWeights,
     du_bounds: tuple[float, float],
+    input_target: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> QpProblem:
     """Condense the tracking cost over the horizon into a box QP.
 
     H = Su' Qbar Su + Rbar and f = Su' Qbar (Sx x0 + Sk - Xref), with Qbar the
     N-fold block diagonal of Q and Rbar = r I over the M moves. du_bounds is
-    applied to every move variable.
+    applied to every move variable. input_target = (w, T, c) adds the
+    input-target term 0.5 w |T U + c|^2, where T U + c are the commands
+    measured from their target: H gains w T'T and f gains w T'c.
     """
     if weights.n != pred.n or weights.m != pred.m:
         raise ValueError(
@@ -214,6 +210,10 @@ def build_tracking_qp(
     h = pred.su.T @ qbar @ pred.su + weights.r * np.eye(pred.m)
     h = 0.5 * (h + h.T)
     f = pred.su.T @ qbar @ (pred.sx @ x0 + pred.sk - x_ref)
+    if input_target is not None:
+        w, t_map, offset = input_target
+        h = h + w * (t_map.T @ t_map)
+        f = f + w * (t_map.T @ offset)
     lb = np.full(pred.m, float(lo))
     ub = np.full(pred.m, float(hi))
     return QpProblem(h=h, f=f, lb=lb, ub=ub)
@@ -227,12 +227,6 @@ class QpSolution:
     kkt_residual: float
 
 
-def kkt_residual(qp: QpProblem, u: np.ndarray) -> float:
-    """Projected-gradient fixed-point residual; zero exactly at the optimum."""
-    g = qp.h @ u + qp.f
-    return float(np.max(np.abs(u - np.clip(u - g, qp.lb, qp.ub))))
-
-
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpSolution:
     """Deterministic box-QP solve to a KKT tolerance.
 
@@ -241,15 +235,14 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
     normal equations exactly, and coordinates whose primal value or
     multiplier sign is wrong swap sides. Whole blocks are swapped while the
     infeasibility count keeps dropping; otherwise the method degrades to
-    single least-index swaps, which terminate for positive definite H. The
-    pivot loop lands on the exact active set, so the returned point
-    satisfies the KKT condition to solver precision rather than crawling
-    toward it, no matter how stiff H is. A monotone projected-gradient loop
-    with exact segment line search mops up in the (not expected) event the
-    pivot budget runs out.
+    single least-index swaps, which terminate for positive definite H
+    (Murty, 1974). The pivot loop lands on the exact active set, so the
+    returned point satisfies the KKT condition to solver precision rather
+    than crawling toward it, no matter how stiff H is.
 
-    Returns the best iterate with status "max_iter" if the tolerance is not
-    met within max_iter total iterations.
+    If the pivot budget max_iter runs out first, returns the last partition's
+    point clipped to the box, with status "max_iter" unless it happens to
+    meet the tolerance anyway.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -318,23 +311,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
         part[swap & too_high] = 1
         part[swap & (leave_lo | leave_hi)] = 0
 
-    # Fallback: projected gradient with exact line search along the
-    # projection segment, monotone from the clipped last iterate.
     x = clipped(assemble(part))
-    lip = float(np.linalg.norm(h, 2))
-    while it < max_iter:
-        it += 1
-        g = h @ x + f
-        if residual_at(x) <= tol:
-            return QpSolution(u=x, iterations=it, status="converged",
-                              kkt_residual=residual_at(x))
-        d = clipped(x - g / lip) - x
-        dhd = float(d @ h @ d)
-        if dhd > 0.0:
-            alpha = min(1.0, max(0.0, -float(g @ d) / dhd))
-            x = x + alpha * d
-        else:
-            x = x + d
     resid = residual_at(x)
     status = "converged" if resid <= tol else "max_iter"
     return QpSolution(u=x, iterations=it, status=status, kkt_residual=resid)

@@ -117,6 +117,7 @@ def test_full_document_with_comments():
     ("[disturbance]\napply_to_x = maybe\n", 2, "true/false"),
     ("[vehicle]\nlf = 0\n", 2, "lf"),
     ("[controller]\nrate_limit = -1\n", 2, "rate limit"),
+    ("[controller]\nw_du = 0\n", 2, "move weight"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -278,6 +279,10 @@ def test_bad_override_exits_one(capsys):
     rc = main(["run", "--set", "scenario.kind=zigzag"])
     assert rc == 1
     assert "kind" in capsys.readouterr().err
+    # a zero move weight is a config error, not a failure at the first step
+    rc = main(["validate-config", "--set", "controller.w_du=0"])
+    assert rc == 1
+    assert "move weight" in capsys.readouterr().err
 
 
 def test_sweep_preconditions_exit_one(tmp_path, capsys):

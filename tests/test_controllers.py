@@ -6,10 +6,13 @@ time against hand-worked values.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import trackmpc.controllers
+import trackmpc.qp
 from trackmpc import (
     CONTROLLER_STEPS,
     ControlError,
@@ -24,7 +27,6 @@ from trackmpc import (
     VARIANTS,
     VehicleParams,
     VehicleState,
-    baseline_step,
     config_for,
     default_initial_state,
     generate_delta_refs,
@@ -32,9 +34,7 @@ from trackmpc import (
     make_sine_path,
     make_step_path,
     make_straight_path,
-    position_sl_step,
     run_closed_loop,
-    velocity_sl_step,
 )
 
 PARAMS = VehicleParams()
@@ -82,15 +82,56 @@ def test_config_validation():
     with pytest.raises(ValueError, match="heading weight"):
         ControllerConfig(variant="baseline", ts=0.2, horizon=10, control_horizon=5,
                          weights=w, q_heading=-1.0)
+    # a zero move weight would fail every step (the QP needs r > 0), so the
+    # config rejects it up front
+    with pytest.raises(ValueError, match="move weight"):
+        config_for("velocity_sl", w_du=0.0)
 
 
-def test_step_functions_guard_their_variant():
-    path = make_straight_path(4.0, 0.2)
-    cfg = config_for("weight_tuned")
+_LINEARIZE = {
+    "baseline": "linearize_initial",
+    "weight_tuned": "linearize_initial",
+    "position_sl": "linearize_position",
+    "velocity_sl": "linearize_velocity",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_dispatches_through_module_globals(variant, monkeypatch):
+    # every variant runs the same pipeline, looking its stages up as globals
+    # of trackmpc.controllers at call time (tracing wrappers patch them
+    # there): one linearization of its own kind, one prediction, one QP and
+    # one solve per step, whatever the weights
+    calls = Counter()
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in (*set(_LINEARIZE.values()), "build_prediction", "horizon_weights",
+                 "build_tracking_qp", "solve_box_qp", "generate_delta_refs"):
+        counting(trackmpc.controllers, name)
+    counting(trackmpc.qp, "QpProblem")
+
+    cfg = config_for(variant, w_u=50.0, u_target=0.01)
+    path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, PARAMS)
-    with pytest.raises(ValueError, match="variant"):
-        baseline_step(ctrl, plant, path, cfg, PARAMS)
+    steps = 3
+    for _ in range(steps):
+        _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+
+    expected = {_LINEARIZE[variant]: steps, "build_prediction": steps,
+                "horizon_weights": steps, "build_tracking_qp": steps,
+                "solve_box_qp": steps, "QpProblem": steps}
+    if variant == "velocity_sl":
+        expected["generate_delta_refs"] = steps
+    assert calls == Counter(expected)
 
 
 def test_step_table_covers_all_variants():
@@ -129,7 +170,7 @@ def test_velocity_step_requires_history():
     path = make_straight_path(4.0, cfg.ts)
     plant = default_initial_state(path)
     with pytest.raises(ControlError, match="previous sample"):
-        velocity_sl_step(ControllerState(), plant, path, cfg, PARAMS)
+        CONTROLLER_STEPS["velocity_sl"](ControllerState(), plant, path, cfg, PARAMS)
 
 
 # --- hand-worked single steps -----------------------------------------------
@@ -141,7 +182,7 @@ def test_step_reference_saturates_first_move():
     path = make_step_path(1.0, 6.0, cfg.ts)
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, PARAMS)
-    u, after = baseline_step(ctrl, plant, path, cfg, PARAMS)
+    u, after = CONTROLLER_STEPS["baseline"](ctrl, plant, path, cfg, PARAMS)
     assert u == pytest.approx(cfg.rate_limit * cfg.ts, abs=1e-12)
     assert after.last_beta == pytest.approx(plant.beta + u)
     assert after.ref_cursor == 1
@@ -154,8 +195,9 @@ def test_input_target_pulls_slip():
     # so u* = wu^2 c / ((v*ts)^2 wy^2 + wdu^2 + wu^2)
     path = make_straight_path(10.0, 0.2)
     plant = default_initial_state(path)
+    step = CONTROLLER_STEPS["baseline"]
     cfg_plain = config_for("baseline", alpha=1.0)
-    u_plain, _ = baseline_step(init_state(cfg_plain, plant, PARAMS), plant, path, cfg_plain, PARAMS)
+    u_plain, _ = step(init_state(cfg_plain, plant, PARAMS), plant, path, cfg_plain, PARAMS)
     assert abs(u_plain) < 1e-12
 
     wy, wdu, wu, c = 10.0, 0.1, 50.0, 0.02
@@ -163,8 +205,19 @@ def test_input_target_pulls_slip():
     for sign in (1.0, -1.0):
         cfg = config_for("baseline", alpha=1.0, w_u=wu, u_target=sign * c,
                          horizon=1, control_horizon=1)
-        u, _ = baseline_step(init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+        u, _ = step(init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
         assert u == pytest.approx(sign * expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["position_sl", "velocity_sl"])
+def test_input_target_is_ignored_by_relinearizing_variants(variant):
+    # only the fixed absolute-slip model carries the w_u term; the
+    # re-linearizing variants stay at the zero-error fixed point
+    cfg = config_for(variant, alpha=1.0, w_u=50.0, u_target=0.02)
+    path = make_straight_path(10.0, cfg.ts)
+    plant = default_initial_state(path)
+    u, _ = CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+    assert abs(u) < 1e-12
 
 
 # --- displacement references -----------------------------------------------

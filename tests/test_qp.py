@@ -144,12 +144,11 @@ def test_condensing_matches_iterated_rollout():
         pred = build_prediction(model, n, m)
         x0 = rng.normal(size=3)
         moves = rng.normal(scale=0.1, size=m)
-        k_vec = getattr(model, "k", np.zeros(3))
         x = x0.copy()
         rolled = []
         for stage in range(n):
             u = moves[min(stage, m - 1)]
-            x = model.a @ x + model.b * u + k_vec
+            x = model.a @ x + model.b * u + model.k
             rolled.append(x.copy())
         stacked = pred.sx @ x0 + pred.su @ moves + pred.sk
         assert np.max(np.abs(stacked - np.concatenate(rolled))) <= 1e-12
@@ -164,8 +163,6 @@ def test_tracking_qp_scalar_example():
         a = np.eye(3)
         b = np.array([0.0, 1.0, 0.0])
         k = np.zeros(3)
-        ts = 1.0
-        input_kind = "slip"
 
     pred = build_prediction(Tiny(), 1, 1)
     hw = HorizonWeights(q=np.eye(3), r=1.0, n=1, m=1)
@@ -174,6 +171,13 @@ def test_tracking_qp_scalar_example():
     assert qp.f == pytest.approx(np.array([-1.0]))
     sol = solve_box_qp(qp)
     assert sol.u[0] == pytest.approx(0.5, abs=1e-9)
+    # an input target 0.5*w*(T u + c)^2 with w=3, T=1, c=0.5 adds w to H and
+    # w*c to f: H = 5, f = 0.5, minimizer -0.1
+    target = (3.0, np.eye(1), np.array([0.5]))
+    qp = build_tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0), target)
+    assert qp.h == pytest.approx(np.array([[5.0]]))
+    assert qp.f == pytest.approx(np.array([0.5]))
+    assert solve_box_qp(qp).u[0] == pytest.approx(-0.1, abs=1e-9)
 
 
 def test_tracking_qp_free_response_reference_gives_zero_moves():
