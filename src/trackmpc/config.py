@@ -38,6 +38,7 @@ class ConfigError(ValueError):
 
     def __init__(self, line: int, message: str):
         self.line = line
+        self.message = message
         super().__init__(f"line {line}: {message}")
 
 
@@ -306,6 +307,12 @@ def parse_config(text: str) -> ScenarioConfig:
         out_dir=got("output", "directory", "out"),
     )
 
+    try:
+        span = _scenario_span(cfg)
+    except ValueError as exc:
+        raise ConfigError(line_of(("scenario", "lead_in"), ("scenario", "tail"),
+                                  ("scenario", "kind")), str(exc)) from None
+
     # controller-level validation, anchored to the most specific line set
     anchor = line_of(("controller", "ts"), ("controller", "horizon"),
                      ("controller", "control_horizon"), ("controller", "rate_limit"),
@@ -317,7 +324,6 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(anchor, f"variant {name!r}: {exc}") from None
         horizon_span = ctrl.ts * ctrl.horizon
-        span = _scenario_span(cfg)
         if horizon_span > span + 1e-9:
             raise ConfigError(
                 line_of(("controller", "ts"), ("controller", "horizon"),
@@ -397,7 +403,7 @@ def apply_overrides(cfg: ScenarioConfig, assignments: list) -> ScenarioConfig:
     """Apply `section.key=value` override strings on top of a parsed config.
 
     Overrides reuse the document schema; errors are reported with line 0
-    (they have no source line).
+    (they have no source line) and name the assignments.
     """
     if not assignments:
         return cfg
@@ -435,7 +441,12 @@ def apply_overrides(cfg: ScenarioConfig, assignments: list) -> ScenarioConfig:
     rewritten.extend(_flush_pending(pending, section))
     for (section, key), raw in pending.items():
         raise ConfigError(0, f"override targets unknown key [{section}] {key}")
-    return parse_config("\n".join(rewritten))
+    try:
+        return parse_config("\n".join(rewritten))
+    except ConfigError as exc:
+        # cfg was valid, so the overrides broke it; a line of the
+        # re-serialized document would point at nothing the user wrote
+        raise ConfigError(0, f"--set {' '.join(assignments)}: {exc.message}") from None
 
 
 def _flush_pending(pending: dict, section) -> list:

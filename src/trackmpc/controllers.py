@@ -21,7 +21,7 @@ untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,10 +33,13 @@ from .linearize import (
     linearize_velocity,
 )
 from .qp import (
+    CondensedCost,
+    HorizonWeights,
     PredictionMatrices,
     TrackingWeights,
     build_prediction,
     build_tracking_qp,
+    condense_cost,
     horizon_weights,
     scale_tracking_weights,
     solve_box_qp,
@@ -47,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ReferencePath
 
 VARIANTS = ("baseline", "weight_tuned", "position_sl", "velocity_sl")
+FIXED_MODEL_VARIANTS = ("baseline", "weight_tuned")  # predict with linearize_initial
 
 DEFAULT_RATE_LIMIT = 0.5  # [rad/s] slip slew bound
 DEFAULT_ALPHA = 2.8
@@ -87,8 +91,10 @@ class ControllerConfig:
             raise ValueError(f"rate limit must be positive, got {self.rate_limit}")
         if self.q_heading < 0.0:
             raise ValueError(f"heading weight must be nonnegative, got {self.q_heading}")
-        if not self.weights.w_du > 0.0:
-            raise ValueError(f"move weight w_du must be positive, got {self.weights.w_du}")
+        # The QP's move weight is r = (w_du * alpha)^2, which must not underflow.
+        if not scale_tracking_weights(self.weights).w_du ** 2 > 0.0:
+            raise ValueError(f"move weight w_du must be positive with (w_du * alpha)^2 > 0, "
+                             f"got w_du={self.weights.w_du}, alpha={self.weights.alpha}")
 
 
 def config_for(variant: str, alpha: float = DEFAULT_ALPHA, w_y: float = 10.0,
@@ -112,6 +118,23 @@ def config_for(variant: str, alpha: float = DEFAULT_ALPHA, w_y: float = 10.0,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class FixedModelQp:
+    """What the fixed absolute-slip model's QPs share across a run.
+
+    pred predicts over absolute slip commands. The QP is posed over the slip
+    moves du via beta_j = last_beta + sum(du_0..du_j), i.e. the commands are
+    last_beta + T du with the cumulative-move map T, so su_moves is Su T.
+    input_weight is (w, T) of the w_u term, or None when w_u is zero; cost
+    condenses the tracking cost over the moves, including w T'T.
+    """
+
+    pred: PredictionMatrices
+    su_moves: np.ndarray
+    input_weight: tuple[float, np.ndarray] | None
+    cost: CondensedCost
+
+
 @dataclass(frozen=True)
 class ControllerState:
     """What a controller carries between steps."""
@@ -119,16 +142,35 @@ class ControllerState:
     last_beta: float = 0.0
     ref_cursor: int = 0
     prev_state: VehicleState | None = None  # previous measured state (velocity variant)
+    # Per-run constants, built once by init_state from (cfg, params).
+    weights: HorizonWeights | None = field(default=None, compare=False)
+    fixed: FixedModelQp | None = field(default=None, compare=False)  # baseline, weight_tuned
 
 
 def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams) -> ControllerState:
     """Initial controller state for a plant starting at rest on its path.
+
+    Builds what depends only on (cfg, params) once: the horizon weights of
+    every variant, and for the fixed absolute-slip model its prediction and
+    condensed cost, so that each step forms only the QP gradient.
 
     The velocity variant needs a previous sample to difference against; the
     plant is assumed to have been cruising, so the initial state is
     integrated backward one step at zero input. That keeps an on-path start
     an exact zero-error fixed point from the very first step.
     """
+    n, m = cfg.horizon, cfg.control_horizon
+    hw = horizon_weights(cfg.weights, n, m, cfg.q_heading)
+    fixed = None
+    if cfg.variant in FIXED_MODEL_VARIANTS:
+        pred = build_prediction(linearize_initial(params, cfg.ts), n, m)
+        t_low = np.tril(np.ones((m, m)))
+        su_moves = pred.su @ t_low
+        w_u = scale_tracking_weights(cfg.weights).w_u
+        input_weight = (w_u ** 2, t_low) if w_u > 0.0 else None
+        moves = PredictionMatrices(sx=pred.sx, su=su_moves, sk=pred.sk, n=n, m=m)
+        fixed = FixedModelQp(pred=pred, su_moves=su_moves, input_weight=input_weight,
+                             cost=condense_cost(moves, hw, input_weight))
     prev = None
     if cfg.variant == "velocity_sl":
         heading = plant.psi + plant.beta
@@ -138,7 +180,8 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
             psi=plant.psi - params.v / params.lr * math.sin(plant.beta) * cfg.ts,
             beta=plant.beta,
         )
-    return ControllerState(last_beta=plant.beta, ref_cursor=0, prev_state=prev)
+    return ControllerState(last_beta=plant.beta, ref_cursor=0, prev_state=prev,
+                           weights=hw, fixed=fixed)
 
 
 def _stack_position_refs(path: "ReferencePath", cursor: int, n: int) -> np.ndarray:
@@ -195,7 +238,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
       linearize_initial, whose input is the absolute slip angle. The QP is
       posed over the slip moves du via beta_j = last_beta + sum(du_0..du_j),
       which turns the slew bound into a box on every move, and the w_u term
-      pulls those absolute commands toward u_target.
+      pulls those absolute commands toward u_target. Its prediction and
+      condensed cost come from init_state; a step forms only f.
     * difference state (velocity_sl): the measured state is the backward
       difference of the last two measured plant states. The first-stage
       displacement reference comes from generate_delta_refs; later stages
@@ -208,55 +252,53 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     (psi, beta) every call and tracks the indexed position stack with slip
     changes bounded directly by the rate limit.
     """
-    fixed_model = cfg.variant in ("baseline", "weight_tuned")
+    fixed_model = cfg.variant in FIXED_MODEL_VARIANTS
     difference_state = cfg.variant == "velocity_sl"
     if difference_state and ctrl.prev_state is None:
         raise ControlError("velocity controller state has no previous sample; use init_state")
+    if ctrl.weights is None or (fixed_model and ctrl.fixed is None):
+        raise ControlError(f"{cfg.variant} controller state has no run constants; use init_state")
     n, m = cfg.horizon, cfg.control_horizon
+    input_target = cost = None
     if fixed_model:
-        model = linearize_initial(params, cfg.ts)
+        # The held last_beta of the commands last_beta + T du moves into the
+        # drift; the moves act through Su T.
+        fixed = ctrl.fixed
+        sk_mv = fixed.pred.sk + fixed.pred.su @ np.full(m, ctrl.last_beta)
+        pred = PredictionMatrices(sx=fixed.pred.sx, su=fixed.su_moves, sk=sk_mv, n=n, m=m)
+        if fixed.input_weight is not None:
+            input_target = (*fixed.input_weight, np.full(m, ctrl.last_beta - cfg.u_target))
+        cost = fixed.cost
     else:
         op = OperatingPoint(psi=plant.psi, beta=plant.beta)
         linearize = linearize_velocity if difference_state else linearize_position
-        model = linearize(op, params, cfg.ts)
-    pred = build_prediction(model, n, m)
-
-    input_target = None
-    if fixed_model:
-        # Reparameterize absolute slip commands as cumulative moves.
-        t_low = np.tril(np.ones((m, m)))
-        sk_mv = pred.sk + pred.su @ np.full(m, ctrl.last_beta)
-        pred = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=sk_mv, n=n, m=m)
-        w_u = scale_tracking_weights(cfg.weights).w_u
-        if w_u > 0.0:
-            input_target = (w_u ** 2, t_low, np.full(m, ctrl.last_beta - cfg.u_target))
+        pred = build_prediction(linearize(op, params, cfg.ts), n, m)
 
     if difference_state:
         prev = ctrl.prev_state
         x0 = np.array([plant.x - prev.x, plant.y - prev.y, plant.psi - prev.psi])
         dx_ref, dy_ref, cursor = generate_delta_refs(plant, path, ctrl.ref_cursor, params, cfg.ts)
         last = len(path) - 1
+        ahead = np.minimum(cursor + np.arange(1, n), last)
+        behind = np.maximum(ahead - 1, 0)
         x_ref = np.zeros(3 * n)
         x_ref[0], x_ref[1] = dx_ref, dy_ref
-        for i in range(1, n):
-            ahead = min(cursor + i, last)
-            behind = max(min(cursor + i - 1, last - 1), 0)
-            x_ref[3 * i] = path.x[ahead] - path.x[behind]
-            x_ref[3 * i + 1] = path.y[ahead] - path.y[behind]
+        x_ref[3::3] = path.x[ahead] - path.x[behind]
+        x_ref[4::3] = path.y[ahead] - path.y[behind]
     else:
         x0 = np.array([plant.x, plant.y, plant.psi])
         x_ref = _stack_position_refs(path, ctrl.ref_cursor, n)
         cursor = ctrl.ref_cursor + 1
 
-    hw = horizon_weights(cfg.weights, n, m, cfg.q_heading)
     bound = cfg.rate_limit * cfg.ts
-    qp = build_tracking_qp(pred, x0, x_ref, hw, (-bound, bound), input_target)
+    qp = build_tracking_qp(pred, x0, x_ref, ctrl.weights, (-bound, bound), input_target, cost)
     sol = solve_box_qp(qp)
     if sol.status != "converged":
         raise ControlError(
             f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e}")
     u = float(sol.u[0])
-    return u, ControllerState(last_beta=plant.beta + u, ref_cursor=cursor, prev_state=plant)
+    return u, ControllerState(last_beta=plant.beta + u, ref_cursor=cursor, prev_state=plant,
+                              weights=ctrl.weights, fixed=ctrl.fixed)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

@@ -10,7 +10,9 @@ per-stage state weight Q and per-move weight R condenses to
     min_U  0.5 U' H U + f' U,   H = Su' Qbar Su + Rbar,
                                 f = Su' Qbar (Sx x0 + Sk - Xref)
 
-subject to box bounds on U. The solver below handles exactly that problem
+subject to box bounds on U. H and Su' Qbar depend on the model and weights
+only, so condense_cost can build them once for a model that never changes,
+leaving f to each step. The solver below handles exactly that problem
 shape: dense, strictly convex, small (tens of variables), with the KKT
 condition of a box QP as its termination test.
 """
@@ -108,9 +110,11 @@ class PredictionMatrices:
 def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrices:
     """Unroll a one-step model over the horizon with last-move hold.
 
-    Block (i, j) of Su is A^(i-j) B for i >= j (1-indexed stages/moves); the
-    final move column additionally accumulates the held contributions
-    sum_p A^p B. Sk accumulates the drift, Sx stacks A^i.
+    Block (i, j) of Su is the Markov parameter G_(i-j) = A^(i-j) B for
+    i >= j (1-indexed stages/moves), so the N parameters are computed once
+    and gathered into the block-Toeplitz Su by index. The final move column
+    instead holds sum_p G_p over its held stages, summed from G_(i-M) down
+    to G_0. Sk accumulates the drift, Sx stacks A^i.
     """
     if n < 1 or not (1 <= m <= n):
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
@@ -121,27 +125,29 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     a_pow = [np.eye(3)]
     for _ in range(n):
         a_pow.append(a_pow[-1] @ a)
+    a_pow = np.stack(a_pow)  # (N+1, 3, 3)
+    # markov[p] = A^p B for p < N; row N is the zero block above the diagonal.
+    markov = np.zeros((n + 1, 3))
+    markov[:n] = a_pow[:n] @ b
 
-    sx = np.zeros((3 * n, 3))
-    su = np.zeros((3 * n, m))
-    sk = np.zeros(3 * n)
-    drift = np.zeros(3)
-    for i in range(1, n + 1):
-        rows = slice(3 * (i - 1), 3 * i)
-        sx[rows] = a_pow[i]
-        drift = a @ drift + k
-        sk[rows] = drift
-        for j in range(1, m + 1):
-            # Stage times at which move j acts: its own slot, plus every
-            # later slot for the held final move.
-            if j < m:
-                if i >= j:
-                    su[rows, j - 1] = a_pow[i - j] @ b
-            else:
-                col = np.zeros(3)
-                for l in range(m - 1, i):
-                    col += a_pow[i - 1 - l] @ b
-                su[rows, j - 1] = col
+    lag = np.arange(n)[:, None] - np.arange(m)[None, :]  # i - j, 0-indexed
+    lag[lag < 0] = n
+    # The held column at stage i sums G_(i-M) .. G_0 in that order, one
+    # term per pass for every stage at once.
+    held = np.zeros((n - m + 1, 3))
+    top = np.arange(n - m + 1)  # i - M for the stages i >= M
+    for t in range(n - m + 1):
+        live = top >= t
+        held[live] += markov[top[live] - t]
+    cols = markov[lag]  # (N, M, 3)
+    cols[m - 1:, m - 1] = held
+    su = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(3 * n, m)
+
+    sx = a_pow[1:].reshape(3 * n, 3)
+    drifts = [np.zeros(3)]
+    for _ in range(n):
+        drifts.append(a @ drifts[-1] + k)
+    sk = np.concatenate(drifts[1:])
     return PredictionMatrices(sx=sx, su=su, sk=sk, n=n, m=m)
 
 
@@ -178,6 +184,50 @@ class QpProblem:
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
 
+    @classmethod
+    def _trusted(cls, h: np.ndarray, f: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
+        """Wrap arrays already in normal form (symmetric PD H, flat vectors) unchecked."""
+        qp = object.__new__(cls)
+        qp.__dict__.update(h=h, f=f, lb=lb, ub=ub)
+        return qp
+
+
+@dataclass(frozen=True)
+class CondensedCost:
+    """The state-independent part of the condensed tracking cost.
+
+    suq = Su' Qbar (M x 3N, C-contiguous) maps the free-response error to
+    the gradient f; h is the symmetric Hessian, read-only because every QP
+    built from this cost shares it.
+    """
+
+    suq: np.ndarray
+    h: np.ndarray
+
+
+def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
+                  input_weight: tuple[float, np.ndarray] | None = None) -> CondensedCost:
+    """Su' Qbar and H = Su' Qbar Su + Rbar (+ w T'T) for one prediction.
+
+    Qbar is block diagonal, so Su' Qbar is formed stage by stage as
+    Su_i' Q. Its C-ordered product with Su rounds exactly like the dense
+    Su' kron(I, Q) Su it replaces whenever Q is diagonal, as
+    horizon_weights makes it. input_weight = (w, T) adds w T'T.
+    """
+    if weights.n != pred.n or weights.m != pred.m:
+        raise ValueError(
+            f"weights sized for N={weights.n}, M={weights.m} but prediction has N={pred.n}, M={pred.m}")
+    n, m = pred.n, pred.m
+    stages = pred.su.reshape(n, 3, m).transpose(0, 2, 1) @ weights.q  # (N, M, 3)
+    suq = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(m, 3 * n)
+    h = suq @ pred.su + weights.r * np.eye(m)
+    h = 0.5 * (h + h.T)
+    if input_weight is not None:
+        w, t_map = input_weight
+        h = h + w * (t_map.T @ t_map)
+    h.flags.writeable = False
+    return CondensedCost(suq=suq, h=h)
+
 
 def build_tracking_qp(
     pred: PredictionMatrices,
@@ -186,6 +236,7 @@ def build_tracking_qp(
     weights: HorizonWeights,
     du_bounds: tuple[float, float],
     input_target: tuple[float, np.ndarray, np.ndarray] | None = None,
+    cost: CondensedCost | None = None,
 ) -> QpProblem:
     """Condense the tracking cost over the horizon into a box QP.
 
@@ -194,10 +245,11 @@ def build_tracking_qp(
     applied to every move variable. input_target = (w, T, c) adds the
     input-target term 0.5 w |T U + c|^2, where T U + c are the commands
     measured from their target: H gains w T'T and f gains w T'c.
+
+    cost, when given, is condense_cost of the same pred.su, weights and
+    (w, T); only f is formed then. The QpProblem is returned without the
+    public constructor's checks, which hold by construction.
     """
-    if weights.n != pred.n or weights.m != pred.m:
-        raise ValueError(
-            f"weights sized for N={weights.n}, M={weights.m} but prediction has N={pred.n}, M={pred.m}")
     x0 = np.asarray(x0, dtype=float).reshape(3)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
     if x_ref.size != 3 * pred.n:
@@ -205,18 +257,16 @@ def build_tracking_qp(
     lo, hi = du_bounds
     if not lo <= hi:
         raise ValueError(f"need du_bounds low <= high, got ({lo}, {hi})")
+    if cost is None:
+        cost = condense_cost(pred, weights, None if input_target is None else input_target[:2])
 
-    qbar = np.kron(np.eye(pred.n), weights.q)
-    h = pred.su.T @ qbar @ pred.su + weights.r * np.eye(pred.m)
-    h = 0.5 * (h + h.T)
-    f = pred.su.T @ qbar @ (pred.sx @ x0 + pred.sk - x_ref)
+    f = cost.suq @ (pred.sx @ x0 + pred.sk - x_ref)
     if input_target is not None:
         w, t_map, offset = input_target
-        h = h + w * (t_map.T @ t_map)
         f = f + w * (t_map.T @ offset)
     lb = np.full(pred.m, float(lo))
     ub = np.full(pred.m, float(hi))
-    return QpProblem(h=h, f=f, lb=lb, ub=ub)
+    return QpProblem._trusted(cost.h, f, lb, ub)
 
 
 @dataclass(frozen=True)

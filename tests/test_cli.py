@@ -3,6 +3,7 @@
 import json
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,7 @@ def test_full_document_with_comments():
     ("[vehicle]\nlf = 0\n", 2, "lf"),
     ("[controller]\nrate_limit = -1\n", 2, "rate limit"),
     ("[controller]\nw_du = 0\n", 2, "move weight"),
+    ("[scenario]\nkind = complete\nlead_in = 0\n", 3, "positive segment lengths"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -160,11 +162,15 @@ def test_overrides_win_and_add_missing_keys():
     ("duration=6", "section.key"),
     ("scenario.nosuch=1", "unknown key"),
     ("nowhere.duration=6", "unknown"),
+    ("controller.rate_limit=-1", r"--set controller\.rate_limit=-1: .*rate limit must be positive"),
 ])
 def test_override_errors(bad, needle):
+    # overrides have no source line: every error is anchored at line 0,
+    # never at a line of the internally re-serialized document
     cfg = parse_config("")
-    with pytest.raises(ConfigError, match=needle):
+    with pytest.raises(ConfigError, match=needle) as caught:
         apply_overrides(cfg, [bad])
+    assert caught.value.line == 0
 
 
 # --- artifact files -------------------------------------------------------------
@@ -228,6 +234,38 @@ def test_compare_is_reproducible(tmp_path):
     assert main(["compare", str(cfg_file), "--output-dir", str(out)]) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob, f"{name} changed between identical runs"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Workload -> shipped scenario, as recorded in perfbench/reference/.
+REFERENCE_RUNS = {"course": "complete.cfg", "straight": "straight.cfg",
+                  "noisy_sine": "sine_disturbed.cfg", "step": "step.cfg"}
+
+
+@pytest.mark.parametrize("workload", REFERENCE_RUNS)
+def test_shipped_scenarios_match_recorded_closed_loop(workload, tmp_path):
+    # every shipped run's SSD and state trace must stay within the
+    # benchmark's drift gate (1e-9 relative plus 1e-12 absolute) of the
+    # recorded references: a faster path may not move the closed loop
+    reference = ROOT / "perfbench" / "reference"
+    ssd = json.loads((reference / "ssd.json").read_text())[workload]
+    with np.load(reference / "states.npz") as stored:
+        states = {v: stored[f"{workload}.{v}"] for v in ssd}
+    doc = (ROOT / "scenarios" / REFERENCE_RUNS[workload]).read_text()
+    cfg = apply_overrides(parse_config(doc), [f"output.directory={tmp_path}"])
+    rows, failures = run_compare(cfg)
+    assert failures == []
+    assert {row.model for row in rows} == set(ssd)
+
+    def close(actual, expected):
+        return bool(np.all(np.abs(actual - expected) <= 1e-12 + 1e-9 * np.abs(expected)))
+
+    for row in rows:
+        assert close(row.ssd, ssd[row.model]), (row.model, row.ssd, ssd[row.model])
+        cols = read_trace(tmp_path / f"trace_{row.model}.csv")
+        got = np.column_stack([cols["x"], cols["y"], cols["psi"], cols["beta"]])
+        assert got.shape == states[row.model].shape, row.model
+        assert close(got, states[row.model]), row.model
 
 
 # --- rise time ------------------------------------------------------------------

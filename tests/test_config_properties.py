@@ -1,0 +1,85 @@
+"""Property test for the scenario document round-trip.
+
+apply_overrides works by serializing a parsed config, rewriting the text
+and parsing it again, so every valid ScenarioConfig must come back from
+serialize_config unchanged. Floats are written with repr, which
+round-trips exactly, so the check is plain equality.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from trackmpc import (  # noqa: E402
+    VARIANTS,
+    ConfigError,
+    DisturbanceSpec,
+    ScenarioConfig,
+    VehicleParams,
+    parse_config,
+    serialize_config,
+)
+from trackmpc.config import KIND_DURATIONS, PATH_KINDS  # noqa: E402
+
+# Values the document format carries verbatim: no '#', '=', newline or
+# surrounding blanks.
+WORDS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-./",
+                min_size=1, max_size=16)
+
+
+def _floats(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    kind = draw(st.sampled_from(PATH_KINDS))
+    # a complete path derives its duration, and parses to the default
+    duration = KIND_DURATIONS.get(kind, 30.0) if kind == "complete" else draw(_floats(2.5, 60.0))
+    noisy = draw(st.booleans())
+    ts = draw(st.none() | _floats(0.01, 0.2))
+    return ScenarioConfig(
+        name=draw(WORDS),
+        kind=kind,
+        duration=duration,
+        amplitude=draw(_floats(0.0, 5.0)),
+        wavelength=draw(_floats(1.0, 100.0)),
+        lead_in=draw(_floats(0.0, 100.0)),
+        periods=draw(st.integers(1, 3)),
+        tail=draw(_floats(0.0, 100.0)),
+        vehicle=VehicleParams(lf=draw(_floats(0.5, 3.0)), lr=draw(_floats(0.5, 3.0)),
+                              v=draw(_floats(1.0, 30.0))),
+        variant=draw(st.sampled_from(VARIANTS)),
+        variants=tuple(draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=4))),
+        alpha=draw(_floats(0.1, 20.0)),
+        w_y=draw(_floats(0.0, 50.0)),
+        w_u=draw(_floats(0.0, 50.0)),
+        w_du=draw(_floats(0.01, 5.0)),
+        rate_limit=draw(_floats(0.01, 2.0)),
+        q_heading=draw(_floats(0.0, 10.0)),
+        u_target=draw(_floats(-0.5, 0.5)),
+        ts=ts,
+        horizon=draw(st.none() | st.integers(1, 10)),
+        control_horizon=draw(st.none() | st.integers(1, 5)),
+        disturbance=DisturbanceSpec(
+            kind="gaussian_output" if noisy else "none",
+            amplitude=draw(_floats(0.0, 0.5)) if noisy else 0.0,
+            seed=draw(st.integers(0, 2**31)),
+            apply_to_x=draw(st.booleans()),
+        ),
+        out_dir=draw(WORDS),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cfg=scenario_configs())
+def test_serialize_parse_round_trip(cfg):
+    text = serialize_config(cfg)
+    try:
+        parsed = parse_config(text)
+    except ConfigError:
+        # not a valid scenario (e.g. a control horizon longer than the
+        # prediction horizon); those are out of scope
+        assume(False)
+    assert parsed == cfg

@@ -86,6 +86,10 @@ def test_config_validation():
     # config rejects it up front
     with pytest.raises(ValueError, match="move weight"):
         config_for("velocity_sl", w_du=0.0)
+    # nor may the squared move weight underflow, since init_state builds the
+    # horizon weights before the first step
+    with pytest.raises(ValueError, match="move weight"):
+        config_for("baseline", w_du=1e-170)
 
 
 _LINEARIZE = {
@@ -98,40 +102,61 @@ _LINEARIZE = {
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_dispatches_through_module_globals(variant, monkeypatch):
-    # every variant runs the same pipeline, looking its stages up as globals
-    # of trackmpc.controllers at call time (tracing wrappers patch them
-    # there): one linearization of its own kind, one prediction, one QP and
-    # one solve per step, whatever the weights
+    # every variant looks its stages up as globals of trackmpc.controllers
+    # at call time (tracing wrappers patch them there). What depends only on
+    # (cfg, params) is built once by init_state: the horizon weights, and
+    # for the fixed absolute-slip model its linearization and prediction.
+    # Each step then builds one fresh QpProblem and solves it once.
     calls = Counter()
+    solved = []
 
-    def counting(owner, name):
-        inner = getattr(owner, name)
+    def counting(name):
+        inner = getattr(trackmpc.controllers, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "solve_box_qp":
+                solved.append(args[0])
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(trackmpc.controllers, name, wrapper)
 
     for name in (*set(_LINEARIZE.values()), "build_prediction", "horizon_weights",
                  "build_tracking_qp", "solve_box_qp", "generate_delta_refs"):
-        counting(trackmpc.controllers, name)
-    counting(trackmpc.qp, "QpProblem")
+        counting(name)
 
     cfg = config_for(variant, w_u=50.0, u_target=0.01)
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, PARAMS)
+    fixed_model = variant in ("baseline", "weight_tuned")
+    per_run = {"horizon_weights": 1}
+    if fixed_model:
+        per_run.update({"linearize_initial": 1, "build_prediction": 1})
+    assert calls == Counter(per_run)
+
+    calls.clear()
     steps = 3
     for _ in range(steps):
         _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
-
-    expected = {_LINEARIZE[variant]: steps, "build_prediction": steps,
-                "horizon_weights": steps, "build_tracking_qp": steps,
-                "solve_box_qp": steps, "QpProblem": steps}
+    per_step = {"build_tracking_qp": steps, "solve_box_qp": steps}
+    if not fixed_model:
+        per_step.update({_LINEARIZE[variant]: steps, "build_prediction": steps})
     if variant == "velocity_sl":
-        expected["generate_delta_refs"] = steps
-    assert calls == Counter(expected)
+        per_step["generate_delta_refs"] = steps
+    assert calls == Counter(per_step)
+    assert all(type(qp) is trackmpc.qp.QpProblem for qp in solved)
+    assert len({id(qp) for qp in solved}) == steps
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_needs_the_run_constants_of_init_state(variant):
+    cfg = config_for(variant)
+    path = make_straight_path(4.0, cfg.ts)
+    plant = default_initial_state(path)
+    bare = ControllerState(prev_state=plant)
+    with pytest.raises(ControlError, match="init_state"):
+        CONTROLLER_STEPS[variant](bare, plant, path, cfg, PARAMS)
 
 
 def test_step_table_covers_all_variants():

@@ -12,6 +12,7 @@ import pytest
 from trackmpc import (
     HorizonWeights,
     OperatingPoint,
+    PredictionMatrices,
     QpProblem,
     TrackingWeights,
     VehicleParams,
@@ -24,6 +25,8 @@ from trackmpc import (
     scale_tracking_weights,
     solve_box_qp,
 )
+from trackmpc.controllers import VARIANT_DEFAULTS
+from trackmpc.qp import condense_cost
 
 PARAMS = VehicleParams()
 
@@ -219,6 +222,106 @@ def test_alpha_rescale_without_input_target_keeps_argmin():
             reference_solution = u
         else:
             np.testing.assert_allclose(u, reference_solution, atol=1e-9)
+
+
+# Reference condensing: the straightforward triple loop and the dense
+# kron(I, Q) assembly. The fast path must reproduce them bit for bit, so
+# that solver inputs, pivot counts and traces cannot move.
+
+def _reference_prediction(model, n, m):
+    a, b, k = model.a, model.b, model.k
+    a_pow = [np.eye(3)]
+    for _ in range(n):
+        a_pow.append(a_pow[-1] @ a)
+    sx = np.zeros((3 * n, 3))
+    su = np.zeros((3 * n, m))
+    sk = np.zeros(3 * n)
+    drift = np.zeros(3)
+    for i in range(1, n + 1):
+        rows = slice(3 * (i - 1), 3 * i)
+        sx[rows] = a_pow[i]
+        drift = a @ drift + k
+        sk[rows] = drift
+        for j in range(1, m + 1):
+            if j < m:
+                if i >= j:
+                    su[rows, j - 1] = a_pow[i - j] @ b
+            else:
+                col = np.zeros(3)
+                for l in range(m - 1, i):
+                    col += a_pow[i - 1 - l] @ b
+                su[rows, j - 1] = col
+    return sx, su, sk
+
+
+def _reference_qp(su, sx, sk, x0, x_ref, hw, input_target=None):
+    qbar = np.kron(np.eye(hw.n), hw.q)
+    h = su.T @ qbar @ su + hw.r * np.eye(hw.m)
+    h = 0.5 * (h + h.T)
+    f = su.T @ qbar @ (sx @ x0 + sk - x_ref)
+    if input_target is not None:
+        w, t_map, offset = input_target
+        h = h + w * (t_map.T @ t_map)
+        f = f + w * (t_map.T @ offset)
+    return 0.5 * (h + h.T), f
+
+
+def _random_model(rng, kind, ts):
+    op = OperatingPoint(psi=float(rng.uniform(-3.0, 3.0)), beta=float(rng.uniform(-0.6, 0.6)))
+    if kind == "initial":
+        return linearize_initial(PARAMS, ts)
+    if kind == "position":
+        return linearize_position(op, PARAMS, ts)
+    return linearize_velocity(op, PARAMS, ts)
+
+
+@pytest.mark.parametrize("kind", ["initial", "position", "velocity"])
+@pytest.mark.parametrize("ts,n,m", sorted(set(VARIANT_DEFAULTS.values())) + [(0.1, 7, 3), (0.3, 4, 1)])
+def test_fast_condensing_is_bit_identical_to_reference(kind, ts, n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    for _ in range(20):
+        model = _random_model(rng, kind, ts * float(rng.uniform(0.5, 1.5)))
+        pred = build_prediction(model, n, m)
+        sx, su, sk = _reference_prediction(model, n, m)
+        assert np.array_equal(pred.sx, sx)
+        assert np.array_equal(pred.su, su)
+        assert np.array_equal(pred.sk, sk)
+
+        hw = horizon_weights(TrackingWeights(w_y=float(rng.uniform(1.0, 20.0)),
+                                             w_du=float(rng.uniform(0.05, 1.0)),
+                                             alpha=float(rng.uniform(0.5, 12.0))),
+                             n, m, q_heading=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])))
+        x0 = rng.normal(size=3)
+        x_ref = rng.normal(size=3 * n)
+        qp = build_tracking_qp(pred, x0, x_ref, hw, (-0.1, 0.1))
+        h, f = _reference_qp(su, sx, sk, x0, x_ref, hw)
+        assert np.array_equal(qp.h, h)
+        assert np.array_equal(qp.f, f)
+
+
+@pytest.mark.parametrize("ts,n,m", [VARIANT_DEFAULTS["baseline"], VARIANT_DEFAULTS["weight_tuned"]])
+def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
+    # the fixed absolute-slip model's QP over cumulative moves, with its
+    # w_u term, both assembled in one call and from a cost condensed once
+    rng = np.random.default_rng(m)
+    pred = build_prediction(linearize_initial(PARAMS, ts), n, m)
+    t_low = np.tril(np.ones((m, m)))
+    hw = horizon_weights(TrackingWeights(w_u=3.0), n, m)
+    w = float(rng.uniform(0.5, 30.0)) ** 2
+    moves = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=pred.sk, n=n, m=m)
+    cost = condense_cost(moves, hw, (w, t_low))
+    for _ in range(20):
+        last_beta = float(rng.uniform(-0.3, 0.3))
+        sk_mv = pred.sk + pred.su @ np.full(m, last_beta)
+        step = PredictionMatrices(sx=pred.sx, su=moves.su, sk=sk_mv, n=n, m=m)
+        target = (w, t_low, np.full(m, last_beta - float(rng.uniform(-0.1, 0.1))))
+        x0 = rng.normal(size=3)
+        x_ref = rng.normal(size=3 * n)
+        h, f = _reference_qp(moves.su, pred.sx, sk_mv, x0, x_ref, hw, target)
+        for qp in (build_tracking_qp(step, x0, x_ref, hw, (-0.1, 0.1), target),
+                   build_tracking_qp(step, x0, x_ref, hw, (-0.1, 0.1), target, cost)):
+            assert np.array_equal(qp.h, h)
+            assert np.array_equal(qp.f, f)
 
 
 def test_qp_problem_validation():
