@@ -7,7 +7,9 @@ document is a valid scenario (straight path, baseline controller, no
 disturbance).  Parse errors carry the offending line number.
 """
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .controllers import (
     DEFAULT_ALPHA,
@@ -24,7 +26,7 @@ from .simulate import (
     make_step_path,
     make_straight_path,
 )
-from .vehicle import DEFAULT_LF, DEFAULT_LR, DEFAULT_SPEED, VehicleParams
+from .vehicle import VehicleParams
 
 PATH_KINDS = ("straight", "step", "sine", "complete")
 
@@ -67,26 +69,12 @@ class ScenarioConfig:
     ts: float | None = None  # [s] override for every variant
     horizon: int | None = None
     control_horizon: int | None = None
-    disturbance: DisturbanceSpec = field(
-        default_factory=lambda: DisturbanceSpec(kind="none", amplitude=0.0, seed=0)
-    )
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     out_dir: str = "out"
 
     def controller_config(self, variant: str) -> ControllerConfig:
         """Resolve the effective controller configuration for one variant."""
-        return config_for(
-            variant,
-            alpha=self.alpha,
-            w_y=self.w_y,
-            w_u=self.w_u,
-            w_du=self.w_du,
-            rate_limit=self.rate_limit,
-            ts=self.ts,
-            horizon=self.horizon,
-            control_horizon=self.control_horizon,
-            q_heading=self.q_heading,
-            u_target=self.u_target,
-        )
+        return config_for(variant, **{name: getattr(self, name) for name in _CONTROLLER_ARGS})
 
     def build_path(self, ts: float) -> ReferencePath:
         """Construct the reference path for this scenario at sample time ts."""
@@ -110,41 +98,48 @@ class ScenarioConfig:
         raise ValueError(f"unknown path kind {self.kind!r}")
 
 
-# schema: section -> key -> coercion kind
-_SCHEMA = {
-    "scenario": {
-        "name": "str",
-        "kind": "str",
-        "duration": "float",
-        "amplitude": "float",
-        "wavelength": "float",
-        "lead_in": "float",
-        "periods": "int",
-        "tail": "float",
-    },
-    "vehicle": {"lf": "float", "lr": "float", "v": "float"},
-    "controller": {
-        "variant": "str",
-        "variants": "list",
-        "alpha": "float",
-        "w_y": "float",
-        "w_u": "float",
-        "w_du": "float",
-        "rate_limit": "float",
-        "q_heading": "float",
-        "u_target": "float",
-        "ts": "float",
-        "horizon": "int",
-        "control_horizon": "int",
-    },
-    "disturbance": {
-        "kind": "str",
-        "amplitude": "float",
-        "seed": "int",
-        "apply_to_x": "bool",
-    },
-    "output": {"directory": "str"},
+# Every document key in serialization order: (section, key) -> (coercion
+# kind, ScenarioConfig attribute path).  Defaults live on the dataclasses
+# the paths point at; scan, parse, serialize and overrides all walk this.
+_FIELDS = {
+    ("scenario", "name"): ("str", "name"),
+    ("scenario", "kind"): ("str", "kind"),
+    ("scenario", "duration"): ("float", "duration"),
+    ("scenario", "amplitude"): ("float", "amplitude"),
+    ("scenario", "wavelength"): ("float", "wavelength"),
+    ("scenario", "lead_in"): ("float", "lead_in"),
+    ("scenario", "periods"): ("int", "periods"),
+    ("scenario", "tail"): ("float", "tail"),
+    ("vehicle", "lf"): ("float", "vehicle.lf"),
+    ("vehicle", "lr"): ("float", "vehicle.lr"),
+    ("vehicle", "v"): ("float", "vehicle.v"),
+    ("controller", "variant"): ("str", "variant"),
+    ("controller", "variants"): ("list", "variants"),
+    ("controller", "alpha"): ("float", "alpha"),
+    ("controller", "w_y"): ("float", "w_y"),
+    ("controller", "w_u"): ("float", "w_u"),
+    ("controller", "w_du"): ("float", "w_du"),
+    ("controller", "rate_limit"): ("float", "rate_limit"),
+    ("controller", "q_heading"): ("float", "q_heading"),
+    ("controller", "u_target"): ("float", "u_target"),
+    ("controller", "ts"): ("float", "ts"),
+    ("controller", "horizon"): ("int", "horizon"),
+    ("controller", "control_horizon"): ("int", "control_horizon"),
+    ("disturbance", "kind"): ("str", "disturbance.kind"),
+    ("disturbance", "amplitude"): ("float", "disturbance.amplitude"),
+    ("disturbance", "seed"): ("int", "disturbance.seed"),
+    ("disturbance", "apply_to_x"): ("bool", "disturbance.apply_to_x"),
+    ("output", "directory"): ("str", "out_dir"),
 }
+_SECTIONS = {section for section, _ in _FIELDS}
+# the [controller] settings config_for takes: all but the variant choices
+_CONTROLLER_ARGS = tuple(path for (section, key), (_, path) in _FIELDS.items()
+                         if section == "controller" and key not in ("variant", "variants"))
+# value -> document text per coercion kind; numbers use repr, which round-trips
+_FORMATS = {"str": str, "list": ", ".join, "bool": lambda flag: "true" if flag else "false"}
+
+# [m] noise standard deviation once a disturbance kind is set without one
+_NOISE_AMPLITUDE = 0.05
 
 _BOOL_WORDS = {
     "true": True,
@@ -172,11 +167,14 @@ def _coerce(kind: str, raw: str, line: int, key: str):
             raise ConfigError(line, f"{key} expects true/false, got {raw!r}")
         return _BOOL_WORDS[word]
     try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
         raise ConfigError(line, f"{key} expects {'an integer' if kind == 'int' else 'a number'}, got {raw!r}") from None
+    # nan passes every range check (its comparisons are false) and inf
+    # overflows path building; both would only fail mid-run
+    if not math.isfinite(value):
+        raise ConfigError(line, f"{key} expects a finite number, got {raw!r}")
+    return value
 
 
 def _scan(text: str):
@@ -188,7 +186,7 @@ def _scan(text: str):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(lineno, f"unknown section [{section}]")
             continue
         if "=" not in stripped:
@@ -198,7 +196,7 @@ def _scan(text: str):
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.split("#", 1)[0].strip()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _FIELDS:
             raise ConfigError(lineno, f"unknown key {key!r} in section [{section}]")
         yield lineno, section, key, raw
 
@@ -206,106 +204,85 @@ def _scan(text: str):
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a scenario document into a validated ScenarioConfig.
 
-    Unknown sections or keys, malformed values, and inconsistent settings
-    all raise ConfigError with the offending line number.
+    Unknown sections or keys, repeated keys, malformed values, and
+    inconsistent settings all raise ConfigError with the offending line
+    number.
     """
     values = {}  # (section, key) -> coerced value
     lines = {}  # (section, key) -> line number
-    duration_given = False
     for lineno, section, key, raw in _scan(text):
-        values[(section, key)] = _coerce(_SCHEMA[section][key], raw, lineno, key)
+        if (section, key) in lines:
+            raise ConfigError(lineno, f"{key!r} in section [{section}] "
+                                      f"is already set on line {lines[(section, key)]}")
+        values[(section, key)] = _coerce(_FIELDS[(section, key)][0], raw, lineno, key)
         lines[(section, key)] = lineno
-        if (section, key) == ("scenario", "duration"):
-            duration_given = True
+    return _build(values, lines)
 
-    def got(section, key, default):
-        return values.get((section, key), default)
 
+def _build(values: dict, lines: dict) -> ScenarioConfig:
+    """Validate (section, key) -> value pairs into a ScenarioConfig.
+
+    A key missing from `values` takes the default of the dataclass field its
+    attribute path names; `lines` holds the line that set each key.
+    """
     def line_of(*candidates):
-        for section, key in candidates:
-            if (section, key) in lines:
-                return lines[(section, key)]
+        for candidate in candidates:
+            if candidate in lines:
+                return lines[candidate]
         return 0
 
-    kind = got("scenario", "kind", "straight")
+    fields = {"": {}, "vehicle": {}, "disturbance": {}}  # owner -> attribute -> value
+    for (section, key), value in values.items():
+        owner, _, attr = _FIELDS[(section, key)][1].rpartition(".")
+        fields[owner][attr] = value
+    top = fields[""]
+
+    kind = top.get("kind", ScenarioConfig.kind)
     if kind not in PATH_KINDS:
         raise ConfigError(line_of(("scenario", "kind")),
                           f"kind must be one of {PATH_KINDS}, got {kind!r}")
 
-    duration = got("scenario", "duration", KIND_DURATIONS.get(kind, 30.0))
+    duration = top.setdefault("duration", KIND_DURATIONS.get(kind, ScenarioConfig.duration))
     if duration <= 0:
         raise ConfigError(line_of(("scenario", "duration")),
                           f"duration must be positive, got {duration}")
 
     for key in ("amplitude", "wavelength", "lead_in", "tail"):
-        val = got("scenario", key, None)
-        if val is not None and val < 0:
-            raise ConfigError(lines[("scenario", key)], f"{key} must be nonnegative, got {val}")
-    wavelength = got("scenario", "wavelength", 40.0)
-    if wavelength == 0:
+        if top.get(key, 0.0) < 0:
+            raise ConfigError(lines[("scenario", key)], f"{key} must be nonnegative, got {top[key]}")
+    if top.get("wavelength") == 0:
         raise ConfigError(line_of(("scenario", "wavelength")), "wavelength must be positive")
-    periods = got("scenario", "periods", 2)
+    periods = top.get("periods", ScenarioConfig.periods)
     if periods < 1:
         raise ConfigError(line_of(("scenario", "periods")),
                           f"periods must be at least 1, got {periods}")
 
     try:
-        vehicle = VehicleParams(
-            lf=got("vehicle", "lf", DEFAULT_LF),
-            lr=got("vehicle", "lr", DEFAULT_LR),
-            v=got("vehicle", "v", DEFAULT_SPEED),
-        )
+        top["vehicle"] = VehicleParams(**fields["vehicle"])
     except ValueError as exc:
         raise ConfigError(line_of(("vehicle", "lf"), ("vehicle", "lr"), ("vehicle", "v")),
                           str(exc)) from None
 
-    variant = got("controller", "variant", "baseline")
+    variant = top.get("variant", ScenarioConfig.variant)
     if variant not in VARIANTS:
         raise ConfigError(line_of(("controller", "variant")),
                           f"variant must be one of {VARIANTS}, got {variant!r}")
-    variants = got("controller", "variants", VARIANTS)
+    variants = top.get("variants", ScenarioConfig.variants)
     for name in variants:
         if name not in VARIANTS:
             raise ConfigError(line_of(("controller", "variants")),
                               f"unknown variant {name!r} in variants list")
 
-    dist_kind = got("disturbance", "kind", "none")
+    disturbance = fields["disturbance"]
+    if disturbance.get("kind", DisturbanceSpec.kind) != "none":
+        disturbance.setdefault("amplitude", _NOISE_AMPLITUDE)
     try:
-        disturbance = DisturbanceSpec(
-            kind=dist_kind,
-            amplitude=got("disturbance", "amplitude", 0.05 if dist_kind != "none" else 0.0),
-            seed=got("disturbance", "seed", 0),
-            apply_to_x=got("disturbance", "apply_to_x", False),
-        )
+        top["disturbance"] = DisturbanceSpec(**disturbance)
     except ValueError as exc:
         raise ConfigError(line_of(("disturbance", "kind"), ("disturbance", "amplitude"),
                                   ("disturbance", "seed")), str(exc)) from None
 
-    cfg = ScenarioConfig(
-        name=got("scenario", "name", "scenario"),
-        kind=kind,
-        duration=duration,
-        amplitude=got("scenario", "amplitude", 1.0),
-        wavelength=wavelength,
-        lead_in=got("scenario", "lead_in", 50.0),
-        periods=periods,
-        tail=got("scenario", "tail", 50.0),
-        vehicle=vehicle,
-        variant=variant,
-        variants=tuple(variants),
-        alpha=got("controller", "alpha", DEFAULT_ALPHA),
-        w_y=got("controller", "w_y", 10.0),
-        w_u=got("controller", "w_u", 0.0),
-        w_du=got("controller", "w_du", 0.1),
-        rate_limit=got("controller", "rate_limit", DEFAULT_RATE_LIMIT),
-        q_heading=got("controller", "q_heading", 0.0),
-        u_target=got("controller", "u_target", 0.0),
-        ts=got("controller", "ts", None),
-        horizon=got("controller", "horizon", None),
-        control_horizon=got("controller", "control_horizon", None),
-        disturbance=disturbance,
-        out_dir=got("output", "directory", "out"),
-    )
+    cfg = ScenarioConfig(**top)
 
     try:
         span = _scenario_span(cfg)
@@ -331,7 +308,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"variant {name!r}: prediction window {horizon_span:g} s "
                 f"exceeds the scenario duration {span:g} s",
             )
-    if duration_given and kind == "complete":
+    if kind == "complete" and ("scenario", "duration") in values:
         raise ConfigError(lines[("scenario", "duration")],
                           "complete scenarios derive duration from geometry; remove the key")
     return cfg
@@ -345,70 +322,39 @@ def _scenario_span(cfg: ScenarioConfig) -> float:
     return float(path.t[-1])
 
 
+def _document_values(cfg: ScenarioConfig) -> dict:
+    """(section, key) -> value for every key the normalized document holds."""
+    values = {}
+    for (section, key), (_, path) in _FIELDS.items():
+        value = attrgetter(path)(cfg)
+        if value is not None:  # unset per-variant overrides (ts, horizon, ...)
+            values[(section, key)] = value
+    if cfg.kind == "complete":
+        del values[("scenario", "duration")]  # derived from geometry
+    return values
+
+
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a ScenarioConfig back to document text (parse round-trips)."""
-    dist = cfg.disturbance
-    out = [
-        "[scenario]",
-        f"name = {cfg.name}",
-        f"kind = {cfg.kind}",
-        f"amplitude = {cfg.amplitude!r}",
-        f"wavelength = {cfg.wavelength!r}",
-        f"lead_in = {cfg.lead_in!r}",
-        f"periods = {cfg.periods}",
-        f"tail = {cfg.tail!r}",
-    ]
-    if cfg.kind != "complete":
-        out.insert(3, f"duration = {cfg.duration!r}")
-    out += [
-        "",
-        "[vehicle]",
-        f"lf = {cfg.vehicle.lf!r}",
-        f"lr = {cfg.vehicle.lr!r}",
-        f"v = {cfg.vehicle.v!r}",
-        "",
-        "[controller]",
-        f"variant = {cfg.variant}",
-        f"variants = {', '.join(cfg.variants)}",
-        f"alpha = {cfg.alpha!r}",
-        f"w_y = {cfg.w_y!r}",
-        f"w_u = {cfg.w_u!r}",
-        f"w_du = {cfg.w_du!r}",
-        f"rate_limit = {cfg.rate_limit!r}",
-        f"q_heading = {cfg.q_heading!r}",
-        f"u_target = {cfg.u_target!r}",
-    ]
-    if cfg.ts is not None:
-        out.append(f"ts = {cfg.ts!r}")
-    if cfg.horizon is not None:
-        out.append(f"horizon = {cfg.horizon}")
-    if cfg.control_horizon is not None:
-        out.append(f"control_horizon = {cfg.control_horizon}")
-    out += [
-        "",
-        "[disturbance]",
-        f"kind = {dist.kind}",
-        f"amplitude = {dist.amplitude!r}",
-        f"seed = {dist.seed}",
-        f"apply_to_x = {'true' if dist.apply_to_x else 'false'}",
-        "",
-        "[output]",
-        f"directory = {cfg.out_dir}",
-        "",
-    ]
-    return "\n".join(out)
+    out = []
+    for (section, key), value in _document_values(cfg).items():
+        if f"[{section}]" not in out:
+            out += ["", f"[{section}]"]
+        out.append(f"{key} = {_FORMATS.get(_FIELDS[(section, key)][0], repr)(value)}")
+    return "\n".join(out[1:]) + "\n"  # no blank line before the first header
 
 
 def apply_overrides(cfg: ScenarioConfig, assignments: list) -> ScenarioConfig:
     """Apply `section.key=value` override strings on top of a parsed config.
 
-    Overrides reuse the document schema; errors are reported with line 0
-    (they have no source line) and name the assignments.
+    Each value is coerced like a document value and replaces what the
+    normalized document of `cfg` holds for its key; the last assignment to a
+    key wins.  Errors are reported with line 0 (overrides have no source
+    line) and name the assignments.
     """
     if not assignments:
         return cfg
-    text = serialize_config(cfg)
-    doc = {}
+    given = {}  # (section, key) -> raw value
     for item in assignments:
         head, sep, raw = item.partition("=")
         if not sep:
@@ -416,44 +362,23 @@ def apply_overrides(cfg: ScenarioConfig, assignments: list) -> ScenarioConfig:
         section, dot, key = head.strip().partition(".")
         if not dot:
             raise ConfigError(0, f"override key {head.strip()!r} must look like section.key")
-        doc[(section, key.strip())] = raw.strip()
-
-    # rewrite the serialized document with the overrides applied, adding
-    # keys that the serializer omitted (e.g. ts when unset)
-    lines = text.splitlines()
-    rewritten = []
-    section = None
-    pending = dict(doc)
-    for line in lines:
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            # flush keys destined for the section we are leaving
-            rewritten.extend(_flush_pending(pending, section))
-            section = stripped[1:-1]
-            rewritten.append(line)
-            continue
-        if "=" in stripped and not stripped.startswith("#"):
-            key = stripped.partition("=")[0].strip()
-            if (section, key) in pending:
-                rewritten.append(f"{key} = {pending.pop((section, key))}")
-                continue
-        rewritten.append(line)
-    rewritten.extend(_flush_pending(pending, section))
-    for (section, key), raw in pending.items():
-        raise ConfigError(0, f"override targets unknown key [{section}] {key}")
+        key = key.strip()
+        if (section, key) not in _FIELDS:
+            raise ConfigError(0, f"override targets unknown key [{section}] {key}")
+        # a document cannot carry '#' (it starts a comment) or a line break,
+        # so the value could not survive the manifest's config echo
+        raw = raw.strip()
+        if "#" in raw or len(raw.splitlines()) > 1:
+            raise ConfigError(0, f"--set {item}: values cannot contain '#' or a line break")
+        given[(section, key)] = raw
     try:
-        return parse_config("\n".join(rewritten))
+        values = _document_values(cfg)
+        for (section, key), raw in given.items():
+            values[(section, key)] = _coerce(_FIELDS[(section, key)][0], raw, 0, key)
+        # the carried-over duration was never the user's; a complete path
+        # derives its own
+        if values[("scenario", "kind")] == "complete" and ("scenario", "duration") not in given:
+            values.pop(("scenario", "duration"), None)
+        return _build(values, dict.fromkeys(values, 0))
     except ConfigError as exc:
-        # cfg was valid, so the overrides broke it; a line of the
-        # re-serialized document would point at nothing the user wrote
         raise ConfigError(0, f"--set {' '.join(assignments)}: {exc.message}") from None
-
-
-def _flush_pending(pending: dict, section) -> list:
-    emitted = []
-    if section is None:
-        return emitted
-    for (sec, key) in list(pending):
-        if sec == section:
-            emitted.append(f"{key} = {pending.pop((sec, key))}")
-    return emitted

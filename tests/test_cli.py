@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trackmpc.config as config_mod
 import trackmpc.controllers as controllers_mod
 from trackmpc import (
     ConfigError,
@@ -120,6 +121,10 @@ def test_full_document_with_comments():
     ("[controller]\nrate_limit = -1\n", 2, "rate limit"),
     ("[controller]\nw_du = 0\n", 2, "move weight"),
     ("[scenario]\nkind = complete\nlead_in = 0\n", 3, "positive segment lengths"),
+    ("[scenario]\nduration = nan\n", 2, "finite"),
+    ("[vehicle]\nv = inf\n", 2, "finite"),
+    ("[controller]\nrate_limit = -inf\n", 2, "finite"),
+    ("[scenario]\nkind = step\nkind = sine\n", 3, "already set on line 2"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -163,6 +168,15 @@ def test_overrides_win_and_add_missing_keys():
     ("scenario.nosuch=1", "unknown key"),
     ("nowhere.duration=6", "unknown"),
     ("controller.rate_limit=-1", r"--set controller\.rate_limit=-1: .*rate limit must be positive"),
+    ("scenario.duration=nan", r"--set scenario\.duration=nan: duration expects a finite number"),
+    ("scenario.duration=inf", "finite"),
+    ("vehicle.v=inf", "finite"),
+    ("controller.w_y=nan", "finite"),
+    ("disturbance.amplitude=nan", "finite"),
+    ("controller.rate_limit=inf", "finite"),
+    ("output.directory=runs#2", r"--set output\.directory=runs#2: .*'#'"),
+    ("scenario.name=a # b", r"--set scenario\.name=a # b: .*'#'"),
+    ("scenario.name=a\nb", "line break"),
 ])
 def test_override_errors(bad, needle):
     # overrides have no source line: every error is anchored at line 0,
@@ -171,6 +185,25 @@ def test_override_errors(bad, needle):
     with pytest.raises(ConfigError, match=needle) as caught:
         apply_overrides(cfg, [bad])
     assert caught.value.line == 0
+
+
+def test_override_can_switch_to_a_complete_path():
+    # the duration the normalized document carries is not the user's, so a
+    # switch to a complete path drops it; an explicit one is still an error
+    assert apply_overrides(parse_config(""), ["scenario.kind=complete"]) == \
+        parse_config("[scenario]\nkind = complete\n")
+    complete_sine = SINE_DOC.replace("kind = sine", "kind = complete").replace("duration = 4\n", "")
+    assert apply_overrides(parse_config(SINE_DOC), ["scenario.kind=complete"]) == \
+        parse_config(complete_sine)
+    with pytest.raises(ConfigError, match="derive duration") as caught:
+        apply_overrides(parse_config(""), ["scenario.kind=complete", "scenario.duration=10"])
+    assert caught.value.line == 0
+
+
+def test_repeated_override_is_last_wins():
+    cfg = apply_overrides(parse_config(""), ["output.directory=a", "scenario.name=x",
+                                             "output.directory=b"])
+    assert (cfg.out_dir, cfg.name) == ("b", "x")
 
 
 # --- artifact files -------------------------------------------------------------
@@ -321,6 +354,10 @@ def test_bad_override_exits_one(capsys):
     rc = main(["validate-config", "--set", "controller.w_du=0"])
     assert rc == 1
     assert "move weight" in capsys.readouterr().err
+    # '#' would start a comment in the manifest's config echo
+    rc = main(["validate-config", "--output-dir", "runs#2"])
+    assert rc == 1
+    assert "output.directory=runs#2" in capsys.readouterr().err
 
 
 def test_sweep_preconditions_exit_one(tmp_path, capsys):
@@ -346,6 +383,39 @@ def test_validate_config_echoes_normalized_document(tmp_path, capsys):
     echoed = parse_config(capsys.readouterr().out)
     assert echoed.amplitude == 2.0
     assert echoed.kind == "sine"
+
+
+GOLDEN = ROOT / "tests" / "golden" / "validate_config"
+# golden file -> validate-config arguments after the verb
+GOLDEN_RUNS = {
+    "complete": ["scenarios/complete.cfg"],
+    "sine_disturbed": ["scenarios/sine_disturbed.cfg"],
+    "step": ["scenarios/step.cfg"],
+    "straight": ["scenarios/straight.cfg"],
+    "empty": [],
+    "step_overridden": ["scenarios/step.cfg", "--set", "controller.ts=0.1",
+                        "--set", "scenario.name=stepped",
+                        "--set", "controller.variants=position_sl,baseline",
+                        "--set", "disturbance.kind=gaussian_output", "--set", "vehicle.v=8",
+                        "--output-dir", "runs/x"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_validate_config_output_is_pinned(name, capsys, monkeypatch):
+    # the normalized document is also the manifest's config echo, so its
+    # exact bytes are part of every run's artifacts
+    monkeypatch.chdir(ROOT)
+    assert main(["validate-config", *GOLDEN_RUNS[name]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_readme_documents_every_key():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(block)
+    documented = {(section, key) for _, section, key, _ in config_mod._scan(block)}
+    assert documented == set(config_mod._FIELDS)
 
 
 def test_failed_run_exits_two(tmp_path, capsys, monkeypatch):

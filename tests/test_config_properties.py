@@ -1,9 +1,11 @@
-"""Property test for the scenario document round-trip.
+"""Property tests for the scenario document round-trips.
 
-apply_overrides works by serializing a parsed config, rewriting the text
-and parsing it again, so every valid ScenarioConfig must come back from
-serialize_config unchanged. Floats are written with repr, which
-round-trips exactly, so the check is plain equality.
+The manifest echoes serialize_config's document so that a run can be
+regenerated from its artifacts, so every valid ScenarioConfig must come
+back from parse_config unchanged. The same document, applied to the empty
+scenario one `--set` per line, must rebuild it too: apply_overrides merges
+coerced values into what the normalized document holds. Floats are written
+with repr, which round-trips exactly, so the checks are plain equality.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from trackmpc import (  # noqa: E402
     DisturbanceSpec,
     ScenarioConfig,
     VehicleParams,
+    apply_overrides,
     parse_config,
     serialize_config,
 )
@@ -83,3 +86,21 @@ def test_serialize_parse_round_trip(cfg):
         # prediction horizon); those are out of scope
         assume(False)
     assert parsed == cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cfg=scenario_configs())
+def test_overrides_rebuild_every_config(cfg):
+    text = serialize_config(cfg)
+    try:
+        parse_config(text)
+    except ConfigError:
+        assume(False)
+    assignments, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key, _, value = line.partition(" = ")
+            assignments.append(f"{section}.{key}={value}")
+    assert apply_overrides(parse_config(""), assignments) == cfg
