@@ -375,10 +375,14 @@ def apply_overrides(cfg: ScenarioConfig, assignments: list) -> ScenarioConfig:
         values = _document_values(cfg)
         for (section, key), raw in given.items():
             values[(section, key)] = _coerce(_FIELDS[(section, key)][0], raw, 0, key)
-        # the carried-over duration was never the user's; a complete path
-        # derives its own
+        # carried-over values that were never the user's: a complete path
+        # derives its own duration, and noise switched on gets the default
+        # amplitude rather than the noise-free document's 0
         if values[("scenario", "kind")] == "complete" and ("scenario", "duration") not in given:
             values.pop(("scenario", "duration"), None)
+        noise_on = cfg.disturbance.kind == "none" and values[("disturbance", "kind")] != "none"
+        if noise_on and ("disturbance", "amplitude") not in given:
+            values.pop(("disturbance", "amplitude"), None)
         return _build(values, dict.fromkeys(values, 0))
     except ConfigError as exc:
         raise ConfigError(0, f"--set {' '.join(assignments)}: {exc.message}") from None

@@ -14,7 +14,9 @@ subject to box bounds on U. H and Su' Qbar depend on the model and weights
 only, so condense_cost can build them once for a model that never changes,
 leaving f to each step. The solver below handles exactly that problem
 shape: dense, strictly convex, small (tens of variables), with the KKT
-condition of a box QP as its termination test.
+condition of a box QP as its termination test. It searches bound
+partitions with cheap solves and finishes the one it accepts exactly, so
+its answer depends on that partition alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linearize import AffineLtiModel
+
+_POSITIVE_ZERO3 = bytes(3 * 8)  # the bytes of (+0.0, +0.0, +0.0)
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,12 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     and gathered into the block-Toeplitz Su by index. The final move column
     instead holds sum_p G_p over its held stages, summed from G_(i-M) down
     to G_0. Sk accumulates the drift, Sx stacks A^i.
+
+    Every model linearize builds has A = I + c e3' (only the psi column
+    differs from I). Then the powers A^p are a cumsum of c, and Sk is zero
+    for K = 0 or a cumsum of K for A = I; these structured forms round
+    exactly like the products A^(p-1) A and A d + K they replace. Any other
+    A takes those recursions.
     """
     if n < 1 or not (1 <= m <= n):
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
@@ -122,10 +132,22 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     b = np.asarray(model.b, dtype=float).reshape(3)
     k = np.asarray(model.k, dtype=float).reshape(3)
 
-    a_pow = [np.eye(3)]
-    for _ in range(n):
-        a_pow.append(a_pow[-1] @ a)
-    a_pow = np.stack(a_pow)  # (N+1, 3, 3)
+    # A = I + c e3' with c = (a02, a12, 0), as every linearize model is, has
+    # A^p = I + p c e3': each product A^(p-1) A adds c to the psi column with
+    # one rounding, which a cumsum repeats (+ 0.0 turns -0.0 into the +0.0
+    # the products give).
+    (a00, a01, a02), (a10, a11, a12), row2 = a.tolist()
+    sheared = (a00, a01, a10, a11) == (1.0, 0.0, 0.0, 1.0) and row2 == [0.0, 0.0, 1.0]
+    if sheared:
+        a_pow = np.zeros((n + 1, 9))
+        a_pow[:, ::4] = 1.0
+        a_pow[1:, 2:6:3] = np.full((n, 2), (a02, a12)).cumsum(0) + 0.0  # entries (0,2), (1,2)
+        a_pow = a_pow.reshape(n + 1, 3, 3)
+    else:
+        a_pow = [np.eye(3)]
+        for _ in range(n):
+            a_pow.append(a_pow[-1] @ a)
+        a_pow = np.stack(a_pow)  # (N+1, 3, 3)
     # markov[p] = A^p B for p < N; row N is the zero block above the diagonal.
     markov = np.zeros((n + 1, 3))
     markov[:n] = a_pow[:n] @ b
@@ -144,10 +166,16 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     su = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(3 * n, m)
 
     sx = a_pow[1:].reshape(3 * n, 3)
-    drifts = [np.zeros(3)]
-    for _ in range(n):
-        drifts.append(a @ drifts[-1] + k)
-    sk = np.concatenate(drifts[1:])
+    if k.tobytes() == _POSITIVE_ZERO3:
+        sk = np.zeros(3 * n)  # A 0 + (+0) is +0 for any A
+    elif sheared and a02 == a12 == 0.0:
+        # A = I: the drifts are running sums of K, added in the same order.
+        sk = np.full((n, 3), k + 0.0).cumsum(0).reshape(3 * n)
+    else:
+        drifts = [np.zeros(3)]
+        for _ in range(n):
+            drifts.append(a @ drifts[-1] + k)
+        sk = np.concatenate(drifts[1:])
     return PredictionMatrices(sx=sx, su=su, sk=sk, n=n, m=m)
 
 
@@ -275,24 +303,43 @@ class QpSolution:
     iterations: int
     status: str          # "converged" or "max_iter"
     kkt_residual: float
+    primal_iterations: int = 0  # of the iterations, those of the primal active-set phase
 
 
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpSolution:
     """Deterministic box-QP solve to a KKT tolerance.
 
-    The workhorse is principal pivoting on the bound partition: pinned
-    coordinates sit on their bound, free coordinates solve the reduced
-    normal equations exactly, and coordinates whose primal value or
-    multiplier sign is wrong swap sides. Whole blocks are swapped while the
-    infeasibility count keeps dropping; otherwise the method degrades to
-    single least-index swaps, which terminate for positive definite H
-    (Murty, 1974). The pivot loop lands on the exact active set, so the
-    returned point satisfies the KKT condition to solver precision rather
-    than crawling toward it, no matter how stiff H is.
+    The search is over bound partitions: pinned coordinates sit on their
+    bound, free coordinates solve the reduced normal equations, and a
+    partition is accepted when no free coordinate leaves the box and no
+    pinned coordinate's multiplier has the wrong sign. The accepted
+    partition is always finished exactly: one step of iterative refinement
+    on its free solve, the violation test again on the refined point, and
+    the projection onto the box. The returned point therefore depends only
+    on the accepted partition, which for a strictly convex QP is the
+    optimal one (unique unless a bound is weakly active), however the
+    search reached it.
 
-    If the pivot budget max_iter runs out first, returns the last partition's
-    point clipped to the box, with status "max_iter" unless it happens to
-    meet the tolerance anyway.
+    The search runs on cheap iterates, the reduced solve without
+    refinement; the first, the partition of the unconstrained minimizer,
+    is finished at once, and the all-free partition reuses the
+    unconstrained solve. Every violating coordinate swaps sides at once
+    while the violation count keeps dropping (primal-dual active set;
+    Hintermueller, Ito and Kunisch 2002). When these block swaps stall the
+    search turns into a monotone primal active-set method, started from
+    the iterate projected onto the box with only the bounds whose
+    multipliers have the right sign kept pinned. Each of its steps makes
+    one reduced solve; a ratio test pins the first bound that blocks the
+    step toward it, and a step that no bound blocks releases the pinned
+    coordinate with the most negative multiplier. That phase is finite for
+    positive definite H (Nocedal and Wright, section 16.5). If the exact
+    finish disagrees with a cheap iterate, the search goes on from the
+    refined point's violations.
+
+    Every reduced solve counts one iteration; primal_iterations counts
+    those of the primal phase. If the budget max_iter runs out first,
+    returns the last partition's point clipped to the box, with status
+    "max_iter" unless it happens to meet the tolerance anyway.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -308,60 +355,112 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
         return float(np.max(np.abs(z - clipped(z - (h @ z + f)))))
 
     fixed = lb == ub  # equality-pinned coordinates never pivot
+    # The all-free partition's right-hand side is -(f + H[free, pinned] z) with
+    # nothing pinned, i.e. -(f + 0.0) down to the sign of zero, so this solve
+    # is its reduced solve as well as the partition guess.
+    x_unc = np.linalg.solve(h, -(f + 0.0))
     # Partition per coordinate: -1 at lower bound, +1 at upper, 0 free.
-    x_unc = np.linalg.solve(h, -f)
     part = np.zeros(nv, dtype=np.int8)
     part[x_unc <= lb] = -1
     part[x_unc >= ub] = 1
     part[fixed] = -1
 
-    def assemble(p: np.ndarray) -> np.ndarray:
+    def reduced(p: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Partition p's cheap iterate and the free block of H it solved with."""
+        if free.all():
+            return x_unc.copy(), h
         z = np.where(p < 0, lb, ub)
-        free = p == 0
-        if free.any():
-            idx = np.ix_(free, free)
-            rhs = -(f[free] + h[free][:, ~free] @ z[~free])
-            z[free] = np.linalg.solve(h[idx], rhs)
-            # One step of iterative refinement keeps the free gradient at
-            # solver precision even for badly scaled H.
+        if not free.any():
+            return z, None
+        h_free = h[np.ix_(free, free)]
+        rhs = -(f[free] + h[free][:, ~free] @ z[~free])
+        z[free] = np.linalg.solve(h_free, rhs)
+        return z, h_free
+
+    def refine(z: np.ndarray, free: np.ndarray, h_free: np.ndarray | None) -> None:
+        """One step of iterative refinement, in place, keeps the free gradient
+        at solver precision even for badly scaled H."""
+        if h_free is not None:
             gf = h[free] @ z + f[free]
-            z[free] -= np.linalg.solve(h[idx], gf)
-        return z
+            z[free] -= np.linalg.solve(h_free, gf)
+
+    def violations(p: np.ndarray, z: np.ndarray):
+        """(too_low, too_high, wrong-sign multipliers, gradient, count) at z.
+
+        Pinned coordinates sit exactly on a bound, so only free ones can be
+        out of the box; p * g > 0 is g < 0 at a lower and g > 0 at an upper
+        bound.
+        """
+        g = h @ z + f
+        too_low, too_high, leave = z < lb, z > ub, (p * g > 0.0) & ~fixed
+        return too_low, too_high, leave, g, np.count_nonzero(too_low | too_high | leave)
 
     it = 0
     patience = 3
     best_infeas = nv + 1
+    point = None  # the primal phase's feasible point, once it has one
+    primal = False
+    primal_its = 0
     while it < max_iter:
         it += 1
-        x = assemble(part)
-        g = h @ x + f
+        if primal:
+            primal_its += 1
         free = part == 0
-        too_low = free & (x < lb)
-        too_high = free & (x > ub)
-        leave_lo = (part == -1) & ~fixed & (g < 0.0)
-        leave_hi = (part == 1) & ~fixed & (g > 0.0)
-        violations = too_low | too_high | leave_lo | leave_hi
-        n_viol = int(np.count_nonzero(violations))
+        z, h_free = reduced(part, free)
+        # The guess partition is finished at once, so a guess that holds
+        # costs no more than that.
+        exact = it == 1
+        if exact:
+            refine(z, free, h_free)
+        too_low, too_high, leave, g, n_viol = violations(part, z)
+        if n_viol == 0 and not exact:
+            exact = True
+            refine(z, free, h_free)
+            too_low, too_high, leave, g, n_viol = violations(part, z)
         if n_viol == 0:
-            x = clipped(x)  # exact projection of roundoff
-            return QpSolution(u=x, iterations=it, status="converged",
-                              kkt_residual=residual_at(x))
-        if n_viol < best_infeas:
-            best_infeas = n_viol
-            patience = 3
-        elif patience > 0:
-            patience -= 1
-        if patience > 0:
-            swap = violations
-        else:
-            swap = np.zeros(nv, dtype=bool)
-            swap[int(np.argmax(violations))] = True  # least index violator
-        part = part.copy()
-        part[swap & too_low] = -1
-        part[swap & too_high] = 1
-        part[swap & (leave_lo | leave_hi)] = 0
+            z = clipped(z)  # exact projection of roundoff
+            return QpSolution(u=z, iterations=it, status="converged",
+                              kkt_residual=residual_at(z), primal_iterations=primal_its)
+        if not primal:
+            if n_viol < best_infeas:
+                best_infeas = n_viol
+                patience = 3
+            elif patience > 0:
+                patience -= 1
+            if patience > 0:
+                part[too_low] = -1
+                part[too_high] = 1
+                part[leave] = 0
+                continue
+            primal = True
+        blocking = too_low | too_high
+        if not blocking.any():
+            # A subspace minimizer inside the box: release the pinned
+            # coordinate with the most negative multiplier.
+            point = z
+            part[int(np.argmax(np.where(leave, np.abs(g), -1.0)))] = 0
+            continue
+        if point is None or exact:
+            # Start, or restart from an exact iterate, at the projection onto
+            # the box, keeping pinned only what has the right multiplier.
+            point = clipped(z)
+            part[leave] = 0
+        # Step from the feasible point toward z up to the first bound that
+        # blocks; of bounds blocking at once, pin the one with the largest move.
+        step = z - point
+        target = np.where(too_low, lb, ub)
+        ratio = np.where(blocking, (target - point) / np.where(blocking, step, 1.0), np.inf)
+        first = ratio == ratio.min()
+        j = int(np.argmax(np.where(first, np.abs(step), -1.0)))
+        point = clipped(point + ratio[j] * step)
+        point[j] = target[j]
+        part[j] = -1 if too_low[j] else 1
 
-    x = clipped(assemble(part))
+    free = part == 0
+    z, h_free = reduced(part, free)
+    refine(z, free, h_free)
+    x = clipped(z)
     resid = residual_at(x)
     status = "converged" if resid <= tol else "max_iter"
-    return QpSolution(u=x, iterations=it, status=status, kkt_residual=resid)
+    return QpSolution(u=x, iterations=it, status=status, kkt_residual=resid,
+                      primal_iterations=primal_its)

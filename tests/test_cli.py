@@ -200,6 +200,27 @@ def test_override_can_switch_to_a_complete_path():
     assert caught.value.line == 0
 
 
+@pytest.mark.parametrize("extra,amplitude", [([], 0.05), (["disturbance.amplitude=0.0"], 0.0),
+                                             (["disturbance.amplitude=0.2"], 0.2)])
+def test_override_switching_noise_on_gets_the_default_amplitude(extra, amplitude):
+    # the noise-free document's amplitude 0 was never the user's, so noise
+    # switched on by --set gets the document default of 0.05 m unless an
+    # amplitude is given too
+    doc = (ROOT / "scenarios" / "straight.cfg").read_text()
+    cfg = apply_overrides(parse_config(doc), ["disturbance.kind=gaussian_output", *extra])
+    assert (cfg.disturbance.kind, cfg.disturbance.amplitude) == ("gaussian_output", amplitude)
+    if not extra:
+        assert cfg == parse_config(doc.replace("kind = none", "kind = gaussian_output"))
+
+
+def test_override_keeps_the_amplitude_of_noise_already_on():
+    doc = (ROOT / "scenarios" / "sine_disturbed.cfg").read_text()
+    base = parse_config(doc)
+    assert base.disturbance.kind == "gaussian_output"
+    cfg = apply_overrides(base, ["disturbance.kind=gaussian_output", "disturbance.seed=7"])
+    assert cfg.disturbance.amplitude == base.disturbance.amplitude
+
+
 def test_repeated_override_is_last_wins():
     cfg = apply_overrides(parse_config(""), ["output.directory=a", "scenario.name=x",
                                              "output.directory=b"])

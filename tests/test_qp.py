@@ -6,9 +6,14 @@ against random feasible points, and the closed-form unconstrained solution
 when it is interior.
 """
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import trackmpc.controllers as controllers_mod
+from qp_reference import reference_solve_box_qp
 from trackmpc import (
     HorizonWeights,
     OperatingPoint,
@@ -16,15 +21,18 @@ from trackmpc import (
     QpProblem,
     TrackingWeights,
     VehicleParams,
+    apply_overrides,
     build_prediction,
     build_tracking_qp,
     horizon_weights,
     linearize_initial,
     linearize_position,
     linearize_velocity,
+    parse_config,
     scale_tracking_weights,
     solve_box_qp,
 )
+from trackmpc.cli import run_compare
 from trackmpc.controllers import VARIANT_DEFAULTS
 from trackmpc.qp import condense_cost
 
@@ -286,6 +294,9 @@ def test_fast_condensing_is_bit_identical_to_reference(kind, ts, n, m):
         assert np.array_equal(pred.sx, sx)
         assert np.array_equal(pred.su, su)
         assert np.array_equal(pred.sk, sk)
+        # down to the sign of every zero
+        assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
+            (sx.tobytes(), su.tobytes(), sk.tobytes())
 
         hw = horizon_weights(TrackingWeights(w_y=float(rng.uniform(1.0, 20.0)),
                                              w_du=float(rng.uniform(0.05, 1.0)),
@@ -297,6 +308,32 @@ def test_fast_condensing_is_bit_identical_to_reference(kind, ts, n, m):
         h, f = _reference_qp(su, sx, sk, x0, x_ref, hw)
         assert np.array_equal(qp.h, h)
         assert np.array_equal(qp.f, f)
+
+
+@pytest.mark.parametrize("linearize", [linearize_position, linearize_velocity])
+@pytest.mark.parametrize("psi,beta", [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)])
+def test_structured_prediction_keeps_the_sign_of_zero(linearize, psi, beta):
+    # straight-ahead operating points put signed zeros into A's psi column
+    # and into K; the cumsum forms must give every zero the recursion's sign
+    model = linearize(OperatingPoint(psi=psi, beta=beta), PARAMS, 0.05)
+    for n, m in [(20, 20), (10, 5), (4, 1)]:
+        pred = build_prediction(model, n, m)
+        sx, su, sk = _reference_prediction(model, n, m)
+        assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
+            (sx.tobytes(), su.tobytes(), sk.tobytes())
+
+
+def test_generic_model_prediction_matches_reference():
+    # a model outside the shear form takes the plain recursions
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        model = linearize_velocity(OperatingPoint(psi=0.4, beta=0.1), PARAMS, 0.05)
+        a = model.a + 0.05 * rng.normal(size=(3, 3))
+        model = type(model)(a=a, b=model.b, k=rng.normal(size=3))
+        pred = build_prediction(model, 8, 3)
+        sx, su, sk = _reference_prediction(model, 8, 3)
+        assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
+            (sx.tobytes(), su.tobytes(), sk.tobytes())
 
 
 @pytest.mark.parametrize("ts,n,m", [VARIANT_DEFAULTS["baseline"], VARIANT_DEFAULTS["weight_tuned"]])
@@ -489,3 +526,59 @@ def test_ill_conditioned_tracking_instance():
     assert sol.status == "converged"
     assert sol.kkt_residual <= 1e-8
     assert sol.u[0] == pytest.approx(0.1, abs=1e-12)  # saturated first move
+
+
+# --- the solver against its earlier self on every shipped QP ----------------
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _recorded_qps(scenario, tmp_path):
+    """Every QP run_compare solves on a shipped scenario, in order."""
+    qps = []
+
+    def recording(qp, *args, **kwargs):
+        qps.append(qp)
+        return solve_box_qp(qp, *args, **kwargs)
+
+    cfg = apply_overrides(parse_config((SHIPPED / scenario).read_text()),
+                          [f"output.directory={tmp_path}"])
+    with mock.patch.object(controllers_mod, "solve_box_qp", recording):
+        rows, failures = run_compare(cfg)
+    assert failures == [] and len(rows) == 4
+    return qps
+
+
+def _counting_solves(solver, qps):
+    """Each QP's solution and the np.linalg.solve calls all of them made."""
+    calls = 0
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "solve", counted):
+        sols = [solver(qp) for qp in qps]
+    return sols, calls
+
+
+@pytest.mark.parametrize("scenario,fewer_solves", [
+    ("complete.cfg", True), ("straight.cfg", False),
+    ("sine_disturbed.cfg", True), ("step.cfg", False)])
+def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solves, tmp_path):
+    # the search may take any path, but the exact finish of the partition it
+    # accepts must return the reference solver's bits on every shipped QP,
+    # with fewer linear solves where the block swaps used to stall
+    qps = _recorded_qps(scenario, tmp_path)
+    ours, our_calls = _counting_solves(solve_box_qp, qps)
+    theirs, their_calls = _counting_solves(reference_solve_box_qp, qps)
+    for i, (sol, ref) in enumerate(zip(ours, theirs)):
+        assert np.array_equal(sol.u, ref.u), (scenario, i)
+        assert sol.status == "converged" and sol.kkt_residual <= 1e-8, (scenario, i)
+    assert our_calls <= their_calls
+    if fewer_solves:
+        assert our_calls < their_calls
+    # no workload may need more than 1% more iterations in total
+    assert sum(s.iterations for s in ours) <= 1.01 * sum(s.iterations for s in theirs)

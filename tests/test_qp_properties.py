@@ -1,11 +1,14 @@
 """Property tests for the box-QP solver on random strictly convex instances.
 
-Principal pivoting is the solver's only path, so every instance it can be
-handed must converge within the default pivot budget to the 1e-8 KKT
+The partition search (block swaps, then the primal active-set phase when
+they stall) is the solver's only path, so every instance it can be handed
+must converge within the default iteration budget to the 1e-8 KKT
 contract. Small instances are also checked against a brute-force oracle
 that tries every partition of the coordinates into lower bound, free and
 upper bound (3^n of them) and keeps the cheapest feasible point; for a
-strictly convex QP that point is the unique minimizer.
+strictly convex QP that point is the unique minimizer. Where the primal
+phase runs, the result is also held bit for bit to the earlier solver kept
+in tests/qp_reference.py.
 """
 
 import itertools
@@ -14,8 +17,9 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
+from qp_reference import reference_solve_box_qp  # noqa: E402
 from trackmpc import QpProblem, solve_box_qp  # noqa: E402
 
 KKT_TOL = 1e-8
@@ -80,3 +84,100 @@ def test_pivoting_matches_brute_force_oracle(qp):
     sol = solve_box_qp(qp)
     assert sol.status == "converged"
     np.testing.assert_allclose(sol.u, _brute_force_minimizer(qp), rtol=0, atol=1e-7)
+
+
+# --- the primal active-set phase --------------------------------------------
+#
+# Block swaps stall most on the fixed-slip-model structure: H = T'DT + rI with
+# T the cumulative-move map (each command is the running sum of the moves),
+# strongly graded stage weights D and boxes narrow against the gradient.
+# That is where the solver hands over to its primal phase.
+
+@st.composite
+def move_qps(draw, max_n: int = 8):
+    n = draw(st.integers(1, max_n))
+    t_map = np.tril(np.ones((n, n)))
+    d = 10.0 ** np.array(draw(st.lists(_floats(-1.0, 3.0), min_size=n, max_size=n)))
+    h = t_map.T @ (d[:, None] * t_map) + draw(_floats(1e-3, 0.1)) * np.eye(n)
+    f = np.array(draw(st.lists(_floats(-5.0, 5.0), min_size=n, max_size=n)))
+    center = np.array(draw(st.lists(_floats(-0.1, 0.1), min_size=n, max_size=n)))
+    half = 10.0 ** np.array(draw(st.lists(_floats(-3.0, -1.0), min_size=n, max_size=n)))
+    return QpProblem(h=h, f=f, lb=center - half, ub=center + half)
+
+
+def _random_move_qp(rng, n):
+    t_map = np.tril(np.ones((n, n)))
+    d = 10.0 ** rng.uniform(-1.0, 3.0, size=n)
+    h = t_map.T @ (d[:, None] * t_map) + rng.uniform(1e-3, 0.1) * np.eye(n)
+    center = rng.uniform(-0.1, 0.1, size=n)
+    half = 10.0 ** rng.uniform(-3.0, -1.0, size=n)
+    return QpProblem(h=h, f=rng.uniform(-5.0, 5.0, size=n), lb=center - half, ub=center + half)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(move_qps())
+def test_move_structure_meets_kkt_contract(qp):
+    sol = solve_box_qp(qp)
+    event(f"primal phase reached: {sol.primal_iterations > 0}")
+    assert sol.status == "converged"
+    assert sol.kkt_residual <= KKT_TOL
+    assert np.all(sol.u >= qp.lb) and np.all(sol.u <= qp.ub)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(move_qps(max_n=4))
+def test_move_structure_matches_brute_force_oracle(qp):
+    sol = solve_box_qp(qp)
+    assert sol.status == "converged"
+    np.testing.assert_allclose(sol.u, _brute_force_minimizer(qp), rtol=0, atol=1e-7)
+
+
+def test_primal_phase_matches_the_oracles_where_it_runs():
+    # only a few percent of draws stall the block swaps, so seeded draws of
+    # the same shape are taken until 25 small ones reached the primal phase
+    rng = np.random.default_rng(7)
+    stalled = 0
+    for _ in range(20000):
+        qp = _random_move_qp(rng, int(rng.integers(2, 5)))
+        sol = solve_box_qp(qp)
+        if sol.primal_iterations == 0:
+            continue
+        stalled += 1
+        assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+        np.testing.assert_allclose(sol.u, _brute_force_minimizer(qp), rtol=0, atol=1e-7)
+        assert np.array_equal(sol.u, reference_solve_box_qp(qp).u)
+        if stalled == 25:
+            break
+    assert stalled == 25
+
+
+# A weight_tuned QP of the shipped course (scenarios/complete.cfg): the
+# reference solver's single swaps take 48 iterations on its 5 moves.
+_COURSE_H = (
+    "0x1.4dfc2c4c24f9cp+22 0x1.2aa5a2998967fp+22 0x1.095b67ef1cc2dp+22 0x1.d43ed31b43446p+21 "
+    "0x1.99e6268029706p+21 0x1.2aa5a2998967fp+22 0x1.0b4d33b2baa37p+22 0x1.db7a3a02c34a7p+21 "
+    "0x1.a3ef1bd4d0bdcp+21 0x1.6ffce75d22d09p+21 0x1.095b67ef1cc2dp+22 0x1.db7a3a02c34a7p+21 "
+    "0x1.a7562c6331200p+21 0x1.764aa51dd27cdp+21 0x1.485c02fc7b446p+21 0x1.d43ed31b43446p+21 "
+    "0x1.a3ef1bd4d0bdcp+21 0x1.764aa51dd27cdp+21 0x1.4b516f96d8af6p+21 0x1.2303795e32cbep+21 "
+    "0x1.99e6268029706p+21 0x1.6ffce75d22d09p+21 0x1.485c02fc7b446p+21 0x1.2303795e32cbep+21 "
+    "0x1.ffe69645b329cp+20")
+_COURSE_F = ("0x1.ec661877206eep+16 0x1.b9f4d94d02f0bp+16 0x1.8a5426d96a4acp+16 "
+             "0x1.5d73278707ccap+16 0x1.33477341f9a3cp+16")
+_COURSE_U = ("-0x1.d35a80fa4030cp-7 0x1.999999999999ap-6 0x1.1eaa9083745c5p-9 "
+             "-0x1.999999999999ap-6 -0x1.999999999999ap-6")
+
+
+def _from_hex(text: str) -> np.ndarray:
+    return np.array([float.fromhex(word) for word in text.split()])
+
+
+def test_recorded_course_qp_finishes_in_the_primal_phase():
+    qp = QpProblem(h=_from_hex(_COURSE_H).reshape(5, 5), f=_from_hex(_COURSE_F),
+                   lb=np.full(5, -0.025), ub=np.full(5, 0.025))
+    ref = reference_solve_box_qp(qp)
+    sol = solve_box_qp(qp)
+    assert ref.iterations == 48
+    assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+    assert 0 < sol.primal_iterations < sol.iterations < ref.iterations
+    assert np.array_equal(sol.u, ref.u)
+    assert sol.u.tobytes() == _from_hex(_COURSE_U).tobytes()  # the move the course applied
