@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, apply_overrides, parse_config, serialize_config
+from .controllers import FIXED_MODEL_VARIANTS
 from .simulate import SimResult, run_closed_loop
 from .vehicle import steer_from_slip
 
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
         return 2 if failures else 0
 
     if args.verb == "sweep-alpha":
-        if cfg.variant not in ("baseline", "weight_tuned"):
+        if cfg.variant not in FIXED_MODEL_VARIANTS:
             print("error: sweep-alpha expects variant baseline or weight_tuned",
                   file=sys.stderr)
             return 1

@@ -123,8 +123,9 @@ class FixedModelQp:
     """What the fixed absolute-slip model's QPs share across a run.
 
     pred predicts over absolute slip commands. The QP is posed over the slip
-    moves du via beta_j = last_beta + sum(du_0..du_j), i.e. the commands are
-    last_beta + T du with the cumulative-move map T, so su_moves is Su T.
+    moves du via beta_j = beta + sum(du_0..du_j) from the measured slip beta,
+    i.e. the commands are beta + T du with the cumulative-move map T, so
+    su_moves is Su T.
     input_weight is (w, T) of the w_u term, or None when w_u is zero; cost
     condenses the tracking cost over the moves, including w T'T.
     """
@@ -139,7 +140,6 @@ class FixedModelQp:
 class ControllerState:
     """What a controller carries between steps."""
 
-    last_beta: float = 0.0
     ref_cursor: int = 0
     prev_state: VehicleState | None = None  # previous measured state (velocity variant)
     # Per-run constants, built once by init_state from (cfg, params).
@@ -160,7 +160,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
     an exact zero-error fixed point from the very first step.
     """
     n, m = cfg.horizon, cfg.control_horizon
-    hw = horizon_weights(cfg.weights, n, m, cfg.q_heading)
+    hw = horizon_weights(cfg.weights, cfg.q_heading)
     fixed = None
     if cfg.variant in FIXED_MODEL_VARIANTS:
         pred = build_prediction(linearize_initial(params, cfg.ts), n, m)
@@ -180,8 +180,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
             psi=plant.psi - params.v / params.lr * math.sin(plant.beta) * cfg.ts,
             beta=plant.beta,
         )
-    return ControllerState(last_beta=plant.beta, ref_cursor=0, prev_state=prev,
-                           weights=hw, fixed=fixed)
+    return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, fixed=fixed)
 
 
 def _stack_position_refs(path: "ReferencePath", cursor: int, n: int) -> np.ndarray:
@@ -236,10 +235,11 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
 
     * fixed absolute-slip model (baseline, weight_tuned): the model is
       linearize_initial, whose input is the absolute slip angle. The QP is
-      posed over the slip moves du via beta_j = last_beta + sum(du_0..du_j),
-      which turns the slew bound into a box on every move, and the w_u term
-      pulls those absolute commands toward u_target. Its prediction and
-      condensed cost come from init_state; a step forms only f.
+      posed over the slip moves du via beta_j = beta + sum(du_0..du_j) from
+      the measured slip, which turns the slew bound into a box on every
+      move, and the w_u term pulls those absolute commands toward u_target.
+      Its prediction and condensed cost come from init_state; a step forms
+      only f.
     * difference state (velocity_sl): the measured state is the backward
       difference of the last two measured plant states. The first-stage
       displacement reference comes from generate_delta_refs; later stages
@@ -261,13 +261,13 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     n, m = cfg.horizon, cfg.control_horizon
     input_target = cost = None
     if fixed_model:
-        # The held last_beta of the commands last_beta + T du moves into the
-        # drift; the moves act through Su T.
+        # The held beta of the commands beta + T du moves into the drift; the
+        # moves act through Su T.
         fixed = ctrl.fixed
-        sk_mv = fixed.pred.sk + fixed.pred.su @ np.full(m, ctrl.last_beta)
+        sk_mv = fixed.pred.sk + fixed.pred.su @ np.full(m, plant.beta)
         pred = PredictionMatrices(sx=fixed.pred.sx, su=fixed.su_moves, sk=sk_mv, n=n, m=m)
         if fixed.input_weight is not None:
-            input_target = (*fixed.input_weight, np.full(m, ctrl.last_beta - cfg.u_target))
+            input_target = (*fixed.input_weight, np.full(m, plant.beta - cfg.u_target))
         cost = fixed.cost
     else:
         op = OperatingPoint(psi=plant.psi, beta=plant.beta)
@@ -280,11 +280,10 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         dx_ref, dy_ref, cursor = generate_delta_refs(plant, path, ctrl.ref_cursor, params, cfg.ts)
         last = len(path) - 1
         ahead = np.minimum(cursor + np.arange(1, n), last)
-        behind = np.maximum(ahead - 1, 0)
         x_ref = np.zeros(3 * n)
         x_ref[0], x_ref[1] = dx_ref, dy_ref
-        x_ref[3::3] = path.x[ahead] - path.x[behind]
-        x_ref[4::3] = path.y[ahead] - path.y[behind]
+        x_ref[3::3] = path.x[ahead] - path.x[ahead - 1]
+        x_ref[4::3] = path.y[ahead] - path.y[ahead - 1]
     else:
         x0 = np.array([plant.x, plant.y, plant.psi])
         x_ref = _stack_position_refs(path, ctrl.ref_cursor, n)
@@ -297,8 +296,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         raise ControlError(
             f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e}")
     u = float(sol.u[0])
-    return u, ControllerState(last_beta=plant.beta + u, ref_cursor=cursor, prev_state=plant,
-                              weights=ctrl.weights, fixed=ctrl.fixed)
+    return u, ControllerState(ref_cursor=cursor, prev_state=plant, weights=ctrl.weights,
+                              fixed=ctrl.fixed)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

@@ -67,12 +67,10 @@ def scale_tracking_weights(w: TrackingWeights) -> TrackingWeights:
 
 @dataclass(frozen=True)
 class HorizonWeights:
-    """Per-stage state weight Q (PSD, 3x3), per-move weight r > 0, horizon sizes."""
+    """Per-stage state weight Q (PSD, 3x3) and per-move weight r > 0."""
 
     q: np.ndarray
     r: float
-    n: int
-    m: int
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -85,11 +83,9 @@ class HorizonWeights:
             raise ValueError(f"Q must be positive semidefinite, smallest eigenvalue {eig.min()}")
         if not self.r > 0.0:
             raise ValueError(f"move weight must be positive, got {self.r} (degenerate weights)")
-        if self.n < 1 or not (1 <= self.m <= self.n):
-            raise ValueError(f"need 1 <= M <= N, got N={self.n}, M={self.m}")
 
 
-def horizon_weights(w: TrackingWeights, n: int, m: int, q_heading: float = 0.0) -> HorizonWeights:
+def horizon_weights(w: TrackingWeights, q_heading: float = 0.0) -> HorizonWeights:
     """Squared, alpha-scaled weights arranged for the condensed cost.
 
     Tracked outputs are the positions, so Q = diag(wy^2, wy^2, q_heading)
@@ -97,7 +93,7 @@ def horizon_weights(w: TrackingWeights, n: int, m: int, q_heading: float = 0.0) 
     """
     s = scale_tracking_weights(w)
     q = np.diag([s.w_y ** 2, s.w_y ** 2, float(q_heading)])
-    return HorizonWeights(q=q, r=s.w_du ** 2, n=n, m=m)
+    return HorizonWeights(q=q, r=s.w_du ** 2)
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,9 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
 
     Block (i, j) of Su is the Markov parameter G_(i-j) = A^(i-j) B for
     i >= j (1-indexed stages/moves), so the N parameters are computed once
-    and gathered into the block-Toeplitz Su by index. The final move column
-    instead holds sum_p G_p over its held stages, summed from G_(i-M) down
-    to G_0. Sk accumulates the drift, Sx stacks A^i.
+    and copied into the block-Toeplitz Su as shifted slices. The final move
+    column instead holds sum_p G_p over its held stages, summed from
+    G_(i-M) down to G_0. Sk accumulates the drift, Sx stacks A^i.
 
     Every model linearize builds has A = I + c e3' (only the psi column
     differs from I). Then the powers A^p are a cumsum of c, and Sk is zero
@@ -148,22 +144,16 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
         for _ in range(n):
             a_pow.append(a_pow[-1] @ a)
         a_pow = np.stack(a_pow)  # (N+1, 3, 3)
-    # markov[p] = A^p B for p < N; row N is the zero block above the diagonal.
-    markov = np.zeros((n + 1, 3))
-    markov[:n] = a_pow[:n] @ b
-
-    lag = np.arange(n)[:, None] - np.arange(m)[None, :]  # i - j, 0-indexed
-    lag[lag < 0] = n
+    markov = a_pow[:n] @ b  # markov[p] = A^p B
+    su = np.zeros((n, 3, m))
+    for j in range(m - 1):
+        su[j:, :, j] = markov[:n - j]
     # The held column at stage i sums G_(i-M) .. G_0 in that order, one
     # term per pass for every stage at once.
-    held = np.zeros((n - m + 1, 3))
-    top = np.arange(n - m + 1)  # i - M for the stages i >= M
+    held = su[m - 1:, :, m - 1]  # a view: the sums land in Su
     for t in range(n - m + 1):
-        live = top >= t
-        held[live] += markov[top[live] - t]
-    cols = markov[lag]  # (N, M, 3)
-    cols[m - 1:, m - 1] = held
-    su = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(3 * n, m)
+        held[t:] += markov[:n - m + 1 - t]
+    su = su.reshape(3 * n, m)
 
     sx = a_pow[1:].reshape(3 * n, 3)
     if k.tobytes() == _POSITIVE_ZERO3:
@@ -242,9 +232,6 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
     Su' kron(I, Q) Su it replaces whenever Q is diagonal, as
     horizon_weights makes it. input_weight = (w, T) adds w T'T.
     """
-    if weights.n != pred.n or weights.m != pred.m:
-        raise ValueError(
-            f"weights sized for N={weights.n}, M={weights.m} but prediction has N={pred.n}, M={pred.m}")
     n, m = pred.n, pred.m
     stages = pred.su.reshape(n, 3, m).transpose(0, 2, 1) @ weights.q  # (N, M, 3)
     suq = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(m, 3 * n)

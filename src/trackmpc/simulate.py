@@ -265,21 +265,19 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
             if disturbance.apply_to_x:
                 x_m = state.x + gaussian_noise(disturbance, k + _X_STREAM_OFFSET)
             meas = replace(state, x=x_m, y=y_m)
-        measured.append((meas.x, meas.y))
         try:
             tic = time.perf_counter()
             u, ctrl = step_fn(ctrl, meas, path, cfg, params)
-            iter_times.append(time.perf_counter() - tic)
+            elapsed = time.perf_counter() - tic
             if abs(u) > rate_cap:
                 raise _controllers.ControlError(
                     f"move {u} exceeds rate limit {cfg.rate_limit} rad/s at step {k}")
             state = step_nonlinear(state, u, cfg.ts, params)
         except (_controllers.ControlError, ValueError) as exc:
-            measured.pop()
-            if len(iter_times) > len(inputs):
-                iter_times.pop()
             status = f"failed: {exc}"
             break
+        measured.append((meas.x, meas.y))
+        iter_times.append(elapsed)
         inputs.append(u)
         t_trace.append(float(path.t[k + 1]))
         states.append(state.as_array())

@@ -394,6 +394,25 @@ def test_sweep_preconditions_exit_one(tmp_path, capsys):
     assert main(["sweep-alpha", str(step_doc), "--output-dir", str(tmp_path),
                  "--alphas", "1,fast"]) == 1
     assert "--alphas" in capsys.readouterr().err
+    assert main(["sweep-alpha", str(step_doc), "--output-dir", str(tmp_path),
+                 "--alphas", ","]) == 1
+    assert "--alphas lists no values" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_alpha.csv").exists()
+
+
+def test_sweep_alpha_verb_prints_one_line_per_alpha(tmp_path, capsys):
+    step_doc = tmp_path / "step.cfg"
+    step_doc.write_text("[scenario]\nkind = step\nduration = 3\n\n[controller]\nw_u = 200\n")
+    out = tmp_path / "out"
+    assert main(["sweep-alpha", str(step_doc), "--output-dir", str(out),
+                 "--alphas", "0.7,2.8"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["alpha=0.7", "alpha=2.8"]
+    lines = (out / "sweep_alpha.csv").read_text().splitlines()
+    assert lines[0] == "alpha,rise_time,ssd"
+    assert len(lines) == 3
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.7, 2.8]
+    assert (out / "manifest.json").exists()
 
 
 def test_validate_config_echoes_normalized_document(tmp_path, capsys):

@@ -35,6 +35,7 @@ from trackmpc import (
     make_step_path,
     make_straight_path,
     run_closed_loop,
+    ssd_from_traces,
 )
 
 PARAMS = VehicleParams()
@@ -159,6 +160,43 @@ def test_step_needs_the_run_constants_of_init_state(variant):
         CONTROLLER_STEPS[variant](bare, plant, path, cfg, PARAMS)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
+    # a QP that stops short of the KKT tolerance never yields a move: the
+    # step raises, naming variant, status and residual, and the harness
+    # ends the run there with a trace of the completed steps only
+    real = trackmpc.controllers.solve_box_qp
+    solves = Counter()
+
+    def starved(qp):
+        solves["n"] += 1
+        sol = real(qp)
+        if solves["n"] <= 3:
+            return sol
+        return trackmpc.qp.QpSolution(u=sol.u, iterations=sol.iterations, status="max_iter",
+                                      kkt_residual=1.25e-3)
+
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", starved)
+    cfg = config_for(variant)
+    path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+    expected = f"{variant} QP stopped at max_iter with KKT residual 1.250e-03"
+
+    result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
+    assert result.status == f"failed: {expected}"
+    assert result.inputs.shape == (3,)
+    assert result.iter_times.shape == (3,)
+    assert result.measured.shape == (3, 2)
+    assert result.states.shape == (4, 4)
+    np.testing.assert_array_equal(result.t, path.t[:4])
+    np.testing.assert_array_equal(result.measured, result.states[:3, :2])
+    assert result.ssd == ssd_from_traces(result.states, path.x[:4], path.y[:4])
+
+    plant = default_initial_state(path)
+    with pytest.raises(ControlError) as err:
+        CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+    assert str(err.value) == expected
+
+
 def test_step_table_covers_all_variants():
     assert tuple(CONTROLLER_STEPS) == VARIANTS
 
@@ -209,7 +247,6 @@ def test_step_reference_saturates_first_move():
     ctrl = init_state(cfg, plant, PARAMS)
     u, after = CONTROLLER_STEPS["baseline"](ctrl, plant, path, cfg, PARAMS)
     assert u == pytest.approx(cfg.rate_limit * cfg.ts, abs=1e-12)
-    assert after.last_beta == pytest.approx(plant.beta + u)
     assert after.ref_cursor == 1
 
 

@@ -73,18 +73,21 @@ def test_weights_validation():
 
 def test_horizon_weights_squares_scaled_weights():
     w = TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=2.8)
-    hw = horizon_weights(w, 10, 5, q_heading=0.0)
-    assert hw.n == 10 and hw.m == 5
+    hw = horizon_weights(w, q_heading=0.0)
     np.testing.assert_allclose(np.diag(hw.q), [28.0**2, 28.0**2, 0.0])
     assert hw.r == pytest.approx(0.28**2)
 
 
 def test_horizon_weights_validation():
-    w = TrackingWeights(w_y=1.0, w_u=0.0, w_du=0.1, alpha=1.0)
-    with pytest.raises(ValueError):
-        horizon_weights(w, 4, 5)  # control horizon longer than prediction
-    with pytest.raises(ValueError):
-        horizon_weights(w, 0, 0)
+    for q, r, match in [
+        (np.eye(2), 1.0, "3x3"),
+        (np.eye(3) + np.triu(np.ones((3, 3)), 1), 1.0, "symmetric"),
+        (np.diag([1.0, -1e-6, 1.0]), 1.0, "positive semidefinite"),
+        (np.eye(3), 0.0, "move weight must be positive"),
+        (np.eye(3), -1.0, "move weight must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            HorizonWeights(q=q, r=r)
 
 
 # --- condensed prediction --------------------------------------------------
@@ -176,7 +179,7 @@ def test_tracking_qp_scalar_example():
         k = np.zeros(3)
 
     pred = build_prediction(Tiny(), 1, 1)
-    hw = HorizonWeights(q=np.eye(3), r=1.0, n=1, m=1)
+    hw = HorizonWeights(q=np.eye(3), r=1.0)
     qp = build_tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0))
     assert qp.h == pytest.approx(np.array([[2.0]]))
     assert qp.f == pytest.approx(np.array([-1.0]))
@@ -197,7 +200,7 @@ def test_tracking_qp_free_response_reference_gives_zero_moves():
     x0 = np.array([0.5, -0.2, 0.1])
     free = pred.sx @ x0 + pred.sk
     w = TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=1.0)
-    hw = horizon_weights(w, 4, 2)
+    hw = horizon_weights(w)
     qp = build_tracking_qp(pred, x0, free, hw, (-0.1, 0.1))
     np.testing.assert_allclose(qp.f, np.zeros(2), atol=1e-12)
     sol = solve_box_qp(qp)
@@ -209,8 +212,8 @@ def test_tracking_qp_joint_weight_scaling_keeps_argmin():
     pred = build_prediction(model, 5, 3)
     x0 = np.array([0.0, 0.4, -0.05])
     ref = np.tile([1.0, 0.5, 0.0], 5)
-    base = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, 1.0), 5, 3)
-    scaled = HorizonWeights(q=7.3 * base.q, r=7.3 * base.r, n=5, m=3)
+    base = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, 1.0))
+    scaled = HorizonWeights(q=7.3 * base.q, r=7.3 * base.r)
     u1 = solve_box_qp(build_tracking_qp(pred, x0, ref, base, (-0.1, 0.1))).u
     u2 = solve_box_qp(build_tracking_qp(pred, x0, ref, scaled, (-0.1, 0.1))).u
     np.testing.assert_allclose(u1, u2, atol=1e-9)
@@ -224,7 +227,7 @@ def test_alpha_rescale_without_input_target_keeps_argmin():
     x0 = np.array([0.0, -0.3, 0.08])
     ref = np.tile([0.5, 0.2, 0.0], 8)
     for alpha in (0.7, 2.8, 11.2):
-        hw = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, alpha), 8, 4)
+        hw = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, alpha))
         u = solve_box_qp(build_tracking_qp(pred, x0, ref, hw, (-0.025, 0.025))).u
         if alpha == 0.7:
             reference_solution = u
@@ -263,8 +266,9 @@ def _reference_prediction(model, n, m):
 
 
 def _reference_qp(su, sx, sk, x0, x_ref, hw, input_target=None):
-    qbar = np.kron(np.eye(hw.n), hw.q)
-    h = su.T @ qbar @ su + hw.r * np.eye(hw.m)
+    n3, m = su.shape
+    qbar = np.kron(np.eye(n3 // 3), hw.q)
+    h = su.T @ qbar @ su + hw.r * np.eye(m)
     h = 0.5 * (h + h.T)
     f = su.T @ qbar @ (sx @ x0 + sk - x_ref)
     if input_target is not None:
@@ -301,7 +305,7 @@ def test_fast_condensing_is_bit_identical_to_reference(kind, ts, n, m):
         hw = horizon_weights(TrackingWeights(w_y=float(rng.uniform(1.0, 20.0)),
                                              w_du=float(rng.uniform(0.05, 1.0)),
                                              alpha=float(rng.uniform(0.5, 12.0))),
-                             n, m, q_heading=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])))
+                             q_heading=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])))
         x0 = rng.normal(size=3)
         x_ref = rng.normal(size=3 * n)
         qp = build_tracking_qp(pred, x0, x_ref, hw, (-0.1, 0.1))
@@ -343,7 +347,7 @@ def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
     rng = np.random.default_rng(m)
     pred = build_prediction(linearize_initial(PARAMS, ts), n, m)
     t_low = np.tril(np.ones((m, m)))
-    hw = horizon_weights(TrackingWeights(w_u=3.0), n, m)
+    hw = horizon_weights(TrackingWeights(w_u=3.0))
     w = float(rng.uniform(0.5, 30.0)) ** 2
     moves = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=pred.sk, n=n, m=m)
     cost = condense_cost(moves, hw, (w, t_low))
@@ -518,7 +522,7 @@ def test_ill_conditioned_tracking_instance():
     # 1e6; the solver must still meet the KKT contract
     model = linearize_initial(PARAMS, 0.2)
     pred = build_prediction(model, 10, 5)
-    hw = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, 2.8), 10, 5)
+    hw = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, 2.8))
     x0 = np.zeros(3)
     ref = np.tile([0.0, 1.0, 0.0], 10)
     qp = build_tracking_qp(pred, x0, ref, hw, (-0.1, 0.1))

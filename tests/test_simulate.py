@@ -207,6 +207,20 @@ def test_disturbance_hits_measurement_not_plant():
         np.testing.assert_allclose(result.states[k + 1], state.as_array(), atol=1e-12)
 
 
+def test_disturbance_on_x_uses_its_own_stream():
+    cfg = config_for("baseline")
+    path = make_sine_path(1.0, 40.0, 6.0, cfg.ts)
+    spec = DisturbanceSpec(kind="gaussian_output", amplitude=0.05, seed=42, apply_to_x=True)
+    result = run_closed_loop(cfg, path, spec, PARAMS)
+    assert result.status == "ok"
+    k = np.arange(len(result.inputs))
+    # x draws sit 2**48 counters above the y stream, which is unchanged
+    np.testing.assert_array_equal(result.measured[:, 0],
+                                  result.states[:-1, 0] + gaussian_noise(spec, k + 2**48))
+    np.testing.assert_array_equal(result.measured[:, 1],
+                                  result.states[:-1, 1] + gaussian_noise(spec, k))
+
+
 def test_run_is_bit_reproducible():
     cfg = config_for("weight_tuned")
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
