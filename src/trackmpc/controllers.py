@@ -145,6 +145,8 @@ class ControllerState:
     # Per-run constants, built once by init_state from (cfg, params).
     weights: HorizonWeights | None = field(default=None, compare=False)
     fixed: FixedModelQp | None = field(default=None, compare=False)  # baseline, weight_tuned
+    # The last QP's accepted partition when its guess missed: the next start.
+    start: np.ndarray | None = field(default=None, compare=False)
 
 
 def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams) -> ControllerState:
@@ -291,13 +293,13 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
 
     bound = cfg.rate_limit * cfg.ts
     qp = build_tracking_qp(pred, x0, x_ref, ctrl.weights, (-bound, bound), input_target, cost)
-    sol = solve_box_qp(qp)
+    sol = solve_box_qp(qp, start=ctrl.start)
     if sol.status != "converged":
         raise ControlError(
             f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e}")
     u = float(sol.u[0])
     return u, ControllerState(ref_cursor=cursor, prev_state=plant, weights=ctrl.weights,
-                              fixed=ctrl.fixed)
+                              fixed=ctrl.fixed, start=sol.start)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

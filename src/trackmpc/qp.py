@@ -15,8 +15,9 @@ only, so condense_cost can build them once for a model that never changes,
 leaving f to each step. The solver below handles exactly that problem
 shape: dense, strictly convex, small (tens of variables), with the KKT
 condition of a box QP as its termination test. It searches bound
-partitions with cheap solves and finishes the one it accepts exactly, so
-its answer depends on that partition alone.
+partitions with cheap solves, optionally from a previous QP's partition,
+and finishes the one it accepts exactly, so its answer depends on that
+partition alone.
 """
 
 from __future__ import annotations
@@ -171,7 +172,10 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 0.5 u'Hu + f'u subject to lb <= u <= ub, with H symmetric PD."""
+    """min 0.5 u'Hu + f'u subject to lb <= u <= ub, with H symmetric PD.
+
+    H and f must be finite; a bound may be infinite.
+    """
 
     h: np.ndarray
     f: np.ndarray
@@ -184,6 +188,8 @@ class QpProblem:
         nv = f.size
         if h.shape != (nv, nv):
             raise ValueError(f"H must be {nv}x{nv}, got {h.shape}")
+        if not (np.isfinite(h).all() and np.isfinite(f).all()):
+            raise ValueError("H and f must be finite")
         if not np.allclose(h, h.T, atol=1e-9 * max(1.0, float(np.abs(h).max()))):
             raise ValueError("H must be symmetric")
         try:
@@ -288,12 +294,14 @@ def build_tracking_qp(
 class QpSolution:
     u: np.ndarray
     iterations: int
-    status: str          # "converged" or "max_iter"
+    status: str          # "converged", "inaccurate" or "max_iter"
     kkt_residual: float
     primal_iterations: int = 0  # of the iterations, those of the primal active-set phase
+    start: np.ndarray | None = None  # the accepted partition when the guess missed
 
 
-def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpSolution:
+def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
+                 start: np.ndarray | None = None) -> QpSolution:
     """Deterministic box-QP solve to a KKT tolerance.
 
     The search is over bound partitions: pinned coordinates sit on their
@@ -323,10 +331,27 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
     finish disagrees with a cheap iterate, the search goes on from the
     refined point's violations.
 
+    start warm-starts the search with a partition (int8, -1/0/+1 per
+    coordinate, as QpSolution.start holds it): the partition a QP accepted
+    after its guess missed, handed to the next, similar QP. It is tried
+    only when it differs from the guess. The guess is then tested on its
+    cheap iterate first and, if that holds, finished as without a start;
+    otherwise the start's cheap iterate is formed too and the search goes
+    on from whichever of the two has fewer violations, the guess on a tie.
+    That costs one reduced solve when the guess would have won anyway, and
+    a guess that holds cold still returns at iteration 1. Since the exact
+    finish depends only on the accepted partition, a start changes the
+    path and never the answer. QpSolution.start is the accepted partition
+    when the solve took more than one iteration and None otherwise, so a
+    start is carried only past a guess that missed.
+
     Every reduced solve counts one iteration; primal_iterations counts
-    those of the primal phase. If the budget max_iter runs out first,
-    returns the last partition's point clipped to the box, with status
-    "max_iter" unless it happens to meet the tolerance anyway.
+    those of the primal phase. The status is "converged" only when the
+    returned point meets the tolerance: an accepted partition whose point
+    does not (say a NaN gradient, which no violation test catches) is
+    "inaccurate". If the budget max_iter runs out first, returns the last
+    partition's point clipped to the box, with status "max_iter" unless it
+    happens to meet the tolerance anyway.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -382,6 +407,9 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
         too_low, too_high, leave = z < lb, z > ub, (p * g > 0.0) & ~fixed
         return too_low, too_high, leave, g, np.count_nonzero(too_low | too_high | leave)
 
+    # A start is tried only where it differs from the guess, i.e. where the
+    # search it came from did not accept its own guess.
+    warm = start is not None and start.tobytes() != part.tobytes()
     it = 0
     patience = 3
     best_infeas = nv + 1
@@ -395,8 +423,8 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
         free = part == 0
         z, h_free = reduced(part, free)
         # The guess partition is finished at once, so a guess that holds
-        # costs no more than that.
-        exact = it == 1
+        # costs no more than that; with a start to try, it is tested cheaply.
+        exact = it == 1 and not warm
         if exact:
             refine(z, free, h_free)
         too_low, too_high, leave, g, n_viol = violations(part, z)
@@ -406,8 +434,23 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000) -> QpS
             too_low, too_high, leave, g, n_viol = violations(part, z)
         if n_viol == 0:
             z = clipped(z)  # exact projection of roundoff
-            return QpSolution(u=z, iterations=it, status="converged",
-                              kkt_residual=residual_at(z), primal_iterations=primal_its)
+            resid = residual_at(z)
+            return QpSolution(u=z, iterations=it, kkt_residual=resid,
+                              status="converged" if resid <= tol else "inaccurate",
+                              primal_iterations=primal_its, start=part if it > 1 else None)
+        if warm:
+            if it == 1:
+                # The guess missed: probe the start, then go on from whichever
+                # of the two leaves fewer violations, the guess on a tie.
+                missed = part, too_low, too_high, leave, n_viol
+                part = np.array(start, dtype=np.int8)
+                if part.shape != (nv,):
+                    raise ValueError(f"start must have {nv} entries, got shape {part.shape}")
+                part[fixed] = -1  # the multiplier test never moves these
+                continue
+            warm = False
+            if missed[-1] <= n_viol:
+                part, too_low, too_high, leave, n_viol = missed
         if not primal:
             if n_viol < best_infeas:
                 best_infeas = n_viol

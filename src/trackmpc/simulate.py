@@ -158,8 +158,8 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian_output"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ time against hand-worked values.
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from trackmpc import (
     make_straight_path,
     run_closed_loop,
     ssd_from_traces,
+    step_nonlinear,
 )
 
 PARAMS = VehicleParams()
@@ -168,9 +170,9 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     real = trackmpc.controllers.solve_box_qp
     solves = Counter()
 
-    def starved(qp):
+    def starved(qp, **kwargs):
         solves["n"] += 1
-        sol = real(qp)
+        sol = real(qp, **kwargs)
         if solves["n"] <= 3:
             return sol
         return trackmpc.qp.QpSolution(u=sol.u, iterations=sol.iterations, status="max_iter",
@@ -195,6 +197,53 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     with pytest.raises(ControlError) as err:
         CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
     assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_qp_is_a_control_error(variant, monkeypatch):
+    # a gradient gone NaN passes the solver's violation test; its residual
+    # does not, so the step raises instead of applying a NaN move
+    real = trackmpc.controllers.build_tracking_qp
+
+    def poisoned(*args, **kwargs):
+        qp = real(*args, **kwargs)
+        return trackmpc.qp.QpProblem._trusted(qp.h, np.full_like(qp.f, np.nan), qp.lb, qp.ub)
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", poisoned)
+    cfg = config_for(variant)
+    path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+    plant = default_initial_state(path)
+    with pytest.raises(ControlError, match=f"{variant} QP stopped at .* KKT residual nan"):
+        CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+
+
+def test_step_carries_the_start_outside_equality(monkeypatch):
+    # each step hands the solver the partition the previous step's QP
+    # accepted after its guess missed (None after a guess that held); like
+    # the run constants, the start takes no part in equality
+    cfg = config_for("velocity_sl")
+    path = make_step_path(1.0, 6.0, cfg.ts)
+    plant = default_initial_state(path)
+    ctrl = init_state(cfg, plant, PARAMS)
+    assert ctrl.start is None
+    real = trackmpc.controllers.solve_box_qp
+    handed, returned = [], []
+
+    def recording(qp, **kwargs):
+        sol = real(qp, **kwargs)
+        handed.append(kwargs["start"])
+        returned.append(sol.start)
+        return sol
+
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
+    for _ in range(5):
+        u, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
+        assert ctrl.start is returned[-1]
+        plant = step_nonlinear(plant, u, cfg.ts, PARAMS)
+    assert handed[0] is None
+    assert all(a is b for a, b in zip(handed[1:], returned))
+    assert any(start is not None for start in returned)
+    assert replace(ctrl, start=None) == ctrl
 
 
 def test_step_table_covers_all_variants():

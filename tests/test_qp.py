@@ -375,6 +375,26 @@ def test_qp_problem_validation():
         QpProblem(h=np.eye(2), f=np.zeros(2), lb=np.ones(2), ub=-np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["h", "f"])
+def test_qp_problem_rejects_non_finite_data(where, bad):
+    h, f = np.eye(2), np.zeros(2)
+    if where == "h":
+        h[0, 1] = h[1, 0] = bad
+    else:
+        f[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(h=h, f=f, lb=-np.ones(2), ub=np.ones(2))
+
+
+def test_qp_problem_allows_infinite_bounds():
+    qp = QpProblem(h=2.0 * np.eye(2), f=np.array([-4.0, 1.0]),
+                   lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, np.inf]))
+    sol = solve_box_qp(qp)
+    assert sol.status == "converged" and sol.kkt_residual <= 1e-8
+    np.testing.assert_array_equal(sol.u, [2.0, 0.0])
+
+
 # --- box QP solver ---------------------------------------------------------
 
 def test_solver_interior_optimum():
@@ -517,6 +537,62 @@ def test_solver_reports_exhausted_budget():
     assert found, "no instance exercised the iteration cap"
 
 
+def test_status_follows_the_residual():
+    # a non-finite f only reaches the solver past the public constructor's
+    # checks; its partition shows no violations, but it is no solution
+    qp = QpProblem._trusted(np.eye(2), np.array([np.nan, 0.0]), -np.ones(2), np.ones(2))
+    sol = solve_box_qp(qp)
+    assert sol.status == "inaccurate"
+    assert np.isnan(sol.kkt_residual)
+
+
+def test_start_is_kept_only_when_the_guess_missed():
+    # the guess (both on the upper bound) holds: one iteration, no start
+    h = np.array([[2.0, 1.0], [1.0, 2.0]])
+    held = solve_box_qp(QpProblem(h=h, f=np.array([-9.0, -9.0]), lb=-np.ones(2), ub=np.ones(2)))
+    assert held.iterations == 1 and held.start is None
+    # the unconstrained minimizer (3, 0.5) guesses (upper, free), but pinning
+    # coordinate 0 pushes coordinate 1 past its bound too
+    missed = solve_box_qp(QpProblem(h=h, f=np.array([-6.5, -4.0]), lb=-np.ones(2), ub=np.ones(2)))
+    assert missed.iterations == 2
+    assert missed.start.dtype == np.int8
+    np.testing.assert_array_equal(missed.start, [1, 1])
+
+
+def test_start_from_the_accepted_partition_returns_at_its_probe():
+    # a QP whose cold search takes several iterations, solved again from its
+    # own accepted partition: the guess misses at iteration 1, the start's
+    # probe holds at iteration 2, and the bits are the cold solve's
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(4, 12))
+        m = rng.normal(size=(n, n))
+        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
+                       lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
+        cold = solve_box_qp(qp)
+        if cold.iterations >= 4:
+            break
+    else:
+        pytest.fail("no instance needed four iterations")
+    warm = solve_box_qp(qp, start=cold.start)
+    assert warm.iterations == 2
+    assert np.array_equal(warm.u, cold.u)
+    np.testing.assert_array_equal(warm.start, cold.start)
+    # a start equal to the guess partition is not tried: the cold path runs
+    x_unc = np.linalg.solve(qp.h, -qp.f)
+    guess = np.where(x_unc <= qp.lb, -1, np.where(x_unc >= qp.ub, 1, 0)).astype(np.int8)
+    same = solve_box_qp(qp, start=guess)
+    assert same.iterations == cold.iterations and np.array_equal(same.u, cold.u)
+
+
+def test_start_must_match_the_variable_count():
+    # read once the guess has missed, as it does here
+    h = np.array([[2.0, 1.0], [1.0, 2.0]])
+    qp = QpProblem(h=h, f=np.array([-6.5, -4.0]), lb=-np.ones(2), ub=np.ones(2))
+    with pytest.raises(ValueError, match="start"):
+        solve_box_qp(qp, start=np.zeros(3, dtype=np.int8))
+
+
 def test_ill_conditioned_tracking_instance():
     # weights like the shipped step scenario produce H with condition around
     # 1e6; the solver must still meet the KKT contract
@@ -538,11 +614,12 @@ SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _recorded_qps(scenario, tmp_path):
-    """Every QP run_compare solves on a shipped scenario, in order."""
+    """Every QP run_compare solves on a shipped scenario, in order, with the
+    start the controller handed the solver."""
     qps = []
 
     def recording(qp, *args, **kwargs):
-        qps.append(qp)
+        qps.append((qp, kwargs.get("start")))
         return solve_box_qp(qp, *args, **kwargs)
 
     cfg = apply_overrides(parse_config((SHIPPED / scenario).read_text()),
@@ -553,7 +630,7 @@ def _recorded_qps(scenario, tmp_path):
     return qps
 
 
-def _counting_solves(solver, qps):
+def _counting_solves(solver, qps, starts=None):
     """Each QP's solution and the np.linalg.solve calls all of them made."""
     calls = 0
     solve = np.linalg.solve
@@ -564,7 +641,10 @@ def _counting_solves(solver, qps):
         return solve(*args, **kwargs)
 
     with mock.patch.object(np.linalg, "solve", counted):
-        sols = [solver(qp) for qp in qps]
+        if starts is None:
+            sols = [solver(qp) for qp in qps]
+        else:
+            sols = [solver(qp, start=start) for qp, start in zip(qps, starts)]
     return sols, calls
 
 
@@ -575,7 +655,7 @@ def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solv
     # the search may take any path, but the exact finish of the partition it
     # accepts must return the reference solver's bits on every shipped QP,
     # with fewer linear solves where the block swaps used to stall
-    qps = _recorded_qps(scenario, tmp_path)
+    qps = [qp for qp, _ in _recorded_qps(scenario, tmp_path)]
     ours, our_calls = _counting_solves(solve_box_qp, qps)
     theirs, their_calls = _counting_solves(reference_solve_box_qp, qps)
     for i, (sol, ref) in enumerate(zip(ours, theirs)):
@@ -586,3 +666,26 @@ def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solv
         assert our_calls < their_calls
     # no workload may need more than 1% more iterations in total
     assert sum(s.iterations for s in ours) <= 1.01 * sum(s.iterations for s in theirs)
+
+
+@pytest.mark.parametrize("scenario,fewer_solves", [
+    ("complete.cfg", True), ("straight.cfg", False),
+    ("sine_disturbed.cfg", False), ("step.cfg", True)])
+def test_warm_start_keeps_every_shipped_qp_bit_for_bit(scenario, fewer_solves, tmp_path):
+    # each QP solved from the start its run carried (the last accepted
+    # partition where the guess missed) returns the cold solve's bits, a
+    # guess that holds cold still holds at once, and the linear solves drop
+    # where the controllers stay on the same bounds from step to step
+    qps, starts = zip(*_recorded_qps(scenario, tmp_path))
+    assert any(start is not None for start in starts) == (scenario != "straight.cfg")
+    warm, warm_calls = _counting_solves(solve_box_qp, qps, starts)
+    cold, cold_calls = _counting_solves(solve_box_qp, qps)
+    for i, (qp, w, c) in enumerate(zip(qps, warm, cold)):
+        assert np.array_equal(w.u, c.u), (scenario, i)
+        assert np.array_equal(w.u, reference_solve_box_qp(qp).u), (scenario, i)
+        assert w.status == "converged" and w.kkt_residual <= 1e-8, (scenario, i)
+        if c.iterations == 1:
+            assert w.iterations == 1, (scenario, i)
+    assert warm_calls <= cold_calls
+    if fewer_solves:
+        assert warm_calls < cold_calls

@@ -151,6 +151,41 @@ def test_primal_phase_matches_the_oracles_where_it_runs():
     assert stalled == 25
 
 
+# --- warm starts ---------------------------------------------------------
+#
+# A start is only a place for the search to begin: whatever partition it
+# names, pinned coordinates included, the exact finish of the partition the
+# search accepts must return the cold solve's bits.
+
+@st.composite
+def started_qps(draw, qps):
+    qp = draw(qps)
+    start = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=qp.f.size, max_size=qp.f.size))
+    return qp, np.array(start, dtype=np.int8)
+
+
+def _assert_warm_matches_cold(qp, start):
+    sol = solve_box_qp(qp, start=start)
+    cold = solve_box_qp(qp)
+    event(f"cold guess held: {cold.iterations == 1}")
+    assert np.array_equal(sol.u, cold.u)
+    assert sol.status == "converged"
+    assert sol.kkt_residual <= KKT_TOL
+    assert np.all(sol.u >= qp.lb) and np.all(sol.u <= qp.ub)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(started_qps(box_qps()))
+def test_any_start_returns_the_cold_bits(case):
+    _assert_warm_matches_cold(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(started_qps(move_qps()))
+def test_any_start_returns_the_cold_bits_on_move_structure(case):
+    _assert_warm_matches_cold(*case)
+
+
 # A weight_tuned QP of the shipped course (scenarios/complete.cfg): the
 # reference solver's single swaps take 48 iterations on its 5 moves.
 _COURSE_H = (

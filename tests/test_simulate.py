@@ -153,6 +153,14 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="gaussian_output", amplitude=-0.1)
 
 
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_disturbance_rejects_non_finite_amplitude(amplitude):
+    # its draws would make the measured state non-finite where the harness
+    # builds it, outside the step whose errors end a run as "failed"
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        DisturbanceSpec(kind="gaussian_output", amplitude=amplitude, seed=1)
+
+
 # --- closed-loop harness --------------------------------------------------------
 
 def test_run_requires_matching_sample_times():
