@@ -10,7 +10,6 @@ from .vehicle import (
 )
 from .linearize import (
     AffineLtiModel,
-    OperatingPoint,
     linearize_initial,
     linearize_position,
     linearize_velocity,

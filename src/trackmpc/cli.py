@@ -153,19 +153,21 @@ def rise_time(t: np.ndarray, y: np.ndarray, target: float) -> float:
 
 
 def sweep_alpha(cfg: ScenarioConfig, alphas) -> list:
-    """Run the scenario once per alpha; returns [(alpha, rise_time, ssd)]."""
-    from dataclasses import replace
+    """Run the scenario once per alpha; returns [(alpha, rise_time, ssd)].
 
+    Every alpha is validated like a --set override before the first run,
+    so a bad one raises ConfigError and nothing is written.
+    """
+    scenarios = [apply_overrides(cfg, [f"controller.alpha={float(alpha)!r}"]) for alpha in alphas]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    for alpha in alphas:
-        scen = replace(cfg, alpha=float(alpha))
+    for scen in scenarios:
         res = _run_variant(scen, scen.variant)
         if res.status != "ok":
-            raise RuntimeError(f"alpha={alpha:g}: run failed: {res.status}")
+            raise RuntimeError(f"alpha={scen.alpha:g}: run failed: {res.status}")
         rt = rise_time(res.t, res.states[:, 1], cfg.amplitude)
-        records.append((float(alpha), rt, res.ssd))
+        records.append((scen.alpha, rt, res.ssd))
     with open(out / "sweep_alpha.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
@@ -178,7 +180,7 @@ def sweep_alpha(cfg: ScenarioConfig, alphas) -> list:
 def _load_config(args) -> ScenarioConfig:
     text = ""
     if args.config is not None:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     cfg = parse_config(text)
     overrides = list(args.set or [])
     if getattr(args, "output_dir", None):
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
@@ -267,6 +269,9 @@ def main(argv=None) -> int:
             return 1
         try:
             records = sweep_alpha(cfg, alphas)
+        except ConfigError as exc:
+            print(f"error: --alphas: {exc.message}", file=sys.stderr)
+            return 1
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -26,12 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linearize import (
-    OperatingPoint,
-    linearize_initial,
-    linearize_position,
-    linearize_velocity,
-)
+from .linearize import linearize_initial, linearize_position, linearize_velocity
 from .qp import (
     CondensedCost,
     HorizonWeights,
@@ -91,8 +86,14 @@ class ControllerConfig:
             raise ValueError(f"rate limit must be positive, got {self.rate_limit}")
         if self.q_heading < 0.0:
             raise ValueError(f"heading weight must be nonnegative, got {self.q_heading}")
-        # The QP's move weight is r = (w_du * alpha)^2, which must not underflow.
-        if not scale_tracking_weights(self.weights).w_du ** 2 > 0.0:
+        # The QP squares the alpha-scaled weights: no square may overflow, and
+        # the move weight r = (w_du * alpha)^2 must not underflow.
+        s = scale_tracking_weights(self.weights)
+        if not all(math.isfinite(w * w) for w in (s.w_y, s.w_u, s.w_du)):
+            raise ValueError(f"alpha-scaled weights must square to finite numbers, got "
+                             f"w_y={self.weights.w_y}, w_u={self.weights.w_u}, "
+                             f"w_du={self.weights.w_du}, alpha={self.weights.alpha}")
+        if not s.w_du ** 2 > 0.0:
             raise ValueError(f"move weight w_du must be positive with (w_du * alpha)^2 > 0, "
                              f"got w_du={self.weights.w_du}, alpha={self.weights.alpha}")
 
@@ -170,7 +171,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
         su_moves = pred.su @ t_low
         w_u = scale_tracking_weights(cfg.weights).w_u
         input_weight = (w_u ** 2, t_low) if w_u > 0.0 else None
-        moves = PredictionMatrices(sx=pred.sx, su=su_moves, sk=pred.sk, n=n, m=m)
+        moves = PredictionMatrices(sx=pred.sx, su=su_moves, sk=pred.sk)
         fixed = FixedModelQp(pred=pred, su_moves=su_moves, input_weight=input_weight,
                              cost=condense_cost(moves, hw, input_weight))
     prev = None
@@ -267,14 +268,13 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         # moves act through Su T.
         fixed = ctrl.fixed
         sk_mv = fixed.pred.sk + fixed.pred.su @ np.full(m, plant.beta)
-        pred = PredictionMatrices(sx=fixed.pred.sx, su=fixed.su_moves, sk=sk_mv, n=n, m=m)
+        pred = PredictionMatrices(sx=fixed.pred.sx, su=fixed.su_moves, sk=sk_mv)
         if fixed.input_weight is not None:
             input_target = (*fixed.input_weight, np.full(m, plant.beta - cfg.u_target))
         cost = fixed.cost
     else:
-        op = OperatingPoint(psi=plant.psi, beta=plant.beta)
         linearize = linearize_velocity if difference_state else linearize_position
-        pred = build_prediction(linearize(op, params, cfg.ts), n, m)
+        pred = build_prediction(linearize(plant, params, cfg.ts), n, m)
 
     if difference_state:
         prev = ctrl.prev_state

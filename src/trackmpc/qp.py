@@ -104,8 +104,6 @@ class PredictionMatrices:
     sx: np.ndarray  # (3N, 3)
     su: np.ndarray  # (3N, M)
     sk: np.ndarray  # (3N,)
-    n: int
-    m: int
 
 
 def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrices:
@@ -117,34 +115,24 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     column instead holds sum_p G_p over its held stages, summed from
     G_(i-M) down to G_0. Sk accumulates the drift, Sx stacks A^i.
 
-    Every model linearize builds has A = I + c e3' (only the psi column
-    differs from I). Then the powers A^p are a cumsum of c, and Sk is zero
-    for K = 0 or a cumsum of K for A = I; these structured forms round
-    exactly like the products A^(p-1) A and A d + K they replace. Any other
-    A takes those recursions.
+    With A = I + c e3' the powers are A^p = I + p c e3', a cumsum of c, and
+    while the drift stays off the heading (K[2] = 0) or A = I, Sk is the
+    running sum of K. Both round exactly like the recursions A^(p-1) A and
+    A d + K they replace. A model whose drift moves the heading through a
+    coupling c != 0 is rejected; linearize builds none.
     """
     if n < 1 or not (1 <= m <= n):
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
-    a = np.asarray(model.a, dtype=float)
-    b = np.asarray(model.b, dtype=float).reshape(3)
-    k = np.asarray(model.k, dtype=float).reshape(3)
+    c, b, k = model.c, model.b, model.k
+    if k[2] != 0.0 and c.any():
+        raise ValueError("a drift K[2] != 0 through the heading coupling c != 0 is not supported")
 
-    # A = I + c e3' with c = (a02, a12, 0), as every linearize model is, has
-    # A^p = I + p c e3': each product A^(p-1) A adds c to the psi column with
-    # one rounding, which a cumsum repeats (+ 0.0 turns -0.0 into the +0.0
-    # the products give).
-    (a00, a01, a02), (a10, a11, a12), row2 = a.tolist()
-    sheared = (a00, a01, a10, a11) == (1.0, 0.0, 0.0, 1.0) and row2 == [0.0, 0.0, 1.0]
-    if sheared:
-        a_pow = np.zeros((n + 1, 9))
-        a_pow[:, ::4] = 1.0
-        a_pow[1:, 2:6:3] = np.full((n, 2), (a02, a12)).cumsum(0) + 0.0  # entries (0,2), (1,2)
-        a_pow = a_pow.reshape(n + 1, 3, 3)
-    else:
-        a_pow = [np.eye(3)]
-        for _ in range(n):
-            a_pow.append(a_pow[-1] @ a)
-        a_pow = np.stack(a_pow)  # (N+1, 3, 3)
+    # Each product A^(p-1) A adds c to the heading column with one rounding,
+    # which a cumsum repeats (+ 0.0 turns -0.0 into the +0.0 the products give).
+    a_pow = np.zeros((n + 1, 9))
+    a_pow[:, ::4] = 1.0
+    a_pow[1:, 2:6:3] = np.full((n, 2), c).cumsum(0) + 0.0  # entries (0,2), (1,2)
+    a_pow = a_pow.reshape(n + 1, 3, 3)
     markov = a_pow[:n] @ b  # markov[p] = A^p B
     su = np.zeros((n, 3, m))
     for j in range(m - 1):
@@ -159,15 +147,9 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     sx = a_pow[1:].reshape(3 * n, 3)
     if k.tobytes() == _POSITIVE_ZERO3:
         sk = np.zeros(3 * n)  # A 0 + (+0) is +0 for any A
-    elif sheared and a02 == a12 == 0.0:
-        # A = I: the drifts are running sums of K, added in the same order.
-        sk = np.full((n, 3), k + 0.0).cumsum(0).reshape(3 * n)
     else:
-        drifts = [np.zeros(3)]
-        for _ in range(n):
-            drifts.append(a @ drifts[-1] + k)
-        sk = np.concatenate(drifts[1:])
-    return PredictionMatrices(sx=sx, su=su, sk=sk, n=n, m=m)
+        sk = np.full((n, 3), k + 0.0).cumsum(0).reshape(3 * n)
+    return PredictionMatrices(sx=sx, su=su, sk=sk)
 
 
 @dataclass(frozen=True)
@@ -238,9 +220,9 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
     Su' kron(I, Q) Su it replaces whenever Q is diagonal, as
     horizon_weights makes it. input_weight = (w, T) adds w T'T.
     """
-    n, m = pred.n, pred.m
-    stages = pred.su.reshape(n, 3, m).transpose(0, 2, 1) @ weights.q  # (N, M, 3)
-    suq = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(m, 3 * n)
+    n3, m = pred.su.shape
+    stages = pred.su.reshape(n3 // 3, 3, m).transpose(0, 2, 1) @ weights.q  # (N, M, 3)
+    suq = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(m, n3)
     h = suq @ pred.su + weights.r * np.eye(m)
     h = 0.5 * (h + h.T)
     if input_weight is not None:
@@ -273,8 +255,9 @@ def build_tracking_qp(
     """
     x0 = np.asarray(x0, dtype=float).reshape(3)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    if x_ref.size != 3 * pred.n:
-        raise ValueError(f"reference stack must have {3 * pred.n} entries, got {x_ref.size}")
+    n3, m = pred.su.shape
+    if x_ref.size != n3:
+        raise ValueError(f"reference stack must have {n3} entries, got {x_ref.size}")
     lo, hi = du_bounds
     if not lo <= hi:
         raise ValueError(f"need du_bounds low <= high, got ({lo}, {hi})")
@@ -285,8 +268,8 @@ def build_tracking_qp(
     if input_target is not None:
         w, t_map, offset = input_target
         f = f + w * (t_map.T @ offset)
-    lb = np.full(pred.m, float(lo))
-    ub = np.full(pred.m, float(hi))
+    lb = np.full(m, float(lo))
+    ub = np.full(m, float(hi))
     return QpProblem._trusted(cost.h, f, lb, ub)
 
 

@@ -17,7 +17,6 @@ import pytest
 
 from trackmpc import (
     DisturbanceSpec,
-    OperatingPoint,
     QpProblem,
     VARIANTS,
     VehicleParams,
@@ -61,7 +60,7 @@ def test_criterion_1_linearizations_match_finite_differences():
         psi = float(rng.uniform(-1.0, 1.0))
         beta = float(rng.uniform(-0.4, 0.4))
         ts = float(rng.uniform(0.02, 0.3))
-        op = OperatingPoint(psi=psi, beta=beta)
+        op = VehicleState(psi=psi, beta=beta)
         state = VehicleState(x=float(rng.normal()), y=float(rng.normal()), psi=psi, beta=beta)
 
         plus = step_nonlinear(state, h, ts, PARAMS)
@@ -259,7 +258,7 @@ def test_criterion_9_condensed_prediction_equals_rollout():
         n = int(rng.integers(1, 11))
         m = int(rng.integers(1, n + 1))
         ts = float(rng.uniform(0.02, 0.3))
-        op = OperatingPoint(psi=float(rng.uniform(-1, 1)), beta=float(rng.uniform(-0.4, 0.4)))
+        op = VehicleState(psi=float(rng.uniform(-1, 1)), beta=float(rng.uniform(-0.4, 0.4)))
         model = (
             linearize_velocity(op, PARAMS, ts)
             if case % 3 == 0

@@ -177,6 +177,10 @@ def test_overrides_win_and_add_missing_keys():
     ("output.directory=runs#2", r"--set output\.directory=runs#2: .*'#'"),
     ("scenario.name=a # b", r"--set scenario\.name=a # b: .*'#'"),
     ("scenario.name=a\nb", "line break"),
+    ("controller.alpha=1e200", r"--set controller\.alpha=1e200: .*square to finite"),
+    ("controller.w_du=1e200", "square to finite"),
+    ("controller.w_y=1e160", "square to finite"),
+    ("controller.w_u=1e200", "square to finite"),
 ])
 def test_override_errors(bad, needle):
     # overrides have no source line: every error is anchored at line 0,
@@ -359,6 +363,28 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_exits_one(tmp_path, capsys):
+    bad = tmp_path / "utf16.cfg"
+    bad.write_bytes(b"\xff\xfe[\x00s\x00")
+    rc = main(["validate-config", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config:") and "utf-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_overflowing_weight_in_a_file_is_a_line_anchored_error(tmp_path, capsys):
+    doc = tmp_path / "big.cfg"
+    doc.write_text("[scenario]\nkind = step\n\n[controller]\nw_y = 1e160\n")
+    assert main(["validate-config", str(doc)]) == 1
+    assert main(["compare", str(doc), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: line ") and "square to finite" in line for line in err)
+    assert err[0].startswith("error: line 5:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[scenario]\nkind = zigzag\n")
@@ -397,6 +423,14 @@ def test_sweep_preconditions_exit_one(tmp_path, capsys):
     assert main(["sweep-alpha", str(step_doc), "--output-dir", str(tmp_path),
                  "--alphas", ","]) == 1
     assert "--alphas lists no values" in capsys.readouterr().err
+    # each alpha meets the config's own rules before the first run
+    for bad, needle in [("-1", "alpha must be positive"), ("0", "alpha must be positive"),
+                        ("nan", "finite"), ("inf", "finite"), ("2.8,1e200", "square to finite")]:
+        assert main(["sweep-alpha", str(step_doc), "--output-dir", str(tmp_path),
+                     f"--alphas={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --alphas: ") and needle in err
+        assert len(err.splitlines()) == 1
     assert not (tmp_path / "sweep_alpha.csv").exists()
 
 

@@ -93,6 +93,11 @@ def test_config_validation():
     # horizon weights before the first step
     with pytest.raises(ValueError, match="move weight"):
         config_for("baseline", w_du=1e-170)
+    # nor may any alpha-scaled weight overflow when squared
+    for big in (dict(alpha=1e200), dict(w_du=1e200), dict(w_y=1e160), dict(w_u=1e200),
+                dict(w_u=1.0, alpha=1e-160)):
+        with pytest.raises(ValueError, match="square to finite"):
+            config_for("baseline", **big)
 
 
 _LINEARIZE = {

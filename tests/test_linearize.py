@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from trackmpc import (
-    OperatingPoint,
     VehicleParams,
     VehicleState,
     linearize_initial,
@@ -38,7 +37,7 @@ def test_initial_model_scales_with_ts(ts, b_last):
 
 
 def test_position_model_frozen_at_operating_point():
-    op = OperatingPoint(psi=0.3, beta=0.05)
+    op = VehicleState(psi=0.3, beta=0.05)
     model = linearize_position(op, PARAMS, 0.05)
     assert np.array_equal(model.a, np.eye(3))
     np.testing.assert_allclose(
@@ -54,7 +53,7 @@ def test_position_model_frozen_at_operating_point():
 
 
 def test_velocity_model_structure():
-    op = OperatingPoint(psi=0.3, beta=0.05)
+    op = VehicleState(psi=0.3, beta=0.05)
     model = linearize_velocity(op, PARAMS, 0.05)
     theta = 0.35
     expected_a = np.array(
@@ -84,14 +83,14 @@ def test_position_b_is_exact_input_jacobian():
         hi = step_nonlinear(state, eps, ts, PARAMS).as_array()[:3]
         lo = step_nonlinear(state, -eps, ts, PARAMS).as_array()[:3]
         fd = (hi - lo) / (2 * eps)
-        model = linearize_position(OperatingPoint(psi=psi, beta=beta), PARAMS, ts)
+        model = linearize_position(VehicleState(psi=psi, beta=beta), PARAMS, ts)
         np.testing.assert_allclose(model.b, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_position_affine_term_is_zero_input_step():
     # K must reproduce the nonlinear drift at the operating point: with u=0
     # the predicted state is x + K exactly
-    op = OperatingPoint(psi=-0.2, beta=0.1)
+    op = VehicleState(psi=-0.2, beta=0.1)
     ts = 0.1
     model = linearize_position(op, PARAMS, ts)
     state = VehicleState(4.0, 2.0, op.psi, op.beta)
@@ -113,7 +112,7 @@ def test_velocity_a_third_column_is_heading_jacobian():
 
         fd = (displacement(psi + eps) - displacement(psi - eps)) / (2 * eps)
         fd[2] += 1.0  # d(psi+)/d(psi) includes the carried heading itself
-        model = linearize_velocity(OperatingPoint(psi=psi, beta=beta), PARAMS, ts)
+        model = linearize_velocity(VehicleState(psi=psi, beta=beta), PARAMS, ts)
         np.testing.assert_allclose(model.a[:, 2], fd, rtol=1e-6, atol=1e-9)
 
 
@@ -121,18 +120,11 @@ def test_initial_model_is_small_angle_limit():
     # at the origin operating point the position model collapses onto the
     # fixed model's B column
     model0 = linearize_initial(PARAMS, 0.2)
-    pos0 = linearize_position(OperatingPoint(psi=0.0, beta=0.0), PARAMS, 0.2)
+    pos0 = linearize_position(VehicleState(psi=0.0, beta=0.0), PARAMS, 0.2)
     np.testing.assert_allclose(model0.b, pos0.b, atol=1e-15)
 
 
-def test_operating_point_validation():
-    with pytest.raises(ValueError):
-        OperatingPoint(psi=math.inf, beta=0.0)
-    with pytest.raises(ValueError):
-        OperatingPoint(psi=0.0, beta=1.6)
-
-
 def test_zero_ts_degenerates_to_identity():
-    model = linearize_position(OperatingPoint(psi=0.4, beta=0.1), PARAMS, 0.0)
+    model = linearize_position(VehicleState(psi=0.4, beta=0.1), PARAMS, 0.0)
     np.testing.assert_allclose(model.b, np.zeros(3), atol=0)
     np.testing.assert_allclose(model.k, np.zeros(3), atol=0)

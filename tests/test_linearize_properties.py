@@ -20,7 +20,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from trackmpc import (  # noqa: E402
-    OperatingPoint,
     VehicleParams,
     VehicleState,
     linearize_position,
@@ -44,7 +43,7 @@ def operating_states(draw):
     beta = draw(_floats(-1.4, 1.4))  # the slip stays inside (-pi/2, pi/2) under +-EPS
     state = VehicleState(x=draw(_floats(-100.0, 100.0)), y=draw(_floats(-100.0, 100.0)),
                          psi=psi, beta=beta)
-    return state, OperatingPoint(psi=psi, beta=beta), draw(_floats(0.01, 0.5))
+    return state, VehicleState(psi=psi, beta=beta), draw(_floats(0.01, 0.5))
 
 
 def _pose(state: VehicleState) -> np.ndarray:

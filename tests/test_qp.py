@@ -15,12 +15,13 @@ import pytest
 import trackmpc.controllers as controllers_mod
 from qp_reference import reference_solve_box_qp
 from trackmpc import (
+    AffineLtiModel,
     HorizonWeights,
-    OperatingPoint,
     PredictionMatrices,
     QpProblem,
     TrackingWeights,
     VehicleParams,
+    VehicleState,
     apply_overrides,
     build_prediction,
     build_tracking_qp,
@@ -101,7 +102,7 @@ def test_prediction_single_step_is_model():
 
 
 def test_prediction_identity_model_hand_unrolled():
-    model = linearize_position(OperatingPoint(psi=0.3, beta=0.05), PARAMS, 0.05)
+    model = linearize_position(VehicleState(psi=0.3, beta=0.05), PARAMS, 0.05)
     pred = build_prediction(model, 3, 3)
     b, k = model.b, model.k
     # A = I: input j contributes B to every stage >= j
@@ -114,7 +115,7 @@ def test_prediction_identity_model_hand_unrolled():
 
 
 def test_prediction_hold_accumulates_last_move():
-    model = linearize_position(OperatingPoint(psi=0.0, beta=0.0), PARAMS, 0.1)
+    model = linearize_position(VehicleState(psi=0.0, beta=0.0), PARAMS, 0.1)
     pred = build_prediction(model, 3, 2)
     b = model.b
     # move 2 is held through stage 3, so its block doubles there (A = I)
@@ -124,7 +125,7 @@ def test_prediction_hold_accumulates_last_move():
 
 
 def test_prediction_zero_model_repeats_state():
-    model = linearize_position(OperatingPoint(psi=0.2, beta=0.0), PARAMS, 0.0)
+    model = linearize_position(VehicleState(psi=0.2, beta=0.0), PARAMS, 0.0)
     pred = build_prediction(model, 4, 2)
     x0 = np.array([1.0, -2.0, 0.3])
     stacked = pred.sx @ x0 + pred.su @ np.zeros(2) + pred.sk
@@ -147,7 +148,7 @@ def test_condensing_matches_iterated_rollout():
         n = int(rng.integers(1, 11))
         m = int(rng.integers(1, n + 1))
         ts = float(rng.uniform(0.02, 0.3))
-        op = OperatingPoint(psi=float(rng.uniform(-1, 1)), beta=float(rng.uniform(-0.4, 0.4)))
+        op = VehicleState(psi=float(rng.uniform(-1, 1)), beta=float(rng.uniform(-0.4, 0.4)))
         model = (
             linearize_velocity(op, PARAMS, ts)
             if case % 3 == 0
@@ -173,12 +174,8 @@ def test_condensing_matches_iterated_rollout():
 def test_tracking_qp_scalar_example():
     # Q=I, R=1, N=M=1, A=I, B=[0,1,0], K=0, x0=0, ref=[0,1,0]:
     # H = BᵀB + 1 = 2, f = -Bᵀref = -1, minimizer 0.5
-    class Tiny:
-        a = np.eye(3)
-        b = np.array([0.0, 1.0, 0.0])
-        k = np.zeros(3)
-
-    pred = build_prediction(Tiny(), 1, 1)
+    tiny = AffineLtiModel(c=np.zeros(2), b=np.array([0.0, 1.0, 0.0]), k=np.zeros(3))
+    pred = build_prediction(tiny, 1, 1)
     hw = HorizonWeights(q=np.eye(3), r=1.0)
     qp = build_tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0))
     assert qp.h == pytest.approx(np.array([[2.0]]))
@@ -279,7 +276,7 @@ def _reference_qp(su, sx, sk, x0, x_ref, hw, input_target=None):
 
 
 def _random_model(rng, kind, ts):
-    op = OperatingPoint(psi=float(rng.uniform(-3.0, 3.0)), beta=float(rng.uniform(-0.6, 0.6)))
+    op = VehicleState(psi=float(rng.uniform(-3.0, 3.0)), beta=float(rng.uniform(-0.6, 0.6)))
     if kind == "initial":
         return linearize_initial(PARAMS, ts)
     if kind == "position":
@@ -319,7 +316,7 @@ def test_fast_condensing_is_bit_identical_to_reference(kind, ts, n, m):
 def test_structured_prediction_keeps_the_sign_of_zero(linearize, psi, beta):
     # straight-ahead operating points put signed zeros into A's psi column
     # and into K; the cumsum forms must give every zero the recursion's sign
-    model = linearize(OperatingPoint(psi=psi, beta=beta), PARAMS, 0.05)
+    model = linearize(VehicleState(psi=psi, beta=beta), PARAMS, 0.05)
     for n, m in [(20, 20), (10, 5), (4, 1)]:
         pred = build_prediction(model, n, m)
         sx, su, sk = _reference_prediction(model, n, m)
@@ -327,17 +324,18 @@ def test_structured_prediction_keeps_the_sign_of_zero(linearize, psi, beta):
             (sx.tobytes(), su.tobytes(), sk.tobytes())
 
 
-def test_generic_model_prediction_matches_reference():
-    # a model outside the shear form takes the plain recursions
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        model = linearize_velocity(OperatingPoint(psi=0.4, beta=0.1), PARAMS, 0.05)
-        a = model.a + 0.05 * rng.normal(size=(3, 3))
-        model = type(model)(a=a, b=model.b, k=rng.normal(size=3))
-        pred = build_prediction(model, 8, 3)
-        sx, su, sk = _reference_prediction(model, 8, 3)
-        assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
-            (sx.tobytes(), su.tobytes(), sk.tobytes())
+def test_prediction_rejects_drift_through_the_heading_coupling():
+    # K[2] != 0 turns the heading drift into position drift through c, which
+    # the running sum of K does not model; no linearization builds this
+    coupled = linearize_velocity(VehicleState(psi=0.4, beta=0.1), PARAMS, 0.05)
+    drifting = linearize_position(VehicleState(psi=0.4, beta=0.1), PARAMS, 0.05)
+    with pytest.raises(ValueError, match="heading coupling"):
+        build_prediction(AffineLtiModel(c=coupled.c, b=coupled.b, k=drifting.k), 8, 3)
+    # a drift that leaves the heading alone is still a running sum
+    model = AffineLtiModel(c=coupled.c, b=coupled.b, k=np.array([0.3, -0.2, -0.0]))
+    pred = build_prediction(model, 8, 3)
+    assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
+        tuple(part.tobytes() for part in _reference_prediction(model, 8, 3))
 
 
 @pytest.mark.parametrize("ts,n,m", [VARIANT_DEFAULTS["baseline"], VARIANT_DEFAULTS["weight_tuned"]])
@@ -349,12 +347,12 @@ def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
     t_low = np.tril(np.ones((m, m)))
     hw = horizon_weights(TrackingWeights(w_u=3.0))
     w = float(rng.uniform(0.5, 30.0)) ** 2
-    moves = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=pred.sk, n=n, m=m)
+    moves = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=pred.sk)
     cost = condense_cost(moves, hw, (w, t_low))
     for _ in range(20):
         last_beta = float(rng.uniform(-0.3, 0.3))
         sk_mv = pred.sk + pred.su @ np.full(m, last_beta)
-        step = PredictionMatrices(sx=pred.sx, su=moves.su, sk=sk_mv, n=n, m=m)
+        step = PredictionMatrices(sx=pred.sx, su=moves.su, sk=sk_mv)
         target = (w, t_low, np.full(m, last_beta - float(rng.uniform(-0.1, 0.1))))
         x0 = rng.normal(size=3)
         x_ref = rng.normal(size=3 * n)

@@ -9,9 +9,15 @@ upper bound (3^n of them) and keeps the cheapest feasible point; for a
 strictly convex QP that point is the unique minimizer. Where the primal
 phase runs, the result is also held bit for bit to the earlier solver kept
 in tests/qp_reference.py.
+
+The condensed prediction feeding those QPs is held bit for bit, down to
+the sign of every zero, to the plain recursions of _reference_prediction
+for all three linearizations at drawn vehicles, sample times, operating
+points and horizons.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +26,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from qp_reference import reference_solve_box_qp  # noqa: E402
-from trackmpc import QpProblem, solve_box_qp  # noqa: E402
+from test_qp import _reference_prediction  # noqa: E402
+from trackmpc import (  # noqa: E402
+    QpProblem,
+    VehicleParams,
+    VehicleState,
+    build_prediction,
+    linearize_initial,
+    linearize_position,
+    linearize_velocity,
+    solve_box_qp,
+)
 
 KKT_TOL = 1e-8
 
@@ -216,3 +232,35 @@ def test_recorded_course_qp_finishes_in_the_primal_phase():
     assert 0 < sol.primal_iterations < sol.iterations < ref.iterations
     assert np.array_equal(sol.u, ref.u)
     assert sol.u.tobytes() == _from_hex(_COURSE_U).tobytes()  # the move the course applied
+
+
+def _angles(lo: float, hi: float):
+    return st.one_of(st.sampled_from((0.0, -0.0)), _floats(lo, hi))
+
+
+@st.composite
+def prediction_cases(draw):
+    """A linearization at a drawn vehicle, ts, (psi, beta) and 1 <= M <= N <= 25."""
+    params = VehicleParams(lf=draw(_floats(0.3, 4.0)), lr=draw(_floats(0.3, 4.0)),
+                           v=draw(_floats(0.1, 50.0)))
+    ts = draw(st.one_of(st.just(0.0), _floats(1e-3, 0.5)))
+    state = VehicleState(psi=draw(_angles(-2.0 * math.pi, 2.0 * math.pi)),
+                         beta=draw(_angles(-1.5, 1.5)))
+    kind = draw(st.sampled_from(("initial", "position", "velocity")))
+    event(kind)
+    if kind == "initial":
+        model = linearize_initial(params, ts)
+    else:
+        model = (linearize_position if kind == "position" else linearize_velocity)(state, params, ts)
+    n = draw(st.integers(1, 25))
+    return model, n, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(prediction_cases())
+def test_prediction_matches_the_reference_recursions_bit_for_bit(case):
+    model, n, m = case
+    pred = build_prediction(model, n, m)
+    sx, su, sk = _reference_prediction(model, n, m)
+    assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
+        (sx.tobytes(), su.tobytes(), sk.tobytes())
