@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -137,6 +137,21 @@ class FixedModelQp:
     cost: CondensedCost
 
 
+class RelinearizedQp(NamedTuple):
+    """A re-linearized model's prediction and condensed cost, keyed by its bytes.
+
+    key is the bytes of the model's c, b and k, so the sign of a zero tells
+    two models apart. pred and cost are a pure function of the key and of
+    the run constants (N, M, weights), so a step whose model has the same
+    key reuses them as they are and forms only f. A tuple, since a miss
+    builds one on the step's path.
+    """
+
+    key: bytes
+    pred: PredictionMatrices
+    cost: CondensedCost
+
+
 @dataclass(frozen=True)
 class ControllerState:
     """What a controller carries between steps."""
@@ -148,6 +163,8 @@ class ControllerState:
     fixed: FixedModelQp | None = field(default=None, compare=False)  # baseline, weight_tuned
     # The last QP's accepted partition when its guess missed: the next start.
     start: np.ndarray | None = field(default=None, compare=False)
+    # The last re-linearized model's QP data (position_sl, velocity_sl).
+    last_model: RelinearizedQp | None = field(default=None, compare=False)
 
 
 def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams) -> ControllerState:
@@ -254,6 +271,11 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     position_sl is neither: it re-linearizes the pose model at the measured
     (psi, beta) every call and tracks the indexed position stack with slip
     changes bounded directly by the rate limit.
+
+    A re-linearizing variant builds its prediction and condensed cost only
+    when its model's bytes differ from the previous step's (a straight
+    stretch repeats the same operating point); otherwise it reuses them
+    from ControllerState.last_model.
     """
     fixed_model = cfg.variant in FIXED_MODEL_VARIANTS
     difference_state = cfg.variant == "velocity_sl"
@@ -262,7 +284,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     if ctrl.weights is None or (fixed_model and ctrl.fixed is None):
         raise ControlError(f"{cfg.variant} controller state has no run constants; use init_state")
     n, m = cfg.horizon, cfg.control_horizon
-    input_target = cost = None
+    input_target = None
+    last_model = ctrl.last_model
     if fixed_model:
         # The held beta of the commands beta + T du moves into the drift; the
         # moves act through Su T.
@@ -274,7 +297,12 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         cost = fixed.cost
     else:
         linearize = linearize_velocity if difference_state else linearize_position
-        pred = build_prediction(linearize(plant, params, cfg.ts), n, m)
+        model = linearize(plant, params, cfg.ts)
+        key = model.c.tobytes() + model.b.tobytes() + model.k.tobytes()
+        if last_model is None or last_model.key != key:
+            pred = build_prediction(model, n, m)
+            last_model = RelinearizedQp(key, pred, condense_cost(pred, ctrl.weights))
+        pred, cost = last_model.pred, last_model.cost
 
     if difference_state:
         prev = ctrl.prev_state
@@ -295,11 +323,16 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     qp = build_tracking_qp(pred, x0, x_ref, ctrl.weights, (-bound, bound), input_target, cost)
     sol = solve_box_qp(qp, start=ctrl.start)
     if sol.status != "converged":
+        # The KKT tolerance is absolute while H grows with the squared
+        # weights, so name their scale: large weights alone can cause this.
+        hw = ctrl.weights
         raise ControlError(
-            f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e}")
+            f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e} "
+            f"at weight scale max|H| = {float(np.abs(qp.h).max()):.3e} "
+            f"((w_y*alpha)^2 = {hw.q[0, 0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     u = float(sol.u[0])
     return u, ControllerState(ref_cursor=cursor, prev_state=plant, weights=ctrl.weights,
-                              fixed=ctrl.fixed, start=sol.start)
+                              fixed=ctrl.fixed, start=sol.start, last_model=last_model)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,6 +248,13 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
     ctrl = _controllers.init_state(cfg, state, params)
     step_fn = _controllers.CONTROLLER_STEPS[cfg.variant]
     noisy = disturbance.kind == "gaussian_output"
+    if noisy:
+        # Each stream's draws for the whole run at once, the same bytes as
+        # one scalar call per step.
+        counters = np.arange(steps, dtype=np.uint64)
+        noise_y = gaussian_noise(disturbance, counters).tolist()
+        if disturbance.apply_to_x:
+            noise_x = gaussian_noise(disturbance, counters + np.uint64(_X_STREAM_OFFSET)).tolist()
 
     t_trace = [0.0]
     states = [state.as_array()]
@@ -260,11 +267,8 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
     for k in range(steps):
         meas = state
         if noisy:
-            y_m = state.y + gaussian_noise(disturbance, k)
-            x_m = state.x
-            if disturbance.apply_to_x:
-                x_m = state.x + gaussian_noise(disturbance, k + _X_STREAM_OFFSET)
-            meas = replace(state, x=x_m, y=y_m)
+            x_m = state.x + noise_x[k] if disturbance.apply_to_x else state.x
+            meas = VehicleState(x_m, state.y + noise_y[k], state.psi, state.beta)
         try:
             tic = time.perf_counter()
             u, ctrl = step_fn(ctrl, meas, path, cfg, params)

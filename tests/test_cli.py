@@ -13,6 +13,7 @@ import trackmpc.controllers as controllers_mod
 from trackmpc import (
     ConfigError,
     ControlError,
+    VARIANTS,
     VehicleParams,
     apply_overrides,
     parse_config,
@@ -300,18 +301,25 @@ REFERENCE_RUNS = {"course": "complete.cfg", "straight": "straight.cfg",
                   "noisy_sine": "sine_disturbed.cfg", "step": "step.cfg"}
 
 
+def _compare_shipped(name, out, *overrides):
+    doc = (ROOT / "scenarios" / name).read_text()
+    return run_compare(apply_overrides(parse_config(doc), [f"output.directory={out}", *overrides]))
+
+
 @pytest.mark.parametrize("workload", REFERENCE_RUNS)
 def test_shipped_scenarios_match_recorded_closed_loop(workload, tmp_path):
     # every shipped run's SSD and state trace must stay within the
     # benchmark's drift gate (1e-9 relative plus 1e-12 absolute) of the
     # recorded references: a faster path may not move the closed loop
+    _assert_matches_reference(workload, tmp_path)
+
+
+def _assert_matches_reference(workload, tmp_path):
     reference = ROOT / "perfbench" / "reference"
     ssd = json.loads((reference / "ssd.json").read_text())[workload]
     with np.load(reference / "states.npz") as stored:
         states = {v: stored[f"{workload}.{v}"] for v in ssd}
-    doc = (ROOT / "scenarios" / REFERENCE_RUNS[workload]).read_text()
-    cfg = apply_overrides(parse_config(doc), [f"output.directory={tmp_path}"])
-    rows, failures = run_compare(cfg)
+    rows, failures = _compare_shipped(REFERENCE_RUNS[workload], tmp_path)
     assert failures == []
     assert {row.model for row in rows} == set(ssd)
 
@@ -324,6 +332,44 @@ def test_shipped_scenarios_match_recorded_closed_loop(workload, tmp_path):
         got = np.column_stack([cols["x"], cols["y"], cols["psi"], cols["beta"]])
         assert got.shape == states[row.model].shape, row.model
         assert close(got, states[row.model]), row.model
+
+
+def test_weights_too_large_for_the_qp_name_their_scale(tmp_path, capsys):
+    # (w_y * alpha)^2 = 7.8e300 is finite, so the config is valid; but the
+    # condensed Hessian then reaches 1e301 to 1e305, and the solver's KKT
+    # tolerance is absolute, so no variant's first QP converges. Each
+    # failure names that weight scale instead of a bare residual.
+    step = str(ROOT / "scenarios" / "step.cfg")
+    big = ["--set", "controller.w_y=1e150"]
+    assert main(["validate-config", step, *big]) == 0
+    capsys.readouterr()
+    assert main(["compare", step, *big, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    for line in err:
+        assert "QP stopped at inaccurate with KKT residual" in line
+        assert "at weight scale max|H| = " in line
+        assert line.endswith("((w_y*alpha)^2 = 7.840e+300, (w_du*alpha)^2 = 7.840e-02)")
+
+
+def test_compares_in_one_process_share_nothing(tmp_path):
+    # nothing a run reuses from step to step outlives the run. A straight
+    # compare with fewer moves leaves models that a course compare meets
+    # again on its straight lead-in: the course still matches its recorded
+    # references, and a second straight compare after it writes the same
+    # bytes as the first
+    out = tmp_path / "straight"
+
+    def straight():
+        rows, failures = _compare_shipped("straight.cfg", out, "controller.control_horizon=4")
+        assert failures == []
+        # summary.csv holds wall times, which vary from run to run
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.csv"}
+
+    first = straight()
+    assert sorted(first) == ["manifest.json", *(f"trace_{v}.csv" for v in sorted(VARIANTS))]
+    _assert_matches_reference("course", tmp_path / "course")
+    assert straight() == first
 
 
 # --- rise time ------------------------------------------------------------------

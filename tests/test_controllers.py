@@ -113,8 +113,9 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     # every variant looks its stages up as globals of trackmpc.controllers
     # at call time (tracing wrappers patch them there). What depends only on
     # (cfg, params) is built once by init_state: the horizon weights, and
-    # for the fixed absolute-slip model its linearization and prediction.
-    # Each step then builds one fresh QpProblem and solves it once.
+    # for the fixed absolute-slip model its linearization, prediction and
+    # condensed cost. Each step then builds one fresh QpProblem and solves
+    # it once.
     calls = Counter()
     solved = []
 
@@ -129,8 +130,8 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
 
         monkeypatch.setattr(trackmpc.controllers, name, wrapper)
 
-    for name in (*set(_LINEARIZE.values()), "build_prediction", "horizon_weights",
-                 "build_tracking_qp", "solve_box_qp", "generate_delta_refs"):
+    for name in (*set(_LINEARIZE.values()), "build_prediction", "condense_cost",
+                 "horizon_weights", "build_tracking_qp", "solve_box_qp", "generate_delta_refs"):
         counting(name)
 
     cfg = config_for(variant, w_u=50.0, u_target=0.01)
@@ -140,21 +141,110 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     fixed_model = variant in ("baseline", "weight_tuned")
     per_run = {"horizon_weights": 1}
     if fixed_model:
-        per_run.update({"linearize_initial": 1, "build_prediction": 1})
+        per_run.update({"linearize_initial": 1, "build_prediction": 1, "condense_cost": 1})
     assert calls == Counter(per_run)
 
+    # Three steps from one plant, then one from a turned plant. A
+    # re-linearizing variant linearizes every step but builds its prediction
+    # and condensed cost once per distinct model: twice here.
     calls.clear()
-    steps = 3
-    for _ in range(steps):
-        _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    plants = (plant, plant, plant, replace(plant, psi=plant.psi + 0.1))
+    for measured in plants:
+        _, ctrl = CONTROLLER_STEPS[variant](ctrl, measured, path, cfg, PARAMS)
+    steps = len(plants)
     per_step = {"build_tracking_qp": steps, "solve_box_qp": steps}
     if not fixed_model:
-        per_step.update({_LINEARIZE[variant]: steps, "build_prediction": steps})
+        per_step.update({_LINEARIZE[variant]: steps, "build_prediction": 2, "condense_cost": 2})
     if variant == "velocity_sl":
         per_step["generate_delta_refs"] = steps
     assert calls == Counter(per_step)
     assert all(type(qp) is trackmpc.qp.QpProblem for qp in solved)
     assert len({id(qp) for qp in solved}) == steps
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["position_sl", "velocity_sl"])
+def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
+    # a step whose model repeats keeps the previous step's prediction and
+    # condensed cost; they, and the QP built from them, are byte for byte
+    # what a fresh build of the same model gives
+    qps = []
+    real = trackmpc.controllers.solve_box_qp
+
+    def recording(qp, **kwargs):
+        qps.append(qp)
+        return real(qp, **kwargs)
+
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
+    cfg = config_for(variant)
+    path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+    plant = VehicleState(x=0.1, y=0.2, psi=0.05, beta=0.01)
+    ctrl = init_state(cfg, plant, PARAMS)
+    assert ctrl.last_model is None
+    _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    first = ctrl.last_model
+    _, hit = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    assert hit.last_model is first
+    _, miss = CONTROLLER_STEPS[variant](replace(ctrl, last_model=None), plant, path, cfg, PARAMS)
+    assert miss.last_model is not first
+
+    linearize = getattr(trackmpc.controllers, _LINEARIZE[variant])
+    fresh = trackmpc.qp.build_prediction(linearize(plant, PARAMS, cfg.ts),
+                                         cfg.horizon, cfg.control_horizon)
+    cost = trackmpc.qp.condense_cost(fresh, ctrl.weights)
+    for stored in (first, miss.last_model):
+        assert stored.key == miss.last_model.key
+        for name in ("sx", "su", "sk"):
+            assert _same_bytes(getattr(stored.pred, name), getattr(fresh, name)), name
+        assert _same_bytes(stored.cost.suq, cost.suq)
+        assert _same_bytes(stored.cost.h, cost.h)
+    hit_qp, miss_qp = qps[1:]
+    assert _same_bytes(hit_qp.h, miss_qp.h) and _same_bytes(hit_qp.f, miss_qp.f)
+
+
+@pytest.mark.parametrize("variant", ["position_sl", "velocity_sl"])
+@pytest.mark.parametrize("nudge", ["sign_of_zero", "one_ulp"])
+def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypatch):
+    # the reuse key is the model's bytes: -0.0 against +0.0, or one ulp,
+    # in the heading coupling c is a new model with a prediction of its own
+    name = _LINEARIZE[variant]
+    real = getattr(trackmpc.controllers, name)
+    models = []
+
+    def nudged(state, params, ts):
+        model = real(state, params, ts)
+        assert model.c[0] == 0.0  # heading along x: -v ts sin(0) is a zero
+        if models:
+            c = model.c.copy()
+            c[0] = -c[0] if nudge == "sign_of_zero" else np.nextafter(c[0], np.inf)
+            model = trackmpc.linearize.AffineLtiModel(c=c, b=model.b, k=model.k)
+        models.append(model)
+        return model
+
+    builds = Counter()
+    real_build = trackmpc.controllers.build_prediction
+
+    def counting(*args, **kwargs):
+        builds["n"] += 1
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(trackmpc.controllers, name, nudged)
+    monkeypatch.setattr(trackmpc.controllers, "build_prediction", counting)
+    cfg = config_for(variant)
+    path = make_straight_path(4.0, cfg.ts)
+    plant = default_initial_state(path)
+    ctrl = init_state(cfg, plant, PARAMS)
+    _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    first = ctrl.last_model
+    _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    assert builds["n"] == 2
+    assert ctrl.last_model.key != first.key
+    fresh = real_build(models[1], cfg.horizon, cfg.control_horizon)
+    for name in ("sx", "su", "sk"):
+        assert _same_bytes(getattr(ctrl.last_model.pred, name), getattr(fresh, name)), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -174,22 +264,31 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     # ends the run there with a trace of the completed steps only
     real = trackmpc.controllers.solve_box_qp
     solves = Counter()
+    starved_qps = []
 
     def starved(qp, **kwargs):
         solves["n"] += 1
         sol = real(qp, **kwargs)
         if solves["n"] <= 3:
             return sol
+        starved_qps.append(qp)
         return trackmpc.qp.QpSolution(u=sol.u, iterations=sol.iterations, status="max_iter",
                                       kkt_residual=1.25e-3)
+
+    def expected():
+        # the residual's tolerance is absolute, so the weight scale is named
+        # too: (10 * 2.8)^2 and (0.1 * 2.8)^2 by default
+        h_max = float(np.abs(starved_qps[-1].h).max())
+        return (f"{variant} QP stopped at max_iter with KKT residual 1.250e-03 at weight "
+                f"scale max|H| = {h_max:.3e} ((w_y*alpha)^2 = 7.840e+02, "
+                f"(w_du*alpha)^2 = 7.840e-02)")
 
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", starved)
     cfg = config_for(variant)
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
-    expected = f"{variant} QP stopped at max_iter with KKT residual 1.250e-03"
 
     result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
-    assert result.status == f"failed: {expected}"
+    assert result.status == f"failed: {expected()}"
     assert result.inputs.shape == (3,)
     assert result.iter_times.shape == (3,)
     assert result.measured.shape == (3, 2)
@@ -201,7 +300,7 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     plant = default_initial_state(path)
     with pytest.raises(ControlError) as err:
         CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
-    assert str(err.value) == expected
+    assert str(err.value) == expected()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -591,6 +591,36 @@ def test_start_must_match_the_variable_count():
         solve_box_qp(qp, start=np.zeros(3, dtype=np.int8))
 
 
+@pytest.mark.parametrize("pinned_as", [0, 1])
+def test_start_pins_equality_pinned_coordinates_back(pinned_as):
+    # a start that frees an lb == ub coordinate, or puts it on its upper
+    # bound, is pinned back to -1 there before its probe: the answer is the
+    # cold solve's and the partition handed on holds -1 on every such one
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(5, 12))
+        m = rng.normal(size=(n, n))
+        lb = rng.uniform(-0.5, -0.01, size=n)
+        ub = rng.uniform(0.01, 0.5, size=n)
+        pinned = np.zeros(n, dtype=bool)
+        pinned[rng.choice(n, size=2, replace=False)] = True
+        lb[pinned] = ub[pinned] = rng.uniform(-0.3, 0.3, size=2)
+        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n), lb=lb, ub=ub)
+        cold = solve_box_qp(qp)
+        if cold.iterations >= 4:
+            break
+    else:
+        pytest.fail("no instance needed four iterations")
+    assert cold.status == "converged"
+    np.testing.assert_array_equal(cold.start[pinned], -1)
+    start = cold.start.copy()
+    start[pinned] = pinned_as
+    warm = solve_box_qp(qp, start=start)
+    assert np.array_equal(warm.u, cold.u)
+    assert warm.start is not None
+    np.testing.assert_array_equal(warm.start[pinned], -1)
+
+
 def test_ill_conditioned_tracking_instance():
     # weights like the shipped step scenario produce H with condition around
     # 1e6; the solver must still meet the KKT contract
