@@ -19,11 +19,8 @@ from .qp import (
     PredictionMatrices,
     QpProblem,
     QpSolution,
-    TrackingWeights,
     build_prediction,
     build_tracking_qp,
-    horizon_weights,
-    scale_tracking_weights,
     solve_box_qp,
 )
 from .controllers import (
@@ -37,6 +34,7 @@ from .controllers import (
     EndOfPath,
     config_for,
     generate_delta_refs,
+    horizon_weights,
     init_state,
 )
 from .simulate import (

@@ -48,24 +48,15 @@ def _fmt(value: float) -> str:
 
 def write_trace(target: Path, res: SimResult, params) -> None:
     """Write one closed-loop trace as CSV (deterministic bytes, no timing)."""
+    states = res.states.T.tolist()
+    columns = [res.t.tolist(), *states, [steer_from_slip(beta, params) for beta in states[3]],
+               res.x_ref.tolist(), res.y_ref.tolist(), res.inputs.tolist()]
+    cells = [[repr(value) for value in column] for column in columns]
+    cells[-1] += [""] * (len(res.t) - len(res.inputs))  # no move after the last sample
     with open(target, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        n = len(res.t)
-        for k in range(n):
-            beta = float(res.states[k, 3])
-            row = [
-                _fmt(res.t[k]),
-                _fmt(res.states[k, 0]),
-                _fmt(res.states[k, 1]),
-                _fmt(res.states[k, 2]),
-                _fmt(beta),
-                _fmt(steer_from_slip(beta, params)),
-                _fmt(res.x_ref[k]),
-                _fmt(res.y_ref[k]),
-                _fmt(res.inputs[k]) if k < len(res.inputs) else "",
-            ]
-            writer.writerow(row)
+        writer.writerows(zip(*cells))
 
 
 def read_trace(source: Path) -> dict:

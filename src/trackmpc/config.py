@@ -9,6 +9,7 @@ disturbance).  Parse errors carry the offending line number.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 from .controllers import (
@@ -21,10 +22,13 @@ from .controllers import (
 from .simulate import (
     DisturbanceSpec,
     ReferencePath,
+    complete_arc,
+    complete_sample_count,
     make_complete_path,
     make_sine_path,
     make_step_path,
     make_straight_path,
+    sample_count,
 )
 from .vehicle import VehicleParams
 
@@ -171,8 +175,9 @@ def _coerce(kind: str, raw: str, line: int, key: str):
     except ValueError:
         raise ConfigError(line, f"{key} expects {'an integer' if kind == 'int' else 'a number'}, got {raw!r}") from None
     # nan passes every range check (its comparisons are false) and inf
-    # overflows path building; both would only fail mid-run
-    if not math.isfinite(value):
+    # overflows path building; both would only fail mid-run (an int may be
+    # too large for a float, but is finite)
+    if kind == "float" and not math.isfinite(value):
         raise ConfigError(line, f"{key} expects a finite number, got {raw!r}")
     return value
 
@@ -284,11 +289,19 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
 
     cfg = ScenarioConfig(**top)
 
+    # every variant's run builds a path: size each one before any is built,
+    # integrating a complete path's arc length once on a bounded grid
     try:
-        span = _scenario_span(cfg)
+        samples, span = partial(sample_count, duration), duration
+        if kind == "complete":
+            _, arc = complete_arc(cfg.lead_in, cfg.amplitude, cfg.wavelength, cfg.periods,
+                                  cfg.tail)
+            samples = partial(complete_sample_count, arc[-1], cfg.vehicle.v)
+            span = (samples(0.05) - 1) * 0.05  # the last sample time at ts = 0.05
     except ValueError as exc:
         raise ConfigError(line_of(("scenario", "lead_in"), ("scenario", "tail"),
-                                  ("scenario", "kind")), str(exc)) from None
+                                  ("scenario", "wavelength"), ("scenario", "periods"),
+                                  ("vehicle", "v"), ("scenario", "kind")), str(exc)) from None
 
     # controller-level validation, anchored to the most specific line set
     anchor = line_of(("controller", "ts"), ("controller", "horizon"),
@@ -300,26 +313,22 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
             ctrl = cfg.controller_config(name)
         except ValueError as exc:
             raise ConfigError(anchor, f"variant {name!r}: {exc}") from None
+        try:
+            samples(ctrl.ts)
+        except ValueError as exc:
+            raise ConfigError(line_of(("controller", "ts"), ("scenario", "duration"),
+                                      ("vehicle", "v"), ("scenario", "kind")),
+                              f"variant {name!r}: {exc}") from None
         horizon_span = ctrl.ts * ctrl.horizon
         if horizon_span > span + 1e-9:
-            raise ConfigError(
-                line_of(("controller", "ts"), ("controller", "horizon"),
-                        ("scenario", "duration"), ("scenario", "kind")),
-                f"variant {name!r}: prediction window {horizon_span:g} s "
-                f"exceeds the scenario duration {span:g} s",
-            )
+            raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"),
+                                      ("scenario", "duration"), ("scenario", "kind")),
+                              f"variant {name!r}: prediction window {horizon_span:g} s "
+                              f"exceeds the scenario duration {span:g} s")
     if kind == "complete" and ("scenario", "duration") in values:
         raise ConfigError(lines[("scenario", "duration")],
                           "complete scenarios derive duration from geometry; remove the key")
     return cfg
-
-
-def _scenario_span(cfg: ScenarioConfig) -> float:
-    """Simulated duration of the scenario [s] (derived for complete paths)."""
-    if cfg.kind != "complete":
-        return cfg.duration
-    path = cfg.build_path(0.05)
-    return float(path.t[-1])
 
 
 def _document_values(cfg: ScenarioConfig) -> dict:

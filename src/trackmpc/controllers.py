@@ -31,12 +31,9 @@ from .qp import (
     CondensedCost,
     HorizonWeights,
     PredictionMatrices,
-    TrackingWeights,
     build_prediction,
     build_tracking_qp,
     condense_cost,
-    horizon_weights,
-    scale_tracking_weights,
     solve_box_qp,
 )
 from .vehicle import VehicleParams, VehicleState
@@ -49,6 +46,7 @@ FIXED_MODEL_VARIANTS = ("baseline", "weight_tuned")  # predict with linearize_in
 
 DEFAULT_RATE_LIMIT = 0.5  # [rad/s] slip slew bound
 DEFAULT_ALPHA = 2.8
+MAX_HORIZON = 500  # prediction horizon N: Su alone is 3N x M floats
 
 # Per-variant (ts [s], horizon N, control horizon M).
 VARIANT_DEFAULTS = {
@@ -69,7 +67,10 @@ class ControllerConfig:
     ts: float
     horizon: int
     control_horizon: int
-    weights: TrackingWeights                # w_u bites on baseline and weight_tuned only
+    alpha: float = DEFAULT_ALPHA            # aggressiveness, see _scaled_weights
+    w_y: float = 10.0                       # tracked positions
+    w_u: float = 0.0                        # input target; bites on baseline and weight_tuned only
+    w_du: float = 0.1                       # moves
     rate_limit: float = DEFAULT_RATE_LIMIT  # [rad/s]
     q_heading: float = 0.0                  # heading weight in Q (positions tracked by default)
     u_target: float = 0.0                   # [rad] slip pulled toward this when w_u > 0 (ditto)
@@ -79,44 +80,51 @@ class ControllerConfig:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not self.ts > 0.0:
             raise ValueError(f"sample time must be positive, got {self.ts}")
-        if self.horizon < 1 or not (1 <= self.control_horizon <= self.horizon):
-            raise ValueError(
-                f"need 1 <= M <= N, got N={self.horizon}, M={self.control_horizon}")
+        if not 1 <= self.control_horizon <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"need 1 <= M <= N <= {MAX_HORIZON}, "
+                             f"got N={self.horizon}, M={self.control_horizon}")
         if not self.rate_limit > 0.0:
             raise ValueError(f"rate limit must be positive, got {self.rate_limit}")
-        if self.q_heading < 0.0:
-            raise ValueError(f"heading weight must be nonnegative, got {self.q_heading}")
+        if min(self.w_y, self.w_u, self.w_du, self.q_heading) < 0.0:
+            raise ValueError(f"weights must be nonnegative, got w_y={self.w_y}, w_u={self.w_u}, "
+                             f"w_du={self.w_du}, q_heading={self.q_heading}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         # The QP squares the alpha-scaled weights: no square may overflow, and
         # the move weight r = (w_du * alpha)^2 must not underflow.
-        s = scale_tracking_weights(self.weights)
-        if not all(math.isfinite(w * w) for w in (s.w_y, s.w_u, s.w_du)):
-            raise ValueError(f"alpha-scaled weights must square to finite numbers, got "
-                             f"w_y={self.weights.w_y}, w_u={self.weights.w_u}, "
-                             f"w_du={self.weights.w_du}, alpha={self.weights.alpha}")
-        if not s.w_du ** 2 > 0.0:
+        scaled = _scaled_weights(self)
+        if not all(math.isfinite(w * w) for w in scaled):
+            raise ValueError(f"alpha-scaled weights must square to finite numbers, got w_y="
+                             f"{self.w_y}, w_u={self.w_u}, w_du={self.w_du}, alpha={self.alpha}")
+        if not scaled[2] ** 2 > 0.0:
             raise ValueError(f"move weight w_du must be positive with (w_du * alpha)^2 > 0, "
-                             f"got w_du={self.weights.w_du}, alpha={self.weights.alpha}")
+                             f"got w_du={self.w_du}, alpha={self.alpha}")
 
 
-def config_for(variant: str, alpha: float = DEFAULT_ALPHA, w_y: float = 10.0,
-               w_u: float = 0.0, w_du: float = 0.1, rate_limit: float = DEFAULT_RATE_LIMIT,
-               ts: float | None = None, horizon: int | None = None,
-               control_horizon: int | None = None, q_heading: float = 0.0,
-               u_target: float = 0.0) -> ControllerConfig:
-    """Controller configuration from the per-variant defaults plus overrides."""
+def _scaled_weights(cfg: ControllerConfig) -> tuple[float, float, float]:
+    """The aggressiveness factor applied: (w_y*alpha, w_u/alpha, w_du*alpha)."""
+    return cfg.w_y * cfg.alpha, cfg.w_u / cfg.alpha, cfg.w_du * cfg.alpha
+
+
+def horizon_weights(cfg: ControllerConfig) -> HorizonWeights:
+    """Q = diag(w_y^2, w_y^2, q_heading), r = w_du^2 and the w_u^2 term, alpha-scaled.
+
+    The w_u term is on when the scaled w_u is positive, even if its square underflows.
+    """
+    w_y, w_u, w_du = _scaled_weights(cfg)
+    return HorizonWeights(q=np.array([w_y ** 2, w_y ** 2, float(cfg.q_heading)]), r=w_du ** 2,
+                          target=w_u ** 2 if w_u > 0.0 else None)
+
+
+def config_for(variant: str, ts: float | None = None, horizon: int | None = None,
+               control_horizon: int | None = None, **settings) -> ControllerConfig:
+    """A ControllerConfig with the variant's default ts, N and M unless given."""
     if variant not in VARIANT_DEFAULTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     d_ts, d_n, d_m = VARIANT_DEFAULTS[variant]
-    return ControllerConfig(
-        variant=variant,
-        ts=d_ts if ts is None else ts,
-        horizon=d_n if horizon is None else horizon,
-        control_horizon=d_m if control_horizon is None else control_horizon,
-        weights=TrackingWeights(w_y=w_y, w_u=w_u, w_du=w_du, alpha=alpha),
-        rate_limit=rate_limit,
-        q_heading=q_heading,
-        u_target=u_target,
-    )
+    return ControllerConfig(variant, d_ts if ts is None else ts,
+                            d_n if horizon is None else horizon,
+                            d_m if control_horizon is None else control_horizon, **settings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,14 +188,13 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
     an exact zero-error fixed point from the very first step.
     """
     n, m = cfg.horizon, cfg.control_horizon
-    hw = horizon_weights(cfg.weights, cfg.q_heading)
+    hw = horizon_weights(cfg)
     fixed = None
     if cfg.variant in FIXED_MODEL_VARIANTS:
         pred = build_prediction(linearize_initial(params, cfg.ts), n, m)
         t_low = np.tril(np.ones((m, m)))
         su_moves = pred.su @ t_low
-        w_u = scale_tracking_weights(cfg.weights).w_u
-        input_weight = (w_u ** 2, t_low) if w_u > 0.0 else None
+        input_weight = None if hw.target is None else (hw.target, t_low)
         moves = PredictionMatrices(sx=pred.sx, su=su_moves, sk=pred.sk)
         fixed = FixedModelQp(pred=pred, su_moves=su_moves, input_weight=input_weight,
                              cost=condense_cost(moves, hw, input_weight))
@@ -320,7 +327,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         cursor = ctrl.ref_cursor + 1
 
     bound = cfg.rate_limit * cfg.ts
-    qp = build_tracking_qp(pred, x0, x_ref, ctrl.weights, (-bound, bound), input_target, cost)
+    qp = build_tracking_qp(pred, cost, x0, x_ref, (-bound, bound), input_target)
     sol = solve_box_qp(qp, start=ctrl.start)
     if sol.status != "converged":
         # The KKT tolerance is absolute while H grows with the squared
@@ -329,7 +336,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         raise ControlError(
             f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e} "
             f"at weight scale max|H| = {float(np.abs(qp.h).max()):.3e} "
-            f"((w_y*alpha)^2 = {hw.q[0, 0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
+            f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     u = float(sol.u[0])
     return u, ControllerState(ref_cursor=cursor, prev_state=plant, weights=ctrl.weights,
                               fixed=ctrl.fixed, start=sol.start, last_model=last_model)

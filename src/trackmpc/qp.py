@@ -23,6 +23,7 @@ partition alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,70 +32,16 @@ from .linearize import AffineLtiModel
 _POSITIVE_ZERO3 = bytes(3 * 8)  # the bytes of (+0.0, +0.0, +0.0)
 
 
-@dataclass(frozen=True)
-class TrackingWeights:
-    """Scalar tracking weights plus the aggressiveness factor alpha.
+class HorizonWeights(NamedTuple):
+    """The tracking weights, alpha applied, as controllers.horizon_weights builds them.
 
-    w_y weights tracked outputs, w_u pulls the input toward its target, w_du
-    suppresses input moves. Squaring and placement into (Q, R) happens in
-    horizon_weights().
+    q is the diagonal of the per-stage state weight Q, r > 0 the weight of
+    each move, and target that of the input-target term, None when it is off.
     """
-
-    w_y: float = 10.0
-    w_u: float = 0.0
-    w_du: float = 0.1
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.w_y < 0.0 or self.w_u < 0.0 or self.w_du < 0.0:
-            raise ValueError(f"weights must be nonnegative, got ({self.w_y}, {self.w_u}, {self.w_du})")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
-def scale_tracking_weights(w: TrackingWeights) -> TrackingWeights:
-    """Apply the aggressiveness factor: w_y*alpha, w_u/alpha, w_du*alpha.
-
-    Raising alpha trades input-target adherence for tracking effort. The
-    alpha field itself is passed through unchanged.
-    """
-    return TrackingWeights(
-        w_y=w.w_y * w.alpha,
-        w_u=w.w_u / w.alpha,
-        w_du=w.w_du * w.alpha,
-        alpha=w.alpha,
-    )
-
-
-@dataclass(frozen=True)
-class HorizonWeights:
-    """Per-stage state weight Q (PSD, 3x3) and per-move weight r > 0."""
 
     q: np.ndarray
     r: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (3, 3):
-            raise ValueError(f"Q must be 3x3, got {q.shape}")
-        if not np.allclose(q, q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        eig = np.linalg.eigvalsh(q)
-        if eig.min() < -1e-12:
-            raise ValueError(f"Q must be positive semidefinite, smallest eigenvalue {eig.min()}")
-        if not self.r > 0.0:
-            raise ValueError(f"move weight must be positive, got {self.r} (degenerate weights)")
-
-
-def horizon_weights(w: TrackingWeights, q_heading: float = 0.0) -> HorizonWeights:
-    """Squared, alpha-scaled weights arranged for the condensed cost.
-
-    Tracked outputs are the positions, so Q = diag(wy^2, wy^2, q_heading)
-    with the heading unweighted by default; R = wdu^2 per move.
-    """
-    s = scale_tracking_weights(w)
-    q = np.diag([s.w_y ** 2, s.w_y ** 2, float(q_heading)])
-    return HorizonWeights(q=q, r=s.w_du ** 2)
+    target: float | None
 
 
 @dataclass(frozen=True)
@@ -215,13 +162,13 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
                   input_weight: tuple[float, np.ndarray] | None = None) -> CondensedCost:
     """Su' Qbar and H = Su' Qbar Su + Rbar (+ w T'T) for one prediction.
 
-    Qbar is block diagonal, so Su' Qbar is formed stage by stage as
-    Su_i' Q. Its C-ordered product with Su rounds exactly like the dense
-    Su' kron(I, Q) Su it replaces whenever Q is diagonal, as
-    horizon_weights makes it. input_weight = (w, T) adds w T'T.
+    Qbar is block diagonal with diagonal blocks Q, so Su' Qbar is each
+    stage's rows of Su scaled by diag(Q); + 0.0 gives every zero the sign
+    the dense product Su' kron(I, Q) gives it, so both round alike, and so
+    does the C-ordered product with Su. input_weight = (w, T) adds w T'T.
     """
     n3, m = pred.su.shape
-    stages = pred.su.reshape(n3 // 3, 3, m).transpose(0, 2, 1) @ weights.q  # (N, M, 3)
+    stages = pred.su.reshape(n3 // 3, 3, m).transpose(0, 2, 1) * weights.q + 0.0  # (N, M, 3)
     suq = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(m, n3)
     h = suq @ pred.su + weights.r * np.eye(m)
     h = 0.5 * (h + h.T)
@@ -234,24 +181,18 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
 
 def build_tracking_qp(
     pred: PredictionMatrices,
+    cost: CondensedCost,
     x0: np.ndarray,
     x_ref: np.ndarray,
-    weights: HorizonWeights,
     du_bounds: tuple[float, float],
     input_target: tuple[float, np.ndarray, np.ndarray] | None = None,
-    cost: CondensedCost | None = None,
 ) -> QpProblem:
-    """Condense the tracking cost over the horizon into a box QP.
+    """The box QP of the tracking cost, H = cost.h and f = Su' Qbar (Sx x0 + Sk - Xref).
 
-    H = Su' Qbar Su + Rbar and f = Su' Qbar (Sx x0 + Sk - Xref), with Qbar the
-    N-fold block diagonal of Q and Rbar = r I over the M moves. du_bounds is
-    applied to every move variable. input_target = (w, T, c) adds the
-    input-target term 0.5 w |T U + c|^2, where T U + c are the commands
-    measured from their target: H gains w T'T and f gains w T'c.
-
-    cost, when given, is condense_cost of the same pred.su, weights and
-    (w, T); only f is formed then. The QpProblem is returned without the
-    public constructor's checks, which hold by construction.
+    cost is condense_cost of pred, with (w, T) of input_target = (w, T, c):
+    the term 0.5 w |T U + c|^2 on the commands T U + c measured from their
+    target, which adds w T'c to f. du_bounds boxes every move. The QpProblem
+    skips the public constructor's checks, which hold by construction.
     """
     x0 = np.asarray(x0, dtype=float).reshape(3)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
@@ -261,8 +202,6 @@ def build_tracking_qp(
     lo, hi = du_bounds
     if not lo <= hi:
         raise ValueError(f"need du_bounds low <= high, got ({lo}, {hi})")
-    if cost is None:
-        cost = condense_cost(pred, weights, None if input_target is None else input_target[:2])
 
     f = cost.suq @ (pred.sx @ x0 + pred.sk - x_ref)
     if input_target is not None:

@@ -27,6 +27,11 @@ _TWO53 = float(1 << 53)
 # Counter offset separating the x-noise stream from the y-noise stream.
 _X_STREAM_OFFSET = 1 << 48
 
+# Size bounds, checked before any array is built: the shipped scenarios need
+# at most 601 path samples and about 12000 grid points (complete.cfg).
+MAX_PATH_SAMPLES = 100_000  # samples of one reference path
+MAX_GRID_POINTS = 1_000_000  # points of a complete path's arc-length grid
+
 
 @dataclass(frozen=True)
 class ReferencePath:
@@ -67,12 +72,20 @@ class ReferencePath:
         return math.atan2(self.y[1] - self.y[0], self.x[1] - self.x[0])
 
 
-def _sample_count(duration: float, ts: float) -> int:
+def _bounded(steps: float, what: str) -> float:
+    """steps, checked to give at most MAX_PATH_SAMPLES samples (NaN and inf fail)."""
+    if not steps <= MAX_PATH_SAMPLES - 1:
+        raise ValueError(f"{what} needs more than {MAX_PATH_SAMPLES} path samples")
+    return steps
+
+
+def sample_count(duration: float, ts: float) -> int:
+    """Samples of a path over duration [s] at sample time ts, bounded."""
     if not duration > 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     if not ts > 0.0:
         raise ValueError(f"sample time must be positive, got {ts}")
-    return int(math.ceil(duration / ts)) + 1
+    return int(math.ceil(_bounded(duration / ts, f"{duration:g} s at sample time {ts:g} s"))) + 1
 
 
 def make_step_path(amplitude: float, duration: float, ts: float,
@@ -82,7 +95,7 @@ def make_step_path(amplitude: float, duration: float, ts: float,
     x advances at v*ts per sample; the pre-step travel direction is along x,
     so heading0 = 0 even though the first segment jumps sideways.
     """
-    n = _sample_count(duration, ts)
+    n = sample_count(duration, ts)
     k = np.arange(n)
     t = k * ts
     x = v * ts * k
@@ -95,12 +108,37 @@ def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: flo
     """Sine profile y(x) = amplitude*sin(2 pi x / wavelength) sampled along x = v*t."""
     if not wavelength > 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    n = _sample_count(duration, ts)
+    n = sample_count(duration, ts)
     t = np.arange(n) * ts
     x = v * t
     y = amplitude * np.sin(2.0 * math.pi * x / wavelength)
     slope0 = amplitude * 2.0 * math.pi / wavelength
     return ReferencePath(t=t, x=x, y=y, ts=ts, heading0=math.atan(slope0))
+
+
+def complete_arc(lead_in: float, amplitude: float, wavelength: float, periods: int,
+                 tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """A complete path's fine x grid, bounded before it is built, and the arc length along it."""
+    if not (lead_in > 0.0 and tail > 0.0 and wavelength > 0.0 and periods >= 1):
+        raise ValueError("complete path needs positive segment lengths and at least one period")
+    # a period spans 2000 grid steps or more: a larger count fails unmultiplied
+    sine_len = periods * wavelength if periods <= MAX_GRID_POINTS else math.inf
+    x_end = lead_in + sine_len + tail
+    dx = min(0.01, wavelength / 2000.0)
+    if not (x_end + dx) / dx <= MAX_GRID_POINTS:
+        raise ValueError(f"a complete path over {x_end:g} m needs more than {MAX_GRID_POINTS} "
+                         f"arc-length grid points at a step of {dx:g} m")
+    xg = np.arange(0.0, x_end + dx, dx)
+    yg = _complete_profile(xg, lead_in, amplitude, wavelength, sine_len)
+    seg = np.hypot(np.diff(xg), np.diff(yg))
+    return xg, np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def complete_sample_count(arc_length: float, v: float, ts: float) -> int:
+    """Samples of a complete path of arc_length [m] at v*ts apart, bounded."""
+    step = v * ts
+    steps = arc_length / step if step > 0.0 else math.inf
+    return int(math.floor(_bounded(steps, f"a {arc_length:g} m path at v*ts = {step:g} m"))) + 1
 
 
 def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
@@ -112,24 +150,12 @@ def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
     on every sample exactly; the profile is C0 at the joins because the sine
     starts and ends on whole periods.
     """
-    if not (lead_in > 0.0 and tail > 0.0 and wavelength > 0.0 and periods >= 1):
-        raise ValueError("complete path needs positive segment lengths and at least one period")
-    sine_len = periods * wavelength
-    x_end = lead_in + sine_len + tail
-
-    # Arc length accumulated on a fine x grid, then inverted at v*ts spacing.
-    dx = min(0.01, wavelength / 2000.0)
-    xg = np.arange(0.0, x_end + dx, dx)
-    yg = _complete_profile(xg, lead_in, amplitude, wavelength, sine_len)
-    seg = np.hypot(np.diff(xg), np.diff(yg))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-
-    n_steps = int(math.floor(total / (v * ts)))
-    sk = np.arange(n_steps + 1) * (v * ts)
+    xg, s = complete_arc(lead_in, amplitude, wavelength, periods, tail)  # then invert s
+    n = complete_sample_count(s[-1], v, ts)
+    sk = np.arange(n) * (v * ts)
     xs = np.interp(sk, s, xg)
-    ys = _complete_profile(xs, lead_in, amplitude, wavelength, sine_len)
-    t = np.arange(n_steps + 1) * ts
+    ys = _complete_profile(xs, lead_in, amplitude, wavelength, periods * wavelength)
+    t = np.arange(n) * ts
     return ReferencePath(t=t, x=xs, y=ys, ts=ts, heading0=0.0)
 
 

@@ -56,8 +56,8 @@ def test_empty_document_is_the_default_scenario():
     assert cfg.disturbance.kind == "none"
     ctrl = cfg.controller_config("baseline")
     assert (ctrl.ts, ctrl.horizon, ctrl.control_horizon) == (0.2, 10, 5)
-    assert (ctrl.weights.w_y, ctrl.weights.w_u, ctrl.weights.w_du) == (10.0, 0.0, 0.1)
-    assert ctrl.weights.alpha == 2.8
+    assert (ctrl.w_y, ctrl.w_u, ctrl.w_du) == (10.0, 0.0, 0.1)
+    assert ctrl.alpha == 2.8
     assert ctrl.rate_limit == 0.5
 
 
@@ -126,6 +126,9 @@ def test_full_document_with_comments():
     ("[vehicle]\nv = inf\n", 2, "finite"),
     ("[controller]\nrate_limit = -inf\n", 2, "finite"),
     ("[scenario]\nkind = step\nkind = sine\n", 3, "already set on line 2"),
+    ("[scenario]\nduration = 1e9\n", 2, "more than 100000 path samples"),
+    ("[scenario]\nkind = complete\nwavelength = 1e-6\n", 3, "more than 1000000 arc-length grid"),
+    ("[controller]\nhorizon = 501\n", 2, "M <= N <= 500"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -182,6 +185,11 @@ def test_overrides_win_and_add_missing_keys():
     ("controller.w_du=1e200", "square to finite"),
     ("controller.w_y=1e160", "square to finite"),
     ("controller.w_u=1e200", "square to finite"),
+    ("controller.w_y=-1", r"--set controller\.w_y=-1: .*weights must be nonnegative"),
+    ("controller.w_u=-0.5", "weights must be nonnegative"),
+    ("controller.w_du=-0.1", "weights must be nonnegative"),
+    ("controller.alpha=0", r"--set controller\.alpha=0: .*alpha must be positive"),
+    ("controller.alpha=-2.8", "alpha must be positive"),
 ])
 def test_override_errors(bad, needle):
     # overrides have no source line: every error is anchored at line 0,
@@ -451,6 +459,43 @@ def test_bad_override_exits_one(capsys):
     rc = main(["validate-config", "--output-dir", "runs#2"])
     assert rc == 1
     assert "output.directory=runs#2" in capsys.readouterr().err
+
+
+_HUGE_INT = "1" + "0" * 400  # more than a float can hold
+
+
+@pytest.mark.parametrize("scenario,assignment,needle", [
+    ("straight.cfg", "scenario.duration=1e9", "path samples"),
+    ("straight.cfg", "controller.ts=1e-9", "path samples"),
+    ("complete.cfg", "scenario.wavelength=1e-6", "grid points"),
+    ("complete.cfg", "scenario.lead_in=1e12", "grid points"),
+    ("complete.cfg", "scenario.tail=1e12", "grid points"),
+    ("complete.cfg", "scenario.periods=1000000000", "grid points"),
+    ("complete.cfg", f"scenario.periods={_HUGE_INT}", "grid points"),
+    ("complete.cfg", "vehicle.v=1e-9", "path samples"),
+    ("complete.cfg", "controller.ts=1e-7", "path samples"),
+    ("straight.cfg", "controller.horizon=100000", "M <= N <= 500"),
+    ("straight.cfg", f"controller.horizon={_HUGE_INT}", "M <= N <= 500"),
+])
+def test_oversize_scenario_is_rejected_before_allocating(scenario, assignment, needle,
+                                                         capsys, monkeypatch):
+    # sizes are bounded before any array is built; numpy.arange refuses more
+    # than 1e7 elements here, so a missing bound fails instead of exhausting
+    # memory
+    real_arange = np.arange
+
+    def bounded_arange(*args, **kwargs):
+        start, stop, step = {1: (0, args[0], 1), 2: (*args, 1), 3: args}[len(args)]
+        if not (stop - start) / step <= 1e7:
+            raise AssertionError(f"numpy.arange{args} would build more than 1e7 elements")
+        return real_arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", bounded_arange)
+    doc = str(ROOT / "scenarios" / scenario)
+    assert main(["validate-config", doc, "--set", assignment]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: line 0: ") and needle in err[0]
 
 
 def test_sweep_preconditions_exit_one(tmp_path, capsys):

@@ -24,7 +24,6 @@ from trackmpc import (
     DisturbanceSpec,
     EndOfPath,
     ReferencePath,
-    TrackingWeights,
     VARIANTS,
     VehicleParams,
     VehicleState,
@@ -57,7 +56,7 @@ def test_variant_default_windows():
         cfg = config_for(variant)
         assert cfg.ts == ts
         assert (cfg.horizon, cfg.control_horizon) == (n, m)
-        assert cfg.weights == TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=DEFAULT_ALPHA)
+        assert (cfg.alpha, cfg.w_y, cfg.w_u, cfg.w_du) == (DEFAULT_ALPHA, 10.0, 0.0, 0.1)
         assert cfg.rate_limit == DEFAULT_RATE_LIMIT
         assert cfg.u_target == 0.0
 
@@ -65,7 +64,7 @@ def test_variant_default_windows():
 def test_config_overrides_win():
     cfg = config_for("baseline", ts=0.1, horizon=12, control_horizon=3, alpha=1.0, w_du=0.5)
     assert (cfg.ts, cfg.horizon, cfg.control_horizon) == (0.1, 12, 3)
-    assert cfg.weights.w_du == 0.5
+    assert (cfg.alpha, cfg.w_du) == (1.0, 0.5)
 
 
 def test_config_rejects_unknown_variant():
@@ -74,17 +73,24 @@ def test_config_rejects_unknown_variant():
 
 
 def test_config_validation():
-    w = TrackingWeights()
     with pytest.raises(ValueError, match="sample time"):
-        ControllerConfig(variant="baseline", ts=0.0, horizon=10, control_horizon=5, weights=w)
+        ControllerConfig(variant="baseline", ts=0.0, horizon=10, control_horizon=5)
     with pytest.raises(ValueError, match="M <= N"):
-        ControllerConfig(variant="baseline", ts=0.2, horizon=4, control_horizon=5, weights=w)
+        ControllerConfig(variant="baseline", ts=0.2, horizon=4, control_horizon=5)
+    with pytest.raises(ValueError, match="M <= N <= 500, got N=501"):
+        ControllerConfig(variant="baseline", ts=0.2, horizon=501, control_horizon=5)
     with pytest.raises(ValueError, match="rate limit"):
         ControllerConfig(variant="baseline", ts=0.2, horizon=10, control_horizon=5,
-                         weights=w, rate_limit=0.0)
-    with pytest.raises(ValueError, match="heading weight"):
+                         rate_limit=0.0)
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
         ControllerConfig(variant="baseline", ts=0.2, horizon=10, control_horizon=5,
-                         weights=w, q_heading=-1.0)
+                         q_heading=-1.0)
+    for negative in (dict(w_y=-1.0), dict(w_u=-1.0), dict(w_du=-0.1)):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            config_for("baseline", **negative)
+    for alpha in (0.0, -2.8):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            config_for("baseline", alpha=alpha)
     # a zero move weight would fail every step (the QP needs r > 0), so the
     # config rejects it up front
     with pytest.raises(ValueError, match="move weight"):

@@ -6,6 +6,7 @@ against random feasible points, and the closed-form unconstrained solution
 when it is interior.
 """
 
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -19,18 +20,17 @@ from trackmpc import (
     HorizonWeights,
     PredictionMatrices,
     QpProblem,
-    TrackingWeights,
     VehicleParams,
     VehicleState,
     apply_overrides,
     build_prediction,
     build_tracking_qp,
+    config_for,
     horizon_weights,
     linearize_initial,
     linearize_position,
     linearize_velocity,
     parse_config,
-    scale_tracking_weights,
     solve_box_qp,
 )
 from trackmpc.cli import run_compare
@@ -42,53 +42,45 @@ PARAMS = VehicleParams()
 
 # --- weight handling -------------------------------------------------------
 
+def _weights(**settings) -> HorizonWeights:
+    return horizon_weights(config_for("baseline", **settings))
+
+
+def _tracking_qp(pred, x0, x_ref, hw, du_bounds, input_target=None):
+    """Condense the cost and assemble the QP in one call."""
+    cost = condense_cost(pred, hw, None if input_target is None else input_target[:2])
+    return build_tracking_qp(pred, cost, x0, x_ref, du_bounds, input_target)
+
+
 def test_scaling_alpha_one_is_identity():
-    w = TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=1.0)
-    s = scale_tracking_weights(w)
-    assert (s.w_y, s.w_u, s.w_du) == (10.0, 0.0, 0.1)
+    hw = _weights(w_y=10.0, w_u=3.0, w_du=0.1, alpha=1.0)
+    assert (hw.q[0], hw.q[1], hw.target, hw.r) == (10.0 ** 2, 10.0 ** 2, 3.0 ** 2, 0.1 ** 2)
 
 
 def test_scaling_table_defaults():
-    w = TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=2.8)
-    s = scale_tracking_weights(w)
-    assert s.w_y == pytest.approx(28.0)
-    assert s.w_u == 0.0
-    assert s.w_du == pytest.approx(0.28)
+    hw = _weights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=2.8)
+    assert hw.q[0] == pytest.approx(28.0 ** 2)
+    assert hw.target is None
+    assert hw.r == pytest.approx(0.28 ** 2)
 
 
 def test_scaling_group_inverse():
-    w = TrackingWeights(w_y=7.0, w_u=3.0, w_du=0.5, alpha=4.0)
-    once = scale_tracking_weights(w)
-    back = scale_tracking_weights(TrackingWeights(once.w_y, once.w_u, once.w_du, alpha=0.25))
-    assert back.w_y == pytest.approx(7.0)
-    assert back.w_u == pytest.approx(3.0)
-    assert back.w_du == pytest.approx(0.5)
-
-
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        TrackingWeights(w_y=-1.0, w_u=0.0, w_du=0.1, alpha=1.0)
-    with pytest.raises(ValueError):
-        TrackingWeights(w_y=1.0, w_u=0.0, w_du=0.1, alpha=0.0)
+    once = _weights(w_y=7.0, w_u=3.0, w_du=0.5, alpha=4.0)
+    back = _weights(w_y=math.sqrt(once.q[0]), w_u=math.sqrt(once.target),
+                    w_du=math.sqrt(once.r), alpha=0.25)
+    assert back.q[0] == pytest.approx(7.0 ** 2)
+    assert back.target == pytest.approx(3.0 ** 2)
+    assert back.r == pytest.approx(0.5 ** 2)
 
 
 def test_horizon_weights_squares_scaled_weights():
-    w = TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=2.8)
-    hw = horizon_weights(w, q_heading=0.0)
-    np.testing.assert_allclose(np.diag(hw.q), [28.0**2, 28.0**2, 0.0])
+    hw = _weights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=2.8, q_heading=0.0)
+    np.testing.assert_allclose(hw.q, [28.0**2, 28.0**2, 0.0])
     assert hw.r == pytest.approx(0.28**2)
-
-
-def test_horizon_weights_validation():
-    for q, r, match in [
-        (np.eye(2), 1.0, "3x3"),
-        (np.eye(3) + np.triu(np.ones((3, 3)), 1), 1.0, "symmetric"),
-        (np.diag([1.0, -1e-6, 1.0]), 1.0, "positive semidefinite"),
-        (np.eye(3), 0.0, "move weight must be positive"),
-        (np.eye(3), -1.0, "move weight must be positive"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            HorizonWeights(q=q, r=r)
+    assert _weights(q_heading=1.5).q[2] == 1.5
+    # the input-target term is on whenever the scaled w_u is positive, even
+    # where its square underflows to zero
+    assert _weights(w_u=1e-170, alpha=1.0).target == 0.0
 
 
 # --- condensed prediction --------------------------------------------------
@@ -176,8 +168,8 @@ def test_tracking_qp_scalar_example():
     # H = BᵀB + 1 = 2, f = -Bᵀref = -1, minimizer 0.5
     tiny = AffineLtiModel(c=np.zeros(2), b=np.array([0.0, 1.0, 0.0]), k=np.zeros(3))
     pred = build_prediction(tiny, 1, 1)
-    hw = HorizonWeights(q=np.eye(3), r=1.0)
-    qp = build_tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0))
+    hw = HorizonWeights(q=np.ones(3), r=1.0, target=None)
+    qp = _tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0))
     assert qp.h == pytest.approx(np.array([[2.0]]))
     assert qp.f == pytest.approx(np.array([-1.0]))
     sol = solve_box_qp(qp)
@@ -185,7 +177,7 @@ def test_tracking_qp_scalar_example():
     # an input target 0.5*w*(T u + c)^2 with w=3, T=1, c=0.5 adds w to H and
     # w*c to f: H = 5, f = 0.5, minimizer -0.1
     target = (3.0, np.eye(1), np.array([0.5]))
-    qp = build_tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0), target)
+    qp = _tracking_qp(pred, np.zeros(3), np.array([0.0, 1.0, 0.0]), hw, (-10.0, 10.0), target)
     assert qp.h == pytest.approx(np.array([[5.0]]))
     assert qp.f == pytest.approx(np.array([0.5]))
     assert solve_box_qp(qp).u[0] == pytest.approx(-0.1, abs=1e-9)
@@ -196,9 +188,8 @@ def test_tracking_qp_free_response_reference_gives_zero_moves():
     pred = build_prediction(model, 4, 2)
     x0 = np.array([0.5, -0.2, 0.1])
     free = pred.sx @ x0 + pred.sk
-    w = TrackingWeights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=1.0)
-    hw = horizon_weights(w)
-    qp = build_tracking_qp(pred, x0, free, hw, (-0.1, 0.1))
+    hw = _weights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=1.0)
+    qp = _tracking_qp(pred, x0, free, hw, (-0.1, 0.1))
     np.testing.assert_allclose(qp.f, np.zeros(2), atol=1e-12)
     sol = solve_box_qp(qp)
     np.testing.assert_allclose(sol.u, np.zeros(2), atol=1e-9)
@@ -209,10 +200,10 @@ def test_tracking_qp_joint_weight_scaling_keeps_argmin():
     pred = build_prediction(model, 5, 3)
     x0 = np.array([0.0, 0.4, -0.05])
     ref = np.tile([1.0, 0.5, 0.0], 5)
-    base = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, 1.0))
-    scaled = HorizonWeights(q=7.3 * base.q, r=7.3 * base.r)
-    u1 = solve_box_qp(build_tracking_qp(pred, x0, ref, base, (-0.1, 0.1))).u
-    u2 = solve_box_qp(build_tracking_qp(pred, x0, ref, scaled, (-0.1, 0.1))).u
+    base = _weights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=1.0)
+    scaled = base._replace(q=7.3 * base.q, r=7.3 * base.r)
+    u1 = solve_box_qp(_tracking_qp(pred, x0, ref, base, (-0.1, 0.1))).u
+    u2 = solve_box_qp(_tracking_qp(pred, x0, ref, scaled, (-0.1, 0.1))).u
     np.testing.assert_allclose(u1, u2, atol=1e-9)
 
 
@@ -224,8 +215,8 @@ def test_alpha_rescale_without_input_target_keeps_argmin():
     x0 = np.array([0.0, -0.3, 0.08])
     ref = np.tile([0.5, 0.2, 0.0], 8)
     for alpha in (0.7, 2.8, 11.2):
-        hw = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, alpha))
-        u = solve_box_qp(build_tracking_qp(pred, x0, ref, hw, (-0.025, 0.025))).u
+        hw = _weights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=alpha)
+        u = solve_box_qp(_tracking_qp(pred, x0, ref, hw, (-0.025, 0.025))).u
         if alpha == 0.7:
             reference_solution = u
         else:
@@ -264,7 +255,7 @@ def _reference_prediction(model, n, m):
 
 def _reference_qp(su, sx, sk, x0, x_ref, hw, input_target=None):
     n3, m = su.shape
-    qbar = np.kron(np.eye(n3 // 3), hw.q)
+    qbar = np.kron(np.eye(n3 // 3), np.diag(hw.q))
     h = su.T @ qbar @ su + hw.r * np.eye(m)
     h = 0.5 * (h + h.T)
     f = su.T @ qbar @ (sx @ x0 + sk - x_ref)
@@ -299,13 +290,13 @@ def test_fast_condensing_is_bit_identical_to_reference(kind, ts, n, m):
         assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
             (sx.tobytes(), su.tobytes(), sk.tobytes())
 
-        hw = horizon_weights(TrackingWeights(w_y=float(rng.uniform(1.0, 20.0)),
-                                             w_du=float(rng.uniform(0.05, 1.0)),
-                                             alpha=float(rng.uniform(0.5, 12.0))),
-                             q_heading=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])))
+        hw = _weights(w_y=float(rng.uniform(1.0, 20.0)),
+                      w_du=float(rng.uniform(0.05, 1.0)),
+                      alpha=float(rng.uniform(0.5, 12.0)),
+                      q_heading=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])))
         x0 = rng.normal(size=3)
         x_ref = rng.normal(size=3 * n)
-        qp = build_tracking_qp(pred, x0, x_ref, hw, (-0.1, 0.1))
+        qp = _tracking_qp(pred, x0, x_ref, hw, (-0.1, 0.1))
         h, f = _reference_qp(su, sx, sk, x0, x_ref, hw)
         assert np.array_equal(qp.h, h)
         assert np.array_equal(qp.f, f)
@@ -345,7 +336,7 @@ def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
     rng = np.random.default_rng(m)
     pred = build_prediction(linearize_initial(PARAMS, ts), n, m)
     t_low = np.tril(np.ones((m, m)))
-    hw = horizon_weights(TrackingWeights(w_u=3.0))
+    hw = _weights(w_u=3.0, alpha=1.0)
     w = float(rng.uniform(0.5, 30.0)) ** 2
     moves = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=pred.sk)
     cost = condense_cost(moves, hw, (w, t_low))
@@ -357,8 +348,8 @@ def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
         x0 = rng.normal(size=3)
         x_ref = rng.normal(size=3 * n)
         h, f = _reference_qp(moves.su, pred.sx, sk_mv, x0, x_ref, hw, target)
-        for qp in (build_tracking_qp(step, x0, x_ref, hw, (-0.1, 0.1), target),
-                   build_tracking_qp(step, x0, x_ref, hw, (-0.1, 0.1), target, cost)):
+        for qp in (_tracking_qp(step, x0, x_ref, hw, (-0.1, 0.1), target),
+                   build_tracking_qp(step, cost, x0, x_ref, (-0.1, 0.1), target)):
             assert np.array_equal(qp.h, h)
             assert np.array_equal(qp.f, f)
 
@@ -626,10 +617,10 @@ def test_ill_conditioned_tracking_instance():
     # 1e6; the solver must still meet the KKT contract
     model = linearize_initial(PARAMS, 0.2)
     pred = build_prediction(model, 10, 5)
-    hw = horizon_weights(TrackingWeights(10.0, 0.0, 0.1, 2.8))
+    hw = _weights(w_y=10.0, w_u=0.0, w_du=0.1, alpha=2.8)
     x0 = np.zeros(3)
     ref = np.tile([0.0, 1.0, 0.0], 10)
-    qp = build_tracking_qp(pred, x0, ref, hw, (-0.1, 0.1))
+    qp = _tracking_qp(pred, x0, ref, hw, (-0.1, 0.1))
     sol = solve_box_qp(qp)
     assert sol.status == "converged"
     assert sol.kkt_residual <= 1e-8

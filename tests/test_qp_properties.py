@@ -13,7 +13,8 @@ in tests/qp_reference.py.
 The condensed prediction feeding those QPs is held bit for bit, down to
 the sign of every zero, to the plain recursions of _reference_prediction
 for all three linearizations at drawn vehicles, sample times, operating
-points and horizons.
+points and horizons; and the condensed cost built from it by diagonal
+scaling to the dense product with kron(I, diag(q)).
 """
 
 import itertools
@@ -28,15 +29,19 @@ from hypothesis import event, given, settings, strategies as st  # noqa: E402
 from qp_reference import reference_solve_box_qp  # noqa: E402
 from test_qp import _reference_prediction  # noqa: E402
 from trackmpc import (  # noqa: E402
+    PredictionMatrices,
     QpProblem,
     VehicleParams,
     VehicleState,
     build_prediction,
+    config_for,
+    horizon_weights,
     linearize_initial,
     linearize_position,
     linearize_velocity,
     solve_box_qp,
 )
+from trackmpc.qp import condense_cost  # noqa: E402
 
 KKT_TOL = 1e-8
 
@@ -264,3 +269,56 @@ def test_prediction_matches_the_reference_recursions_bit_for_bit(case):
     sx, su, sk = _reference_prediction(model, n, m)
     assert (pred.sx.tobytes(), pred.su.tobytes(), pred.sk.tobytes()) == \
         (sx.tobytes(), su.tobytes(), sk.tobytes())
+
+
+def _weight(rng, zero_ok: bool) -> float:
+    """0 (where allowed), an ordinary weight, or a tiny or huge one."""
+    kind = rng.integers(4 if zero_ok else 3)
+    if kind == 0:
+        return float(rng.uniform(0.01, 30.0))
+    if kind == 1:
+        return float(10.0 ** rng.uniform(-148.0, -2.0))
+    if kind == 2:
+        return float(10.0 ** rng.uniform(2.0, 148.0))
+    return 0.0
+
+
+def test_diagonal_condensing_is_byte_identical_to_the_dense_product():
+    # condense_cost scales each stage of Su by diag(Q); on every drawn model
+    # its Su' Qbar and H keep the bytes of Su' kron(I, diag(q)) and of the
+    # Hessian built from that, the input-target term included
+    rng = np.random.default_rng(2018)
+    kinds = ("initial", "position", "velocity")
+    for draw in range(10_000):
+        kind = kinds[draw % 3]
+        params = VehicleParams(lf=float(rng.uniform(0.5, 3.0)), lr=float(rng.uniform(0.5, 3.0)),
+                               v=float(rng.uniform(1.0, 30.0)))
+        ts = float(rng.uniform(0.01, 0.3))
+        n = int(rng.integers(1, 26))
+        m = int(rng.integers(1, n + 1))
+        cfg = config_for("baseline", horizon=n, control_horizon=m, alpha=float(10.0 ** rng.uniform(-2, 2)),
+                         w_y=_weight(rng, True), w_u=_weight(rng, True), w_du=_weight(rng, False),
+                         q_heading=float(rng.choice([0.0, 10.0 ** rng.uniform(-100.0, 100.0)])))
+        hw = horizon_weights(cfg)
+        input_weight = None
+        if kind == "initial":
+            pred = build_prediction(linearize_initial(params, ts), n, m)
+            t_low = np.tril(np.ones((m, m)))
+            pred = PredictionMatrices(sx=pred.sx, su=pred.su @ t_low, sk=pred.sk)
+            if hw.target is not None:
+                input_weight = (hw.target, t_low)
+        else:
+            state = VehicleState(psi=float(rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0)])),
+                                 beta=float(rng.choice([0.0, -0.0, rng.uniform(-0.6, 0.6)])))
+            linearize = linearize_position if kind == "position" else linearize_velocity
+            pred = build_prediction(linearize(state, params, ts), n, m)
+
+        cost = condense_cost(pred, hw, input_weight)
+        suq = pred.su.T @ np.kron(np.eye(n), np.diag(hw.q))
+        h = suq @ pred.su + hw.r * np.eye(m)
+        h = 0.5 * (h + h.T)
+        if input_weight is not None:
+            w, t_map = input_weight
+            h = h + w * (t_map.T @ t_map)
+        assert cost.suq.tobytes() == suq.tobytes(), (draw, kind, n, m)
+        assert cost.h.tobytes() == h.tobytes(), (draw, kind, n, m)

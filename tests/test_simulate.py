@@ -79,6 +79,19 @@ def test_complete_path_validation():
         make_complete_path(0.05, periods=0)
     with pytest.raises(ValueError):
         make_complete_path(0.05, lead_in=0.0)
+    # sizes are checked before anything is built
+    with pytest.raises(ValueError, match="more than 1000000 arc-length grid points"):
+        make_complete_path(0.05, wavelength=1e-6)
+    with pytest.raises(ValueError, match="more than 100000 path samples"):
+        make_complete_path(1e-9)
+
+
+def test_path_sample_count_is_bounded():
+    assert len(make_straight_path(49999.5, 0.5)) == 100_000
+    with pytest.raises(ValueError, match="more than 100000 path samples"):
+        make_straight_path(50000.0, 0.5)
+    with pytest.raises(ValueError, match="more than 100000 path samples"):
+        make_step_path(1.0, 1e9, 0.05)
 
 
 def test_path_validation():
