@@ -20,6 +20,7 @@ from .controllers import (
     config_for,
 )
 from .simulate import (
+    MAX_PATH_COORDINATE,
     DisturbanceSpec,
     ReferencePath,
     complete_arc,
@@ -290,7 +291,12 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
     cfg = ScenarioConfig(**top)
 
     # every variant's run builds a path: size each one before any is built,
-    # integrating a complete path's arc length once on a bounded grid
+    # integrating a complete path's arc length once on a bounded grid, and
+    # bound its reach (a complete path's x is bounded by its grid)
+    if not cfg.amplitude <= MAX_PATH_COORDINATE:
+        raise ConfigError(line_of(("scenario", "amplitude")),
+                          f"amplitude {cfg.amplitude:g} m exceeds the path coordinate "
+                          f"bound of {MAX_PATH_COORDINATE:g} m")
     try:
         samples, span = partial(sample_count, duration), duration
         if kind == "complete":
@@ -314,11 +320,18 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(anchor, f"variant {name!r}: {exc}") from None
         try:
-            samples(ctrl.ts)
+            n_samples = samples(ctrl.ts)
         except ValueError as exc:
             raise ConfigError(line_of(("controller", "ts"), ("scenario", "duration"),
                                       ("vehicle", "v"), ("scenario", "kind")),
                               f"variant {name!r}: {exc}") from None
+        t_last = ctrl.ts * (n_samples - 1)
+        if kind != "complete" and not cfg.vehicle.v * t_last <= MAX_PATH_COORDINATE:
+            raise ConfigError(line_of(("vehicle", "v"), ("controller", "ts"),
+                                      ("scenario", "duration"), ("scenario", "kind")),
+                              f"variant {name!r}: v = {cfg.vehicle.v:g} m/s over {t_last:g} s "
+                              f"carries the path past the path coordinate bound of "
+                              f"{MAX_PATH_COORDINATE:g} m")
         horizon_span = ctrl.ts * ctrl.horizon
         if horizon_span > span + 1e-9:
             raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"),

@@ -330,6 +330,12 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     qp = build_tracking_qp(pred, cost, x0, x_ref, (-bound, bound), input_target)
     sol = solve_box_qp(qp, start=ctrl.start)
     if sol.status != "converged":
+        if not np.isfinite(qp.f).all():
+            raise ControlError(
+                f"{cfg.variant} QP stopped at {sol.status} with KKT residual "
+                f"{sol.kkt_residual:.3e} and a non-finite gradient f: the tracking error "
+                f"from the reference and the measured state, times the weights, leaves the "
+                f"float range")
         # The KKT tolerance is absolute while H grows with the squared
         # weights, so name their scale: large weights alone can cause this.
         hw = ctrl.weights

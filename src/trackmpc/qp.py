@@ -221,6 +221,65 @@ class QpSolution:
     primal_iterations: int = 0  # of the iterations, those of the primal active-set phase
     start: np.ndarray | None = None  # the accepted partition when the guess missed
 
+    @classmethod
+    def _trusted(cls, u: np.ndarray, iterations: int, status: str, kkt_residual: float,
+                 primal_iterations: int, start: np.ndarray | None) -> "QpSolution":
+        """Build without the frozen constructor's setattr per field."""
+        sol = object.__new__(cls)
+        sol.__dict__.update(u=u, iterations=iterations, status=status, kkt_residual=kkt_residual,
+                            primal_iterations=primal_iterations, start=start)
+        return sol
+
+
+def _reduced(h, f, lb, ub, x_unc, part, free):
+    """The cheap iterate of a partition: (z, rows, h_free, f_free).
+
+    Pinned coordinates sit on their bound and free ones solve the reduced
+    normal equations without refinement; rows, h_free and f_free are what
+    _refine needs, h_free None when nothing is free. The all-free partition
+    reuses the unconstrained solve x_unc and refines on H itself, which
+    rounds like a copy of all its rows because every QpProblem's H is
+    C-ordered (the constructor's symmetrization and condense_cost make it
+    so). The blocks are sliced from H's free rows by column masks, which
+    leaves the pinned block F-ordered: its product with z rounds by that
+    layout, so a C-ordered copy of the same values would change the bits.
+    """
+    n_free = np.count_nonzero(free)
+    if n_free == free.size:
+        return x_unc.copy(), h, h, f
+    z = np.where(part < 0, lb, ub)
+    if not n_free:
+        return z, None, None, None
+    pinned = ~free
+    rows = h[free]
+    h_free, f_free = rows[:, free], f[free]
+    z[free] = np.linalg.solve(h_free, -(f_free + rows[:, pinned] @ z[pinned]))
+    return z, rows, h_free, f_free
+
+
+def _refine(z, free, rows, h_free, f_free) -> None:
+    """One step of iterative refinement of a cheap iterate, in place; it keeps
+    the free gradient at solver precision even for badly scaled H. rows is
+    H's free rows (H itself when all are free) and h_free their free block."""
+    if h_free is not None:
+        z[free] -= np.linalg.solve(h_free, rows @ z + f_free)
+
+
+def _violations(h, f, lb, ub, movable, part, z):
+    """(too_low, too_high, wrong-sign multipliers, gradient, count) at z.
+
+    Pinned coordinates sit exactly on a bound, so only free ones can be out
+    of the box; part * g > 0 is g < 0 at a lower and g > 0 at an upper bound.
+    """
+    g = h @ z + f
+    too_low, too_high, leave = z < lb, z > ub, (part * g > 0.0) & movable
+    return too_low, too_high, leave, g, np.count_nonzero(too_low | too_high | leave)
+
+
+def _kkt_residual(x, g, lb, ub) -> float:
+    """max |x - clip(x - g)|, the box-QP KKT residual at x with gradient g."""
+    return float(np.abs(x - (x - g).clip(lb, ub)).max())
+
 
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
                  start: np.ndarray | None = None) -> QpSolution:
@@ -281,14 +340,8 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     h, f, lb, ub = qp.h, qp.f, qp.lb, qp.ub
     nv = f.size
-
-    def clipped(z: np.ndarray) -> np.ndarray:
-        return np.clip(z, lb, ub)
-
-    def residual_at(z: np.ndarray) -> float:
-        return float(np.max(np.abs(z - clipped(z - (h @ z + f)))))
-
     fixed = lb == ub  # equality-pinned coordinates never pivot
+    movable = ~fixed
     # The all-free partition's right-hand side is -(f + H[free, pinned] z) with
     # nothing pinned, i.e. -(f + 0.0) down to the sign of zero, so this solve
     # is its reduced solve as well as the partition guess.
@@ -298,36 +351,6 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     part[x_unc <= lb] = -1
     part[x_unc >= ub] = 1
     part[fixed] = -1
-
-    def reduced(p: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Partition p's cheap iterate and the free block of H it solved with."""
-        if free.all():
-            return x_unc.copy(), h
-        z = np.where(p < 0, lb, ub)
-        if not free.any():
-            return z, None
-        h_free = h[np.ix_(free, free)]
-        rhs = -(f[free] + h[free][:, ~free] @ z[~free])
-        z[free] = np.linalg.solve(h_free, rhs)
-        return z, h_free
-
-    def refine(z: np.ndarray, free: np.ndarray, h_free: np.ndarray | None) -> None:
-        """One step of iterative refinement, in place, keeps the free gradient
-        at solver precision even for badly scaled H."""
-        if h_free is not None:
-            gf = h[free] @ z + f[free]
-            z[free] -= np.linalg.solve(h_free, gf)
-
-    def violations(p: np.ndarray, z: np.ndarray):
-        """(too_low, too_high, wrong-sign multipliers, gradient, count) at z.
-
-        Pinned coordinates sit exactly on a bound, so only free ones can be
-        out of the box; p * g > 0 is g < 0 at a lower and g > 0 at an upper
-        bound.
-        """
-        g = h @ z + f
-        too_low, too_high, leave = z < lb, z > ub, (p * g > 0.0) & ~fixed
-        return too_low, too_high, leave, g, np.count_nonzero(too_low | too_high | leave)
 
     # A start is tried only where it differs from the guess, i.e. where the
     # search it came from did not accept its own guess.
@@ -343,23 +366,24 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         if primal:
             primal_its += 1
         free = part == 0
-        z, h_free = reduced(part, free)
+        z, rows, h_free, f_free = _reduced(h, f, lb, ub, x_unc, part, free)
         # The guess partition is finished at once, so a guess that holds
         # costs no more than that; with a start to try, it is tested cheaply.
         exact = it == 1 and not warm
         if exact:
-            refine(z, free, h_free)
-        too_low, too_high, leave, g, n_viol = violations(part, z)
+            _refine(z, free, rows, h_free, f_free)
+        too_low, too_high, leave, g, n_viol = _violations(h, f, lb, ub, movable, part, z)
         if n_viol == 0 and not exact:
             exact = True
-            refine(z, free, h_free)
-            too_low, too_high, leave, g, n_viol = violations(part, z)
+            _refine(z, free, rows, h_free, f_free)
+            too_low, too_high, leave, g, n_viol = _violations(h, f, lb, ub, movable, part, z)
         if n_viol == 0:
-            z = clipped(z)  # exact projection of roundoff
-            resid = residual_at(z)
-            return QpSolution(u=z, iterations=it, kkt_residual=resid,
-                              status="converged" if resid <= tol else "inaccurate",
-                              primal_iterations=primal_its, start=part if it > 1 else None)
+            x = z.clip(lb, ub)  # exact projection of roundoff
+            if x.tobytes() != z.tobytes():
+                g = h @ x + f  # else the test's gradient is already H x + f
+            resid = _kkt_residual(x, g, lb, ub)
+            return QpSolution._trusted(x, it, "converged" if resid <= tol else "inaccurate",
+                                       resid, primal_its, part if it > 1 else None)
         if warm:
             if it == 1:
                 # The guess missed: probe the start, then go on from whichever
@@ -395,7 +419,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         if point is None or exact:
             # Start, or restart from an exact iterate, at the projection onto
             # the box, keeping pinned only what has the right multiplier.
-            point = clipped(z)
+            point = z.clip(lb, ub)
             part[leave] = 0
         # Step from the feasible point toward z up to the first bound that
         # blocks; of bounds blocking at once, pin the one with the largest move.
@@ -404,15 +428,14 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         ratio = np.where(blocking, (target - point) / np.where(blocking, step, 1.0), np.inf)
         first = ratio == ratio.min()
         j = int(np.argmax(np.where(first, np.abs(step), -1.0)))
-        point = clipped(point + ratio[j] * step)
+        point = (point + ratio[j] * step).clip(lb, ub)
         point[j] = target[j]
         part[j] = -1 if too_low[j] else 1
 
     free = part == 0
-    z, h_free = reduced(part, free)
-    refine(z, free, h_free)
-    x = clipped(z)
-    resid = residual_at(x)
-    status = "converged" if resid <= tol else "max_iter"
-    return QpSolution(u=x, iterations=it, status=status, kkt_residual=resid,
-                      primal_iterations=primal_its)
+    z, rows, h_free, f_free = _reduced(h, f, lb, ub, x_unc, part, free)
+    _refine(z, free, rows, h_free, f_free)
+    x = z.clip(lb, ub)
+    resid = _kkt_residual(x, h @ x + f, lb, ub)
+    return QpSolution._trusted(x, it, "converged" if resid <= tol else "max_iter",
+                               resid, primal_its, None)

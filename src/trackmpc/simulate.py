@@ -31,6 +31,9 @@ _X_STREAM_OFFSET = 1 << 48
 # at most 601 path samples and about 12000 grid points (complete.cfg).
 MAX_PATH_SAMPLES = 100_000  # samples of one reference path
 MAX_GRID_POINTS = 1_000_000  # points of a complete path's arc-length grid
+# |x| and |y| of any path sample [m]: squared distances between the path and
+# the vehicle, and the tracking errors the QP squares, stay finite far past it
+MAX_PATH_COORDINATE = 1e9
 
 
 @dataclass(frozen=True)

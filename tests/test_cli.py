@@ -129,6 +129,8 @@ def test_full_document_with_comments():
     ("[scenario]\nduration = 1e9\n", 2, "more than 100000 path samples"),
     ("[scenario]\nkind = complete\nwavelength = 1e-6\n", 3, "more than 1000000 arc-length grid"),
     ("[controller]\nhorizon = 501\n", 2, "M <= N <= 500"),
+    ("[scenario]\nkind = step\namplitude = 1e10\n", 3, "path coordinate bound of 1e+09 m"),
+    ("[vehicle]\nv = 1e9\n", 2, "path coordinate bound of 1e+09 m"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -496,6 +498,28 @@ def test_oversize_scenario_is_rejected_before_allocating(scenario, assignment, n
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: line 0: ") and needle in err[0]
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "compare"])
+@pytest.mark.parametrize("assignments,needle", [
+    (["vehicle.v=1e307"],
+     "v = 1e+307 m/s over 30 s carries the path past the path coordinate bound of 1e+09 m"),
+    (["scenario.kind=sine", "scenario.amplitude=1e308"],
+     "amplitude 1e+308 m exceeds the path coordinate bound of 1e+09 m"),
+])
+def test_path_past_the_coordinate_bound_is_one_error_line(verb, assignments, needle,
+                                                          capsys, tmp_path):
+    # past the coordinate bound, a huge speed or amplitude is one config
+    # error before any run: not a traceback from the path's own checks, nor
+    # overflowing squared distances reported as a weight problem
+    args = [verb, str(ROOT / "scenarios" / "straight.cfg")]
+    for assignment in assignments + [f"output.directory={tmp_path}"]:
+        args += ["--set", assignment]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: line 0: ") and needle in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_preconditions_exit_one(tmp_path, capsys):

@@ -327,6 +327,22 @@ def test_non_finite_qp_is_a_control_error(variant, monkeypatch):
         CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_reference_names_the_gradient(variant):
+    # a reference gone NaN after the path's own checks makes the QP gradient
+    # NaN: the failure names that gradient, not the weight scale
+    cfg = config_for(variant)
+    path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+    plant = default_initial_state(path)
+    ctrl = init_state(cfg, plant, PARAMS)
+    path.y[1:] = np.nan
+    with pytest.raises(ControlError) as err:
+        CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    message = str(err.value)
+    assert message.startswith(f"{variant} QP stopped at inaccurate with KKT residual nan")
+    assert "non-finite gradient f" in message and "weight scale" not in message
+
+
 def test_step_carries_the_start_outside_equality(monkeypatch):
     # each step hands the solver the partition the previous step's QP
     # accepted after its guess missed (None after a guess that held); like

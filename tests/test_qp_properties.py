@@ -6,9 +6,9 @@ must converge within the default iteration budget to the 1e-8 KKT
 contract. Small instances are also checked against a brute-force oracle
 that tries every partition of the coordinates into lower bound, free and
 upper bound (3^n of them) and keeps the cheapest feasible point; for a
-strictly convex QP that point is the unique minimizer. Where the primal
-phase runs, the result is also held bit for bit to the earlier solver kept
-in tests/qp_reference.py.
+strictly convex QP that point is the unique minimizer. Random QPs up to
+n = 20, and those where the primal phase runs, are also held bit for bit to
+the earlier solver kept in tests/qp_reference.py.
 
 The condensed prediction feeding those QPs is held bit for bit, down to
 the sign of every zero, to the plain recursions of _reference_prediction
@@ -205,6 +205,33 @@ def test_any_start_returns_the_cold_bits(case):
 @given(started_qps(move_qps()))
 def test_any_start_returns_the_cold_bits_on_move_structure(case):
     _assert_warm_matches_cold(*case)
+
+
+# --- bit identity with the reference solver ------------------------------
+#
+# Whatever path the search takes, its answer is the exact finish of the
+# partition it accepts, so at every size the controllers use (n <= 20) it
+# keeps the bits of the earlier solver in tests/qp_reference.py, cold and
+# from any start. Those bits also depend on the memory order of the blocks
+# of H the finish multiplies with: a C-ordered copy of the pinned block,
+# with the same values, rounds its product differently.
+
+def _assert_reference_bits(qp, start):
+    ref = reference_solve_box_qp(qp).u
+    assert np.array_equal(solve_box_qp(qp).u, ref)
+    assert np.array_equal(solve_box_qp(qp, start=start).u, ref)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(started_qps(box_qps(max_n=20)))
+def test_random_qps_keep_the_reference_bits(case):
+    _assert_reference_bits(*case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(started_qps(move_qps(max_n=20)))
+def test_move_structure_keeps_the_reference_bits(case):
+    _assert_reference_bits(*case)
 
 
 # A weight_tuned QP of the shipped course (scenarios/complete.cfg): the
