@@ -31,6 +31,7 @@ from .qp import (
     CondensedCost,
     HorizonWeights,
     PredictionMatrices,
+    QpSolution,
     build_prediction,
     build_tracking_qp,
     condense_cost,
@@ -160,6 +161,27 @@ class RelinearizedQp(NamedTuple):
     cost: CondensedCost
 
 
+class LastSolve(NamedTuple):
+    """The last QP solve, keyed by what it is a pure function of.
+
+    h is the QP's Hessian object, the read-only cost.h shared while a model
+    is reused, f the bytes of its gradient, bound its box half-width and
+    start the partition it was handed. solution.start is the next step's
+    start, so a step whose QP has the same h object, f bytes and bound, and
+    whose start has the bytes of start, is handed solution as it stands.
+    """
+
+    h: np.ndarray
+    f: bytes
+    bound: float
+    start: np.ndarray | None
+    solution: QpSolution
+
+
+def _same_start(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return a is b or (a is not None and b is not None and a.tobytes() == b.tobytes())
+
+
 @dataclass(frozen=True)
 class ControllerState:
     """What a controller carries between steps."""
@@ -169,10 +191,21 @@ class ControllerState:
     # Per-run constants, built once by init_state from (cfg, params).
     weights: HorizonWeights | None = field(default=None, compare=False)
     fixed: FixedModelQp | None = field(default=None, compare=False)  # baseline, weight_tuned
-    # The last QP's accepted partition when its guess missed: the next start.
-    start: np.ndarray | None = field(default=None, compare=False)
+    # The last solve; its solution's start is the next solve's start.
+    last_solve: LastSolve | None = field(default=None, compare=False)
     # The last re-linearized model's QP data (position_sl, velocity_sl).
     last_model: RelinearizedQp | None = field(default=None, compare=False)
+
+    @classmethod
+    def _trusted(cls, ref_cursor: int, prev_state: VehicleState | None,
+                 weights: HorizonWeights | None, fixed: FixedModelQp | None,
+                 last_solve: LastSolve | None,
+                 last_model: RelinearizedQp | None) -> "ControllerState":
+        """Build without the frozen constructor's setattr per field."""
+        ctrl = object.__new__(cls)
+        ctrl.__dict__.update(ref_cursor=ref_cursor, prev_state=prev_state, weights=weights,
+                             fixed=fixed, last_solve=last_solve, last_model=last_model)
+        return ctrl
 
 
 def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams) -> ControllerState:
@@ -283,6 +316,14 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     when its model's bytes differ from the previous step's (a straight
     stretch repeats the same operating point); otherwise it reuses them
     from ControllerState.last_model.
+
+    Each step hands the solver the partition the previous solve accepted
+    after its guess missed. solve_box_qp is a pure function of (H, f, the
+    bounds, start), so a step whose QP is the previous one bit for bit (the
+    same H object, f bytes and bound, with the same start handed in) reuses
+    ControllerState.last_solve's solution without calling it; every field,
+    start included, is what the call would return. On straight.cfg that is
+    1946 of 1950 solves, on complete.cfg 30 of 559.
     """
     fixed_model = cfg.variant in FIXED_MODEL_VARIANTS
     difference_state = cfg.variant == "velocity_sl"
@@ -328,7 +369,12 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
 
     bound = cfg.rate_limit * cfg.ts
     qp = build_tracking_qp(pred, cost, x0, x_ref, (-bound, bound), input_target)
-    sol = solve_box_qp(qp, start=ctrl.start)
+    last_solve = ctrl.last_solve
+    start = None if last_solve is None else last_solve.solution.start
+    f_bytes = qp.f.tobytes()
+    repeat = (last_solve is not None and last_solve.h is qp.h and last_solve.f == f_bytes
+              and last_solve.bound == bound and _same_start(last_solve.start, start))
+    sol = last_solve.solution if repeat else solve_box_qp(qp, start=start)
     if sol.status != "converged":
         if not np.isfinite(qp.f).all():
             raise ControlError(
@@ -343,9 +389,10 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
             f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e} "
             f"at weight scale max|H| = {float(np.abs(qp.h).max()):.3e} "
             f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
-    u = float(sol.u[0])
-    return u, ControllerState(ref_cursor=cursor, prev_state=plant, weights=ctrl.weights,
-                              fixed=ctrl.fixed, start=sol.start, last_model=last_model)
+    if not repeat:
+        last_solve = LastSolve(qp.h, f_bytes, bound, start, sol)
+    return float(sol.u[0]), ControllerState._trusted(cursor, plant, ctrl.weights, ctrl.fixed,
+                                                     last_solve, last_model)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

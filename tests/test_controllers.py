@@ -8,6 +8,7 @@ time against hand-worked values.
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from trackmpc import (
     VARIANTS,
     VehicleParams,
     VehicleState,
+    apply_overrides,
     config_for,
     default_initial_state,
     generate_delta_refs,
@@ -34,10 +36,12 @@ from trackmpc import (
     make_sine_path,
     make_step_path,
     make_straight_path,
+    parse_config,
     run_closed_loop,
     ssd_from_traces,
     step_nonlinear,
 )
+from trackmpc.cli import run_compare
 
 PARAMS = VehicleParams()
 NO_NOISE = DisturbanceSpec()
@@ -121,7 +125,8 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     # (cfg, params) is built once by init_state: the horizon weights, and
     # for the fixed absolute-slip model its linearization, prediction and
     # condensed cost. Each step then builds one fresh QpProblem and solves
-    # it once.
+    # it at most once: not at all when it is the previous step's QP bit for
+    # bit, which no step on this sine path is.
     calls = Counter()
     solved = []
 
@@ -345,13 +350,14 @@ def test_non_finite_reference_names_the_gradient(variant):
 
 def test_step_carries_the_start_outside_equality(monkeypatch):
     # each step hands the solver the partition the previous step's QP
-    # accepted after its guess missed (None after a guess that held); like
-    # the run constants, the start takes no part in equality
+    # accepted after its guess missed (None after a guess that held), which
+    # the last solve's solution holds; like the run constants, the last
+    # solve takes no part in equality
     cfg = config_for("velocity_sl")
     path = make_step_path(1.0, 6.0, cfg.ts)
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, PARAMS)
-    assert ctrl.start is None
+    assert ctrl.last_solve is None
     real = trackmpc.controllers.solve_box_qp
     handed, returned = [], []
 
@@ -364,12 +370,201 @@ def test_step_carries_the_start_outside_equality(monkeypatch):
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
     for _ in range(5):
         u, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
-        assert ctrl.start is returned[-1]
+        assert ctrl.last_solve.solution.start is returned[-1]
+        assert ctrl.last_solve.start is handed[-1]
         plant = step_nonlinear(plant, u, cfg.ts, PARAMS)
+    assert len(handed) == 5
     assert handed[0] is None
     assert all(a is b for a, b in zip(handed[1:], returned))
     assert any(start is not None for start in returned)
-    assert replace(ctrl, start=None) == ctrl
+    assert replace(ctrl, last_solve=None) == ctrl
+    assert ctrl == ControllerState(ctrl.ref_cursor, ctrl.prev_state)
+
+
+def _same_solution(a, b):
+    """Every QpSolution field alike, arrays and the residual byte for byte."""
+    return (_same_bytes(a.u, b.u) and a.iterations == b.iterations and a.status == b.status
+            and np.float64(a.kkt_residual).tobytes() == np.float64(b.kkt_residual).tobytes()
+            and a.primal_iterations == b.primal_iterations
+            and (a.start is b.start is None
+                 or a.start is not None and b.start is not None
+                 and _same_bytes(a.start, b.start)))
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("scenario,reused", [
+    ("complete.cfg", 30), ("sine_disturbed.cfg", 0), ("step.cfg", 0), ("straight.cfg", 1946)])
+def test_reused_solutions_are_what_a_fresh_solve_returns(scenario, reused, tmp_path,
+                                                         monkeypatch):
+    # a step whose QP is the previous one bit for bit returns the stored
+    # solution without a solve. On every shipped run, each reused solution
+    # is field for field what a fresh solve of the step's QP returns from
+    # the start the step handed in
+    real_step = trackmpc.controllers.controller_step
+    real_build = trackmpc.controllers.build_tracking_qp
+    real_solve = trackmpc.controllers.solve_box_qp
+    built, steps = [], []
+    solves = Counter()
+
+    def building(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def solving(qp, **kwargs):
+        solves["n"] += 1
+        return real_solve(qp, **kwargs)
+
+    def stepping(ctrl, *args):
+        u, out = real_step(ctrl, *args)
+        steps.append((ctrl.last_solve, out.last_solve, built[-1], u))
+        return u, out
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", building)
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", solving)
+    for variant in VARIANTS:
+        monkeypatch.setitem(CONTROLLER_STEPS, variant, stepping)
+    cfg = apply_overrides(parse_config((SCENARIOS / scenario).read_text()),
+                          [f"output.directory={tmp_path}"])
+    rows, failures = run_compare(cfg)
+    assert failures == [] and len(rows) == 4
+    hits = [(before, after, qp, u) for before, after, qp, u in steps if after is before]
+    assert len(hits) == reused
+    assert solves["n"] == len(steps) - reused
+    for before, after, qp, u in hits:
+        fresh = real_solve(qp, start=before.solution.start)
+        assert _same_solution(after.solution, fresh)
+        assert u == fresh.u[0]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("change", [
+    None, "f_one_ulp", "f_sign_of_zero", "start", "h_equal_copy", "bound"])
+def test_only_a_bit_identical_qp_reuses_the_last_solve(variant, change, monkeypatch):
+    # on a straight path every step's QP is the first one's (f = 0). One
+    # ulp or the sign of a zero in f, another start handed in, an H of the
+    # same bytes that is a new object or another bound makes a new QP,
+    # which is solved and stored in place of the last solve
+    cfg = config_for(variant)
+    path = make_straight_path(4.0, cfg.ts)
+    plant = default_initial_state(path)
+    _, ctrl = CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+    stored = ctrl.last_solve
+    assert stored.solution.start is None and not np.frombuffer(stored.f).any()
+
+    real_build = trackmpc.controllers.build_tracking_qp
+    real_solve = trackmpc.controllers.solve_box_qp
+    built, solved = [], []
+
+    def changed(*args, **kwargs):
+        qp = real_build(*args, **kwargs)
+        h, f = qp.h, qp.f.copy()
+        if change == "f_one_ulp":
+            f[0] = np.nextafter(f[0], np.inf)
+        elif change == "f_sign_of_zero":
+            f[0] = -f[0]
+        elif change == "h_equal_copy":
+            h = h.copy()
+        built.append(trackmpc.qp.QpProblem._trusted(h, f, qp.lb, qp.ub))
+        return built[-1]
+
+    def solving(qp, **kwargs):
+        solved.append(kwargs["start"])
+        return real_solve(qp, **kwargs)
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", changed)
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", solving)
+    if change == "start":
+        handed = np.zeros(cfg.control_horizon, dtype=np.int8)
+        ctrl = replace(ctrl, last_solve=stored._replace(
+            solution=replace(stored.solution, start=handed)))
+    if change == "bound":
+        cfg = replace(cfg, rate_limit=cfg.rate_limit / 2)
+    u, after = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    if change is None:
+        assert solved == [] and after.last_solve is ctrl.last_solve
+        return
+    assert len(solved) == 1 and after.last_solve is not ctrl.last_solve
+    assert solved[0] is ctrl.last_solve.solution.start
+    fresh = real_solve(built[-1], start=solved[0])
+    assert _same_solution(after.last_solve.solution, fresh)
+    assert after.last_solve.h is built[-1].h and after.last_solve.f == built[-1].f.tobytes()
+    assert u == fresh.u[0]
+
+
+def test_a_repeat_whose_guess_missed_is_reused_once_its_start_repeats(monkeypatch):
+    # a QP whose guess misses hands on the partition it accepted. The same
+    # QP is then solved once more, since it gets that start where it got
+    # None, and returns the same partition; from then on it is reused
+    cfg = config_for("velocity_sl")
+    path = make_step_path(1.0, 6.0, cfg.ts)
+    plant = default_initial_state(path)
+    real_build = trackmpc.controllers.build_tracking_qp
+    real_solve = trackmpc.controllers.solve_box_qp
+    built, handed = [], []
+
+    def building(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", building)
+    ctrl = init_state(cfg, plant, PARAMS)
+    while ctrl.last_solve is None or ctrl.last_solve.solution.start is None:
+        u, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
+        plant = step_nonlinear(plant, u, cfg.ts, PARAMS)
+    missed = built[-1]
+
+    def solving(qp, **kwargs):
+        handed.append(kwargs["start"])
+        return real_solve(qp, **kwargs)
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", lambda *a, **k: missed)
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", solving)
+    ctrl = init_state(cfg, plant, PARAMS)
+    states = []
+    for _ in range(4):
+        _, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
+        states.append(ctrl.last_solve)
+    assert len(handed) == 2 and handed[0] is None
+    first, second = states[:2]
+    assert handed[1] is first.solution.start
+    assert _same_bytes(second.solution.start, first.solution.start)
+    assert states[2] is states[3] is second
+    assert _same_solution(second.solution, real_solve(missed, start=second.solution.start))
+
+
+def test_a_step_that_raises_stores_no_solve(monkeypatch):
+    # a solve that stops short raises before the step returns a state, so
+    # the caller's state keeps its last solve, and the same QP is solved
+    # (and fails) again on the next try, never reused
+    cfg = config_for("baseline")
+    path = make_straight_path(4.0, cfg.ts)
+    plant = default_initial_state(path)
+    _, ctrl = CONTROLLER_STEPS["baseline"](init_state(cfg, plant, PARAMS), plant, path, cfg,
+                                           PARAMS)
+    stored = ctrl.last_solve
+    real_build = trackmpc.controllers.build_tracking_qp
+    real_solve = trackmpc.controllers.solve_box_qp
+    solves = Counter()
+
+    def nudged(*args, **kwargs):
+        qp = real_build(*args, **kwargs)
+        return trackmpc.qp.QpProblem._trusted(qp.h, qp.f + 1.0, qp.lb, qp.ub)
+
+    def starved(qp, **kwargs):
+        solves["n"] += 1
+        sol = real_solve(qp, **kwargs)
+        return trackmpc.qp.QpSolution(u=sol.u, iterations=sol.iterations, status="max_iter",
+                                      kkt_residual=1.25e-3)
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", nudged)
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", starved)
+    for attempt in (1, 2):
+        with pytest.raises(ControlError, match="baseline QP stopped at max_iter"):
+            CONTROLLER_STEPS["baseline"](ctrl, plant, path, cfg, PARAMS)
+        assert solves["n"] == attempt
+        assert ctrl.last_solve is stored
 
 
 def test_step_table_covers_all_variants():

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import event, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, event, given, settings, strategies as st  # noqa: E402
 
 from qp_reference import reference_solve_box_qp  # noqa: E402
 from test_qp import _reference_prediction  # noqa: E402
@@ -222,13 +222,18 @@ def _assert_reference_bits(qp, start):
     assert np.array_equal(solve_box_qp(qp, start=start).u, ref)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+# A break fails most of these draws, and shrinking a draw of up to 400
+# floats of H takes minutes, so the failing draw is reported as drawn.
+_UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=_UNSHRUNK)
 @given(started_qps(box_qps(max_n=20)))
 def test_random_qps_keep_the_reference_bits(case):
     _assert_reference_bits(*case)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True, phases=_UNSHRUNK)
 @given(started_qps(move_qps(max_n=20)))
 def test_move_structure_keeps_the_reference_bits(case):
     _assert_reference_bits(*case)
