@@ -96,6 +96,11 @@ def _summarize(res: SimResult) -> SummaryRow:
     return SummaryRow(res.variant, res.ssd, per_iter, res.total_time)
 
 
+def _summary_line(row: SummaryRow) -> str:
+    return (f"{row.model}: ssd={row.ssd:.6g} m^2, "
+            f"time/iter={row.time_per_iteration:.3e} s, total={row.total_time:.3f} s")
+
+
 def _run_variant(cfg: ScenarioConfig, variant: str) -> SimResult:
     ctrl = cfg.controller_config(variant)
     path = cfg.build_path(ctrl.ts)
@@ -228,16 +233,13 @@ def main(argv=None) -> int:
         if res.status != "ok":
             print(f"{cfg.variant}: {res.status}", file=sys.stderr)
             return 2
-        row = _summarize(res)
-        print(f"{row.model}: ssd={row.ssd:.6g} m^2, "
-              f"time/iter={row.time_per_iteration:.3e} s, total={row.total_time:.3f} s")
+        print(_summary_line(_summarize(res)))
         return 0
 
     if args.verb == "compare":
         rows, failures = run_compare(cfg)
         for row in rows:
-            print(f"{row.model}: ssd={row.ssd:.6g} m^2, "
-                  f"time/iter={row.time_per_iteration:.3e} s, total={row.total_time:.3f} s")
+            print(_summary_line(row))
         for variant, status in failures:
             print(f"{variant}: {status}", file=sys.stderr)
         return 2 if failures else 0

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 
-from .controllers import (
-    DEFAULT_ALPHA,
-    DEFAULT_RATE_LIMIT,
-    VARIANTS,
-    ControllerConfig,
-    config_for,
-)
+from .controllers import VARIANTS, ControllerConfig, config_for
 from .simulate import (
     MAX_PATH_COORDINATE,
     DisturbanceSpec,
@@ -64,13 +58,13 @@ class ScenarioConfig:
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     variant: str = "baseline"
     variants: tuple = VARIANTS
-    alpha: float = DEFAULT_ALPHA
-    w_y: float = 10.0
-    w_u: float = 0.0
-    w_du: float = 0.1
-    rate_limit: float = DEFAULT_RATE_LIMIT  # [rad/s]
-    q_heading: float = 0.0
-    u_target: float = 0.0  # [rad]
+    alpha: float = ControllerConfig.alpha
+    w_y: float = ControllerConfig.w_y
+    w_u: float = ControllerConfig.w_u
+    w_du: float = ControllerConfig.w_du
+    rate_limit: float = ControllerConfig.rate_limit  # [rad/s]
+    q_heading: float = ControllerConfig.q_heading
+    u_target: float = ControllerConfig.u_target  # [rad]
     ts: float | None = None  # [s] override for every variant
     horizon: int | None = None
     control_horizon: int | None = None

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linearize import linearize_initial, linearize_position, linearize_velocity
+from .linearize import AffineLtiModel, linearize_initial, linearize_position, linearize_velocity
 from .qp import (
     CondensedCost,
     HorizonWeights,
@@ -128,37 +128,23 @@ def config_for(variant: str, ts: float | None = None, horizon: int | None = None
                             d_m if control_horizon is None else control_horizon, **settings)
 
 
-@dataclass(frozen=True, eq=False)
-class FixedModelQp:
-    """What the fixed absolute-slip model's QPs share across a run.
-
-    pred predicts over absolute slip commands. The QP is posed over the slip
-    moves du via beta_j = beta + sum(du_0..du_j) from the measured slip beta,
-    i.e. the commands are beta + T du with the cumulative-move map T, so
-    su_moves is Su T.
-    input_weight is (w, T) of the w_u term, or None when w_u is zero; cost
-    condenses the tracking cost over the moves, including w T'T.
-    """
-
-    pred: PredictionMatrices
-    su_moves: np.ndarray
-    input_weight: tuple[float, np.ndarray] | None
-    cost: CondensedCost
-
-
-class RelinearizedQp(NamedTuple):
-    """A re-linearized model's prediction and condensed cost, keyed by its bytes.
+class ModelQp(NamedTuple):
+    """One model's prediction and condensed cost, keyed by its bytes.
 
     key is the bytes of the model's c, b and k, so the sign of a zero tells
-    two models apart. pred and cost are a pure function of the key and of
-    the run constants (N, M, weights), so a step whose model has the same
-    key reuses them as they are and forms only f. A tuple, since a miss
-    builds one on the step's path.
+    two models apart; pred and cost are a pure function of the key and the
+    run constants (N, M, weights). init_state builds the fixed absolute-slip
+    model's record once: pred predicts over the absolute slip commands
+    beta + T du, with T the cumulative-move map, so cost condenses over the
+    moves' Su T, and input_weight is (w, T) of the w_u term, None when w_u
+    is zero. A re-linearized model's record has input_weight None and is
+    replaced only when its key changes.
     """
 
     key: bytes
     pred: PredictionMatrices
     cost: CondensedCost
+    input_weight: tuple[float, np.ndarray] | None
 
 
 class LastSolve(NamedTuple):
@@ -190,30 +176,32 @@ class ControllerState:
     prev_state: VehicleState | None = None  # previous measured state (velocity variant)
     # Per-run constants, built once by init_state from (cfg, params).
     weights: HorizonWeights | None = field(default=None, compare=False)
-    fixed: FixedModelQp | None = field(default=None, compare=False)  # baseline, weight_tuned
+    # The model's QP data: the fixed model's from init_state, else the last step's.
+    model: ModelQp | None = field(default=None, compare=False)
     # The last solve; its solution's start is the next solve's start.
     last_solve: LastSolve | None = field(default=None, compare=False)
-    # The last re-linearized model's QP data (position_sl, velocity_sl).
-    last_model: RelinearizedQp | None = field(default=None, compare=False)
 
     @classmethod
     def _trusted(cls, ref_cursor: int, prev_state: VehicleState | None,
-                 weights: HorizonWeights | None, fixed: FixedModelQp | None,
-                 last_solve: LastSolve | None,
-                 last_model: RelinearizedQp | None) -> "ControllerState":
+                 weights: HorizonWeights | None, model: ModelQp | None,
+                 last_solve: LastSolve | None) -> "ControllerState":
         """Build without the frozen constructor's setattr per field."""
         ctrl = object.__new__(cls)
         ctrl.__dict__.update(ref_cursor=ref_cursor, prev_state=prev_state, weights=weights,
-                             fixed=fixed, last_solve=last_solve, last_model=last_model)
+                             model=model, last_solve=last_solve)
         return ctrl
+
+
+def _model_key(model: AffineLtiModel) -> bytes:
+    return model.c.tobytes() + model.b.tobytes() + model.k.tobytes()
 
 
 def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams) -> ControllerState:
     """Initial controller state for a plant starting at rest on its path.
 
     Builds what depends only on (cfg, params) once: the horizon weights of
-    every variant, and for the fixed absolute-slip model its prediction and
-    condensed cost, so that each step forms only the QP gradient.
+    every variant, and for the fixed absolute-slip model its ModelQp, so
+    that each step forms only the QP gradient.
 
     The velocity variant needs a previous sample to difference against; the
     plant is assumed to have been cruising, so the initial state is
@@ -222,15 +210,15 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
     """
     n, m = cfg.horizon, cfg.control_horizon
     hw = horizon_weights(cfg)
-    fixed = None
+    model_qp = None
     if cfg.variant in FIXED_MODEL_VARIANTS:
-        pred = build_prediction(linearize_initial(params, cfg.ts), n, m)
+        model = linearize_initial(params, cfg.ts)
+        pred = build_prediction(model, n, m)
         t_low = np.tril(np.ones((m, m)))
-        su_moves = pred.su @ t_low
         input_weight = None if hw.target is None else (hw.target, t_low)
-        moves = PredictionMatrices(sx=pred.sx, su=su_moves, sk=pred.sk)
-        fixed = FixedModelQp(pred=pred, su_moves=su_moves, input_weight=input_weight,
-                             cost=condense_cost(moves, hw, input_weight))
+        moves = PredictionMatrices(pred.sx, pred.su @ t_low, pred.sk)
+        model_qp = ModelQp(_model_key(model), pred, condense_cost(moves, hw, input_weight),
+                           input_weight)
     prev = None
     if cfg.variant == "velocity_sl":
         heading = plant.psi + plant.beta
@@ -240,7 +228,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
             psi=plant.psi - params.v / params.lr * math.sin(plant.beta) * cfg.ts,
             beta=plant.beta,
         )
-    return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, fixed=fixed)
+    return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, model=model_qp)
 
 
 def _stack_position_refs(path: "ReferencePath", cursor: int, n: int) -> np.ndarray:
@@ -298,8 +286,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
       posed over the slip moves du via beta_j = beta + sum(du_0..du_j) from
       the measured slip, which turns the slew bound into a box on every
       move, and the w_u term pulls those absolute commands toward u_target.
-      Its prediction and condensed cost come from init_state; a step forms
-      only f.
+      Its ModelQp comes from init_state and is never replaced; a step forms
+      only the drift of the held slip and f.
     * difference state (velocity_sl): the measured state is the backward
       difference of the last two measured plant states. The first-stage
       displacement reference comes from generate_delta_refs; later stages
@@ -312,10 +300,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     (psi, beta) every call and tracks the indexed position stack with slip
     changes bounded directly by the rate limit.
 
-    A re-linearizing variant builds its prediction and condensed cost only
-    when its model's bytes differ from the previous step's (a straight
-    stretch repeats the same operating point); otherwise it reuses them
-    from ControllerState.last_model.
+    A re-linearizing variant builds a new ModelQp only when its model's
+    bytes differ from the previous step's (a straight stretch repeats the
+    same operating point); otherwise it reuses ControllerState.model.
 
     Each step hands the solver the partition the previous solve accepted
     after its guess missed. solve_box_qp is a pure function of (H, f, the
@@ -329,28 +316,25 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     difference_state = cfg.variant == "velocity_sl"
     if difference_state and ctrl.prev_state is None:
         raise ControlError("velocity controller state has no previous sample; use init_state")
-    if ctrl.weights is None or (fixed_model and ctrl.fixed is None):
+    if ctrl.weights is None or (fixed_model and ctrl.model is None):
         raise ControlError(f"{cfg.variant} controller state has no run constants; use init_state")
     n, m = cfg.horizon, cfg.control_horizon
-    input_target = None
-    last_model = ctrl.last_model
-    if fixed_model:
-        # The held beta of the commands beta + T du moves into the drift; the
-        # moves act through Su T.
-        fixed = ctrl.fixed
-        sk_mv = fixed.pred.sk + fixed.pred.su @ np.full(m, plant.beta)
-        pred = PredictionMatrices(sx=fixed.pred.sx, su=fixed.su_moves, sk=sk_mv)
-        if fixed.input_weight is not None:
-            input_target = (*fixed.input_weight, np.full(m, plant.beta - cfg.u_target))
-        cost = fixed.cost
-    else:
+    model_qp = ctrl.model
+    if not fixed_model:
         linearize = linearize_velocity if difference_state else linearize_position
         model = linearize(plant, params, cfg.ts)
-        key = model.c.tobytes() + model.b.tobytes() + model.k.tobytes()
-        if last_model is None or last_model.key != key:
+        key = _model_key(model)
+        if model_qp is None or model_qp.key != key:
             pred = build_prediction(model, n, m)
-            last_model = RelinearizedQp(key, pred, condense_cost(pred, ctrl.weights))
-        pred, cost = last_model.pred, last_model.cost
+            model_qp = ModelQp(key, pred, condense_cost(pred, ctrl.weights), None)
+    _, pred, cost, input_weight = model_qp
+    if fixed_model:
+        # The held beta of the commands beta + T du moves into the drift; the
+        # moves act through Su T, which cost condenses.
+        pred = PredictionMatrices(pred.sx, pred.su, pred.sk + pred.su @ np.full(m, plant.beta))
+    input_target = None
+    if input_weight is not None:
+        input_target = (*input_weight, np.full(m, plant.beta - cfg.u_target))
 
     if difference_state:
         prev = ctrl.prev_state
@@ -391,8 +375,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
             f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     if not repeat:
         last_solve = LastSolve(qp.h, f_bytes, bound, start, sol)
-    return float(sol.u[0]), ControllerState._trusted(cursor, plant, ctrl.weights, ctrl.fixed,
-                                                     last_solve, last_model)
+    return float(sol.u[0]), ControllerState._trusted(cursor, plant, ctrl.weights, model_qp,
+                                                     last_solve)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

@@ -44,8 +44,7 @@ class HorizonWeights(NamedTuple):
     target: float | None
 
 
-@dataclass(frozen=True)
-class PredictionMatrices:
+class PredictionMatrices(NamedTuple):
     """Condensed prediction X = Sx x0 + Su U + Sk over N stages and M moves."""
 
     sx: np.ndarray  # (3N, 3)
@@ -189,14 +188,15 @@ def build_tracking_qp(
 ) -> QpProblem:
     """The box QP of the tracking cost, H = cost.h and f = Su' Qbar (Sx x0 + Sk - Xref).
 
-    cost is condense_cost of pred, with (w, T) of input_target = (w, T, c):
-    the term 0.5 w |T U + c|^2 on the commands T U + c measured from their
-    target, which adds w T'c to f. du_bounds boxes every move. The QpProblem
-    skips the public constructor's checks, which hold by construction.
+    Sx and Sk come from pred and Su' Qbar from cost, which condenses the
+    moves' Su with (w, T) of input_target = (w, T, c): the term
+    0.5 w |T U + c|^2 on the commands T U + c measured from their target,
+    which adds w T'c to f. du_bounds boxes every move. The QpProblem skips
+    the public constructor's checks, which hold by construction.
     """
     x0 = np.asarray(x0, dtype=float).reshape(3)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    n3, m = pred.su.shape
+    m, n3 = cost.suq.shape
     if x_ref.size != n3:
         raise ValueError(f"reference stack must have {n3} entries, got {x_ref.size}")
     lo, hi = du_bounds

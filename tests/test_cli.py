@@ -1,8 +1,10 @@
 """Config documents, artifact files, and command-line behavior."""
 
+import itertools
 import json
 import math
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,14 @@ import pytest
 
 import trackmpc.config as config_mod
 import trackmpc.controllers as controllers_mod
+import trackmpc.simulate
 from trackmpc import (
     ConfigError,
     ControlError,
     VARIANTS,
     VehicleParams,
     apply_overrides,
+    config_for,
     parse_config,
     serialize_config,
     steer_from_slip,
@@ -59,6 +63,8 @@ def test_empty_document_is_the_default_scenario():
     assert (ctrl.w_y, ctrl.w_u, ctrl.w_du) == (10.0, 0.0, 0.1)
     assert ctrl.alpha == 2.8
     assert ctrl.rate_limit == 0.5
+    for variant in VARIANTS:
+        assert cfg.controller_config(variant) == config_for(variant)
 
 
 def test_full_document_with_comments():
@@ -263,6 +269,25 @@ def test_run_writes_trace_and_manifest(tmp_path):
     assert manifest["seed"] == 42
     assert set(manifest["versions"]) == {"python", "numpy", "trackmpc"}
     assert parse_config(manifest["config"]).kind == "sine"
+
+
+def test_run_and_compare_print_the_same_summary_line(tmp_path, capsys, monkeypatch):
+    # a clock that ticks 0.25 s across every controller step makes the
+    # timing columns as reproducible as the SSD
+    ticks = itertools.cycle((1.0, 1.25))
+    monkeypatch.setattr(trackmpc.simulate, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    cfg_file = tmp_path / "scen.cfg"
+    cfg_file.write_text(SINE_DOC)
+    assert main(["compare", str(cfg_file), "--output-dir", str(tmp_path / "cmp")]) == 0
+    compared = capsys.readouterr().out.splitlines()
+    assert len(compared) == len(VARIANTS)
+    for variant in VARIANTS:
+        assert main(["run", str(cfg_file), "--output-dir", str(tmp_path / variant),
+                     "--set", f"controller.variant={variant}"]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith(f"{variant}: ssd=") and "time/iter=2.500e-01 s" in line
+        assert line.rstrip("\n") in compared
 
 
 def test_trace_header_is_locked(tmp_path):

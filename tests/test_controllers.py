@@ -177,11 +177,12 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("variant", ["position_sl", "velocity_sl"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
     # a step whose model repeats keeps the previous step's prediction and
     # condensed cost; they, and the QP built from them, are byte for byte
-    # what a fresh build of the same model gives
+    # what a fresh build of the same model gives. The fixed model never
+    # changes, so its record stays the one init_state built.
     qps = []
     real = trackmpc.controllers.solve_box_qp
 
@@ -191,29 +192,46 @@ def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
 
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
     cfg = config_for(variant)
+    step = CONTROLLER_STEPS[variant]
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = VehicleState(x=0.1, y=0.2, psi=0.05, beta=0.01)
     ctrl = init_state(cfg, plant, PARAMS)
-    assert ctrl.last_model is None
-    _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
-    first = ctrl.last_model
-    _, hit = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
-    assert hit.last_model is first
-    _, miss = CONTROLLER_STEPS[variant](replace(ctrl, last_model=None), plant, path, cfg, PARAMS)
-    assert miss.last_model is not first
+    fixed_model = variant in ("baseline", "weight_tuned")
+    built = ctrl.model
+    assert (built is not None) == fixed_model
+    _, ctrl = step(ctrl, plant, path, cfg, PARAMS)
+    first = ctrl.model
+    _, hit = step(ctrl, plant, path, cfg, PARAMS)
+    assert hit.model is first
+    if fixed_model:
+        assert first is built
+        fresh_record = init_state(cfg, plant, PARAMS).model
+        _, miss = step(replace(ctrl, model=fresh_record), plant, path, cfg, PARAMS)
+    else:
+        _, miss = step(replace(ctrl, model=None), plant, path, cfg, PARAMS)
+    assert miss.model is not first
 
     linearize = getattr(trackmpc.controllers, _LINEARIZE[variant])
-    fresh = trackmpc.qp.build_prediction(linearize(plant, PARAMS, cfg.ts),
-                                         cfg.horizon, cfg.control_horizon)
-    cost = trackmpc.qp.condense_cost(fresh, ctrl.weights)
-    for stored in (first, miss.last_model):
-        assert stored.key == miss.last_model.key
+    model = linearize(PARAMS, cfg.ts) if fixed_model else linearize(plant, PARAMS, cfg.ts)
+    fresh = trackmpc.qp.build_prediction(model, cfg.horizon, cfg.control_horizon)
+    moves = fresh
+    if fixed_model:
+        t_low = np.tril(np.ones((cfg.control_horizon, cfg.control_horizon)))
+        moves = trackmpc.qp.PredictionMatrices(fresh.sx, fresh.su @ t_low, fresh.sk)
+    cost = trackmpc.qp.condense_cost(moves, ctrl.weights)
+    for stored in (first, miss.model):
+        assert stored.key == miss.model.key
         for name in ("sx", "su", "sk"):
             assert _same_bytes(getattr(stored.pred, name), getattr(fresh, name)), name
         assert _same_bytes(stored.cost.suq, cost.suq)
         assert _same_bytes(stored.cost.h, cost.h)
     hit_qp, miss_qp = qps[1:]
     assert _same_bytes(hit_qp.h, miss_qp.h) and _same_bytes(hit_qp.f, miss_qp.f)
+
+    if fixed_model:
+        for measured in (replace(plant, psi=-0.1), replace(plant, beta=0.2), plant):
+            _, hit = step(hit, measured, path, cfg, PARAMS)
+        assert hit.model is built
 
 
 @pytest.mark.parametrize("variant", ["position_sl", "velocity_sl"])
@@ -249,13 +267,13 @@ def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypa
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, PARAMS)
     _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
-    first = ctrl.last_model
+    first = ctrl.model
     _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
     assert builds["n"] == 2
-    assert ctrl.last_model.key != first.key
+    assert ctrl.model.key != first.key
     fresh = real_build(models[1], cfg.horizon, cfg.control_horizon)
     for name in ("sx", "su", "sk"):
-        assert _same_bytes(getattr(ctrl.last_model.pred, name), getattr(fresh, name)), name
+        assert _same_bytes(getattr(ctrl.model.pred, name), getattr(fresh, name)), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
