@@ -32,9 +32,11 @@ from .qp import (
     HorizonWeights,
     PredictionMatrices,
     QpSolution,
+    RegionTable,
     build_prediction,
     build_tracking_qp,
     condense_cost,
+    region_table,
     solve_box_qp,
 )
 from .vehicle import VehicleParams, VehicleState
@@ -136,8 +138,10 @@ class ModelQp(NamedTuple):
     run constants (N, M, weights). init_state builds the fixed absolute-slip
     model's record once: pred predicts over the absolute slip commands
     beta + T du, with T the cumulative-move map, so cost condenses over the
-    moves' Su T, and input_weight is (w, T) of the w_u term, None when w_u
-    is zero. A re-linearized model's record has input_weight None and is
+    moves' Su T, input_weight is (w, T) of the w_u term, None when w_u is
+    zero, and table is the RegionTable of (cost.h, the slew box), which
+    every QP of the run shares (None where region_table builds none). A
+    re-linearized model's record has input_weight and table None and is
     replaced only when its key changes.
     """
 
@@ -145,6 +149,7 @@ class ModelQp(NamedTuple):
     pred: PredictionMatrices
     cost: CondensedCost
     input_weight: tuple[float, np.ndarray] | None
+    table: RegionTable | None
 
 
 class LastSolve(NamedTuple):
@@ -200,8 +205,8 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
     """Initial controller state for a plant starting at rest on its path.
 
     Builds what depends only on (cfg, params) once: the horizon weights of
-    every variant, and for the fixed absolute-slip model its ModelQp, so
-    that each step forms only the QP gradient.
+    every variant, and for the fixed absolute-slip model its ModelQp, region
+    table included, so that each step forms only the QP gradient.
 
     The velocity variant needs a previous sample to difference against; the
     plant is assumed to have been cruising, so the initial state is
@@ -217,8 +222,10 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
         t_low = np.tril(np.ones((m, m)))
         input_weight = None if hw.target is None else (hw.target, t_low)
         moves = PredictionMatrices(pred.sx, pred.su @ t_low, pred.sk)
-        model_qp = ModelQp(_model_key(model), pred, condense_cost(moves, hw, input_weight),
-                           input_weight)
+        cost = condense_cost(moves, hw, input_weight)
+        bound = np.full(m, cfg.rate_limit * cfg.ts)
+        model_qp = ModelQp(_model_key(model), pred, cost, input_weight,
+                           region_table(cost.h, -bound, bound))
     prev = None
     if cfg.variant == "velocity_sl":
         heading = plant.psi + plant.beta
@@ -287,7 +294,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
       the measured slip, which turns the slew bound into a box on every
       move, and the w_u term pulls those absolute commands toward u_target.
       Its ModelQp comes from init_state and is never replaced; a step forms
-      only the drift of the held slip and f.
+      only the drift of the held slip and f, and the solver is handed the
+      record's region table, which locates the QP's bound partition when
+      the guess and the start miss.
     * difference state (velocity_sl): the measured state is the backward
       difference of the last two measured plant states. The first-stage
       displacement reference comes from generate_delta_refs; later stages
@@ -306,8 +315,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
 
     Each step hands the solver the partition the previous solve accepted
     after its guess missed. solve_box_qp is a pure function of (H, f, the
-    bounds, start), so a step whose QP is the previous one bit for bit (the
-    same H object, f bytes and bound, with the same start handed in) reuses
+    bounds, start, table), and the table goes with the H object, so a step
+    whose QP is the previous one bit for bit (the same H object, f bytes and
+    bound, with the same start handed in) reuses
     ControllerState.last_solve's solution without calling it; every field,
     start included, is what the call would return. On straight.cfg that is
     1946 of 1950 solves, on complete.cfg 30 of 559.
@@ -326,8 +336,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
         key = _model_key(model)
         if model_qp is None or model_qp.key != key:
             pred = build_prediction(model, n, m)
-            model_qp = ModelQp(key, pred, condense_cost(pred, ctrl.weights), None)
-    _, pred, cost, input_weight = model_qp
+            model_qp = ModelQp(key, pred, condense_cost(pred, ctrl.weights), None, None)
+    _, pred, cost, input_weight, table = model_qp
     if fixed_model:
         # The held beta of the commands beta + T du moves into the drift; the
         # moves act through Su T, which cost condenses.
@@ -358,7 +368,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     f_bytes = qp.f.tobytes()
     repeat = (last_solve is not None and last_solve.h is qp.h and last_solve.f == f_bytes
               and last_solve.bound == bound and _same_start(last_solve.start, start))
-    sol = last_solve.solution if repeat else solve_box_qp(qp, start=start)
+    sol = last_solve.solution if repeat else solve_box_qp(qp, start=start, table=table)
     if sol.status != "converged":
         if not np.isfinite(qp.f).all():
             raise ControlError(
@@ -366,8 +376,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
                 f"{sol.kkt_residual:.3e} and a non-finite gradient f: the tracking error "
                 f"from the reference and the measured state, times the weights, leaves the "
                 f"float range")
-        # The KKT tolerance is absolute while H grows with the squared
-        # weights, so name their scale: large weights alone can cause this.
+        # The KKT tolerance scales with the gradient, but not once the
+        # gradient's roundoff swamps the slew box, which large weights alone
+        # reach; so name their scale.
         hw = ctrl.weights
         raise ControlError(
             f"{cfg.variant} QP stopped at {sol.status} with KKT residual {sol.kkt_residual:.3e} "

@@ -18,10 +18,18 @@ condition of a box QP as its termination test. It searches bound
 partitions with cheap solves, optionally from a previous QP's partition,
 and finishes the one it accepts exactly, so its answer depends on that
 partition alone.
+
+For a fixed (H, lb, ub) the optimal partition is a piecewise-constant
+function of f whose regions are polyhedra (Bemporad, Morari, Dua and
+Pistikopoulos, "The explicit linear quadratic regulator for constrained
+systems", Automatica 38(1), 2002). region_table enumerates them once for
+QPs of at most MAX_TABLE_MOVES variables, and the solver looks f up in it
+when its guess and its start miss; the lookup only steers the search.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +38,12 @@ import numpy as np
 from .linearize import AffineLtiModel
 
 _POSITIVE_ZERO3 = bytes(3 * 8)  # the bytes of (+0.0, +0.0, +0.0)
+_EPS = float(np.finfo(float).eps)
+# A region table has 3^M regions, so its size triples per move (99 kB at
+# M = 6). A lookup costs about 10 us at M = 5, 12 us at 6, 39 us at 7 and
+# 108 us at 8 (minimum of timeit repeats, shared 2-vCPU x86-64 host), against
+# about 47 us for one solver iteration.
+MAX_TABLE_MOVES = 6
 
 
 class HorizonWeights(NamedTuple):
@@ -281,8 +295,82 @@ def _kkt_residual(x, g, lb, ub) -> float:
     return float(np.abs(x - (x - g).clip(lb, ub)).max())
 
 
+def _meets(resid: float, tol: float, h, f, lb, ub, x) -> bool:
+    """resid <= tol * max(1, s) with s = max|H| max|x| + max|f|, the tolerance
+    relative to the gradient's scale; s is formed only when resid exceeds tol.
+
+    The residual of a point in the box is at most the box's widest side, so
+    once the gradient's roundoff eps * s reaches that width every point in
+    the box scores like a solution; such a QP is held to the absolute tol.
+    """
+    if resid <= tol:
+        return True
+    scale = float(np.abs(h).max()) * float(np.abs(x).max()) + float(np.abs(f).max())
+    return resid <= tol * max(1.0, scale) and _EPS * scale < float((ub - lb).max())
+
+
+class RegionTable(NamedTuple):
+    """Every bound partition of one (H, lb, ub) with the region of f it is optimal on.
+
+    Partition r (row r of parts) holds f when its free iterate
+    z_S = -H_SS^-1 (f_S + H_SP z_P) lies in the box and every pinned
+    multiplier g_P = (H z + f)_P has its bound's sign, solve_box_qp's
+    violation test in exact arithmetic. Both are affine in f. The linear part
+    depends on the free set S alone, one row per coordinate (z_i for a free
+    i, g_i for a pinned one), and the pinned bounds add a constant per
+    partition, which lo and hi absorb.
+    """
+
+    parts: np.ndarray     # (3^M, M) int8, -1/0/+1 per coordinate as solve_box_qp's start
+    gains: np.ndarray     # (M 2^M, M): row i 2^M + s maps f to coordinate i's value on free set s
+    free_set: np.ndarray  # (3^M,) each partition's free set, an index into the 2^M
+    lo: np.ndarray        # (M, 3^M) lower limits of each partition's values, less its constant
+    hi: np.ndarray        # (M, 3^M) upper limits, likewise
+
+    def locate(self, f: np.ndarray) -> np.ndarray | None:
+        """The partition whose region holds f, a row of parts (copy it to change it);
+        None if roundoff leaves f in no region."""
+        w = (self.gains @ f).reshape(self.lo.shape[0], -1).take(self.free_set, axis=1)
+        inside = ((w >= self.lo) & (w <= self.hi)).all(0)
+        r = int(inside.argmax())
+        return self.parts[r] if inside[r] else None
+
+
+def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable | None:
+    """The RegionTable of min 0.5 u'Hu + f'u, lb <= u <= ub over all f.
+
+    None where a table is not built: more than MAX_TABLE_MOVES variables, a
+    zero-width box (lb == ub) or a bound that is not finite. One batched
+    inverse covers every free set: H_SS padded with the identity on the
+    pinned block inverts to H_SS^-1 padded alike.
+    """
+    m = lb.size
+    if m > MAX_TABLE_MOVES or not (np.isfinite(lb).all() and np.isfinite(ub).all()
+                                   and (lb < ub).all()):
+        return None
+    eye = np.eye(m, dtype=bool)
+    sets = np.array(list(itertools.product((False, True), repeat=m)))  # (2^M, M) free masks
+    both = sets[:, :, None] & sets[:, None, :]
+    inv = np.where(both, np.linalg.inv(np.where(both, h, eye)), 0.0)  # H_SS^-1, 0 off S x S
+    # Coordinate i's value is e_i' z when free and H_i z + f_i when pinned.
+    rows = np.where(sets[:, :, None], eye, h)
+    gains = np.where(sets[:, :, None], 0.0, eye) - rows @ inv
+
+    parts = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.int8)
+    free = parts == 0
+    free_set = free @ (1 << np.arange(m - 1, -1, -1))
+    pinned_at = np.where(parts < 0, lb, np.where(parts > 0, ub, 0.0))
+    z0 = pinned_at - np.einsum("rij,rj->ri", inv[free_set], pinned_at @ h)  # z at f = 0
+    offset = np.einsum("rij,rj->ri", rows[free_set], z0)
+    lo = np.where(free, lb, np.where(parts < 0, 0.0, -np.inf)) - offset
+    hi = np.where(free, ub, np.where(parts > 0, 0.0, np.inf)) - offset
+    return RegionTable(parts, gains.transpose(1, 0, 2).reshape(m << m, m), free_set,
+                       np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T))
+
+
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
-                 start: np.ndarray | None = None) -> QpSolution:
+                 start: np.ndarray | None = None,
+                 table: RegionTable | None = None) -> QpSolution:
     """Deterministic box-QP solve to a KKT tolerance.
 
     The search is over bound partitions: pinned coordinates sit on their
@@ -326,13 +414,27 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     when the solve took more than one iteration and None otherwise, so a
     start is carried only past a guess that missed.
 
+    table is the RegionTable of the QP's (H, lb, ub), as region_table builds
+    it. Once the guess and the start (if one is tried) have missed, the
+    solver looks f up in it and finishes the partition found exactly, at
+    once; only if that finish fails, or f lies in no region, does the search
+    above go on, from the finished point's violations (or, with no region,
+    as without a table). Where the table's partition holds, a QP whose guess
+    and start miss takes two or three iterations. The table is read as a
+    hint: one built from another H, or other bounds, changes the path and
+    never the answer.
+
     Every reduced solve counts one iteration; primal_iterations counts
     those of the primal phase. The status is "converged" only when the
-    returned point meets the tolerance: an accepted partition whose point
-    does not (say a NaN gradient, which no violation test catches) is
-    "inaccurate". If the budget max_iter runs out first, returns the last
-    partition's point clipped to the box, with status "max_iter" unless it
-    happens to meet the tolerance anyway.
+    returned point meets the tolerance, tol * max(1, max|H| max|u| +
+    max|f|), relative to the gradient's scale so that large weights alone
+    do not fail it; where that scale's roundoff reaches the box's widest
+    side, the residual cannot tell points apart and the absolute tol holds.
+    An accepted partition whose point does not meet it (say a NaN gradient,
+    which no violation test catches) is "inaccurate". If the budget
+    max_iter runs out first, returns the last partition's point clipped to
+    the box, with status "max_iter" unless it happens to meet the tolerance
+    anyway.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -355,6 +457,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     # A start is tried only where it differs from the guess, i.e. where the
     # search it came from did not accept its own guess.
     warm = start is not None and start.tobytes() != part.tobytes()
+    finish_at = 0 if warm else 1  # the iteration whose partition is finished at once
     it = 0
     patience = 3
     best_infeas = nv + 1
@@ -369,7 +472,8 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         z, rows, h_free, f_free = _reduced(h, f, lb, ub, x_unc, part, free)
         # The guess partition is finished at once, so a guess that holds
         # costs no more than that; with a start to try, it is tested cheaply.
-        exact = it == 1 and not warm
+        # The table's partition is finished at once too.
+        exact = it == finish_at
         if exact:
             _refine(z, free, rows, h_free, f_free)
         too_low, too_high, leave, g, n_viol = _violations(h, f, lb, ub, movable, part, z)
@@ -382,8 +486,9 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             if x.tobytes() != z.tobytes():
                 g = h @ x + f  # else the test's gradient is already H x + f
             resid = _kkt_residual(x, g, lb, ub)
-            return QpSolution._trusted(x, it, "converged" if resid <= tol else "inaccurate",
-                                       resid, primal_its, part if it > 1 else None)
+            return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
+                                       else "inaccurate", resid, primal_its,
+                                       part if it > 1 else None)
         if warm:
             if it == 1:
                 # The guess missed: probe the start, then go on from whichever
@@ -397,6 +502,14 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             warm = False
             if missed[-1] <= n_viol:
                 part, too_low, too_high, leave, n_viol = missed
+        if table is not None:
+            found = table.locate(f)
+            table = None  # looked up once
+            if found is not None:
+                part = found.copy()
+                part[fixed] = -1
+                finish_at = it + 1
+                continue
         if not primal:
             if n_viol < best_infeas:
                 best_infeas = n_viol
@@ -437,5 +550,5 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     _refine(z, free, rows, h_free, f_free)
     x = z.clip(lb, ub)
     resid = _kkt_residual(x, h @ x + f, lb, ub)
-    return QpSolution._trusted(x, it, "converged" if resid <= tol else "max_iter",
-                               resid, primal_its, None)
+    return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
+                               else "max_iter", resid, primal_its, None)

@@ -13,6 +13,7 @@ import pytest
 import trackmpc.config as config_mod
 import trackmpc.controllers as controllers_mod
 import trackmpc.simulate
+from qp_reference import reference_solve_box_qp
 from trackmpc import (
     ConfigError,
     ControlError,
@@ -371,9 +372,10 @@ def _assert_matches_reference(workload, tmp_path):
 
 def test_weights_too_large_for_the_qp_name_their_scale(tmp_path, capsys):
     # (w_y * alpha)^2 = 7.8e300 is finite, so the config is valid; but the
-    # condensed Hessian then reaches 1e301 to 1e305, and the solver's KKT
-    # tolerance is absolute, so no variant's first QP converges. Each
-    # failure names that weight scale instead of a bare residual.
+    # condensed Hessian then reaches 1e301 to 1e305, where the gradient's
+    # roundoff exceeds the slew box and the solver's KKT tolerance cannot
+    # scale with it, so no variant's first QP converges. Each failure names
+    # that weight scale instead of a bare residual.
     step = str(ROOT / "scenarios" / "step.cfg")
     big = ["--set", "controller.w_y=1e150"]
     assert main(["validate-config", step, *big]) == 0
@@ -385,6 +387,56 @@ def test_weights_too_large_for_the_qp_name_their_scale(tmp_path, capsys):
         assert "QP stopped at inaccurate with KKT residual" in line
         assert "at weight scale max|H| = " in line
         assert line.endswith("((w_y*alpha)^2 = 7.840e+300, (w_du*alpha)^2 = 7.840e-02)")
+
+
+@pytest.mark.parametrize("scenario,assignment", [
+    ("step.cfg", "controller.w_y=100"), ("step.cfg", "controller.w_y=1000"),
+    ("complete.cfg", "controller.horizon=21")])
+def test_ordinary_weights_converge_at_the_gradient_scale(scenario, assignment, tmp_path,
+                                                         capsys, monkeypatch):
+    # these QPs miss the absolute 1e-8 KKT tolerance by roundoff at their
+    # gradient's scale (max|H| reaches 1e9 to 1e11), which the relative
+    # tolerance accepts: every variant runs ok
+    residuals = []
+    real = controllers_mod.solve_box_qp
+
+    def recording(qp, **kwargs):
+        sol = real(qp, **kwargs)
+        residuals.append(sol.kkt_residual)
+        return sol
+
+    monkeypatch.setattr(controllers_mod, "solve_box_qp", recording)
+    assert main(["compare", str(ROOT / "scenarios" / scenario), "--set", assignment,
+                 "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert max(residuals) > 1e-8
+
+
+def test_zero_width_slew_box_builds_no_table(tmp_path, capsys, monkeypatch):
+    # rate_limit * ts rounds to 0, so lb == ub (-0.0 == 0.0) pins every
+    # move: the fixed-model variants build no region table, every applied
+    # move is zero, and the run writes the bytes of one whose QPs the
+    # reference solver answers (the clock ticks alike in both)
+    ticks = itertools.cycle((1.0, 1.25))
+    monkeypatch.setattr(trackmpc.simulate, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    built = []
+    real = controllers_mod.region_table
+    monkeypatch.setattr(controllers_mod, "region_table",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    args = ["compare", str(ROOT / "scenarios" / "step.cfg"),
+            "--set", "controller.rate_limit=5e-324", "--output-dir"]
+    assert main([*args, str(tmp_path / "ours")]) == 0
+    assert built == [None, None]
+    monkeypatch.setattr(controllers_mod, "solve_box_qp",
+                        lambda qp, **kwargs: reference_solve_box_qp(qp))
+    assert main([*args, str(tmp_path / "reference")]) == 0
+    capsys.readouterr()
+    for name in [f"trace_{v}.csv" for v in VARIANTS] + ["summary.csv"]:
+        ours = (tmp_path / "ours" / name).read_bytes()
+        assert ours == (tmp_path / "reference" / name).read_bytes(), name
+    for variant in VARIANTS:
+        assert not read_trace(tmp_path / "ours" / f"trace_{variant}.csv")["u"].any()
 
 
 def test_compares_in_one_process_share_nothing(tmp_path):

@@ -142,7 +142,8 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
         monkeypatch.setattr(trackmpc.controllers, name, wrapper)
 
     for name in (*set(_LINEARIZE.values()), "build_prediction", "condense_cost",
-                 "horizon_weights", "build_tracking_qp", "solve_box_qp", "generate_delta_refs"):
+                 "region_table", "horizon_weights", "build_tracking_qp", "solve_box_qp",
+                 "generate_delta_refs"):
         counting(name)
 
     cfg = config_for(variant, w_u=50.0, u_target=0.01)
@@ -152,7 +153,8 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     fixed_model = variant in ("baseline", "weight_tuned")
     per_run = {"horizon_weights": 1}
     if fixed_model:
-        per_run.update({"linearize_initial": 1, "build_prediction": 1, "condense_cost": 1})
+        per_run.update({"linearize_initial": 1, "build_prediction": 1, "condense_cost": 1,
+                        "region_table": 1})
     assert calls == Counter(per_run)
 
     # Three steps from one plant, then one from a turned plant. A
@@ -175,6 +177,39 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
 
 def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fixed_model_record_carries_the_region_table_of_its_qps(variant, monkeypatch):
+    # the fixed model's table is region_table of its H and slew box, handed
+    # to every solve; a re-linearizing variant and a fixed model past
+    # MAX_TABLE_MOVES moves hand the solver none
+    handed = []
+    real = trackmpc.controllers.solve_box_qp
+
+    def recording(qp, **kwargs):
+        handed.append((qp, kwargs["table"]))
+        return real(qp, **kwargs)
+
+    monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
+    fixed_model = variant in ("baseline", "weight_tuned")
+    for m in (trackmpc.qp.MAX_TABLE_MOVES - 1, trackmpc.qp.MAX_TABLE_MOVES + 1):
+        cfg = config_for(variant, control_horizon=m)
+        path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+        plant = VehicleState(x=0.1, y=0.2, psi=0.05, beta=0.01)
+        ctrl = init_state(cfg, plant, PARAMS)
+        handed.clear()
+        for _ in range(3):
+            _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+        table = ctrl.model.table
+        assert all(t is table for _, t in handed)
+        if not fixed_model or m > trackmpc.qp.MAX_TABLE_MOVES:
+            assert table is None
+            continue
+        qp = handed[0][0]
+        expected = trackmpc.qp.region_table(qp.h, qp.lb, qp.ub)
+        for name in expected._fields:
+            assert _same_bytes(getattr(table, name), getattr(expected, name)), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -35,7 +35,7 @@ from trackmpc import (
 )
 from trackmpc.cli import run_compare
 from trackmpc.controllers import VARIANT_DEFAULTS
-from trackmpc.qp import condense_cost
+from trackmpc.qp import MAX_TABLE_MOVES, condense_cost, region_table
 
 PARAMS = VehicleParams()
 
@@ -634,11 +634,11 @@ SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 def _recorded_qps(scenario, tmp_path):
     """Every QP run_compare solves on a shipped scenario, in order, with the
-    start the controller handed the solver."""
+    start and the region table the controller handed the solver."""
     qps = []
 
     def recording(qp, *args, **kwargs):
-        qps.append((qp, kwargs.get("start")))
+        qps.append((qp, kwargs.get("start"), kwargs.get("table")))
         return solve_box_qp(qp, *args, **kwargs)
 
     cfg = apply_overrides(parse_config((SHIPPED / scenario).read_text()),
@@ -674,7 +674,7 @@ def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solv
     # the search may take any path, but the exact finish of the partition it
     # accepts must return the reference solver's bits on every shipped QP,
     # with fewer linear solves where the block swaps used to stall
-    qps = [qp for qp, _ in _recorded_qps(scenario, tmp_path)]
+    qps = [qp for qp, _, _ in _recorded_qps(scenario, tmp_path)]
     ours, our_calls = _counting_solves(solve_box_qp, qps)
     theirs, their_calls = _counting_solves(reference_solve_box_qp, qps)
     for i, (sol, ref) in enumerate(zip(ours, theirs)):
@@ -695,7 +695,7 @@ def test_warm_start_keeps_every_shipped_qp_bit_for_bit(scenario, fewer_solves, t
     # partition where the guess missed) returns the cold solve's bits, a
     # guess that holds cold still holds at once, and the linear solves drop
     # where the controllers stay on the same bounds from step to step
-    qps, starts = zip(*_recorded_qps(scenario, tmp_path))
+    qps, starts, _ = zip(*_recorded_qps(scenario, tmp_path))
     assert any(start is not None for start in starts) == (scenario != "straight.cfg")
     warm, warm_calls = _counting_solves(solve_box_qp, qps, starts)
     cold, cold_calls = _counting_solves(solve_box_qp, qps)
@@ -708,3 +708,78 @@ def test_warm_start_keeps_every_shipped_qp_bit_for_bit(scenario, fewer_solves, t
     assert warm_calls <= cold_calls
     if fewer_solves:
         assert warm_calls < cold_calls
+
+
+@pytest.mark.parametrize("scenario", ["complete.cfg", "straight.cfg", "sine_disturbed.cfg",
+                                      "step.cfg"])
+def test_region_table_finds_every_fixed_model_partition(scenario, tmp_path):
+    # each fixed-model run builds one table and hands it to every solve; a
+    # QP whose guess and start miss finishes the table's partition at once,
+    # so no solve passes 3 iterations, and the answer keeps the reference
+    # bits. Each variant's total against the same starts without the table
+    # does not rise.
+    recorded = _recorded_qps(scenario, tmp_path)
+    tables = {id(table): table for _, _, table in recorded if table is not None}
+    assert len(tables) == 2  # baseline and weight_tuned
+    for key in tables:
+        with_table = without = 0
+        for i, (qp, start, table) in enumerate(recorded):
+            if id(table) != key:
+                continue
+            sol = solve_box_qp(qp, start=start, table=table)
+            assert np.array_equal(sol.u, reference_solve_box_qp(qp).u), (scenario, i)
+            assert sol.status == "converged" and sol.kkt_residual <= 1e-8, (scenario, i)
+            assert sol.iterations <= 3, (scenario, i)
+            with_table += sol.iterations
+            without += solve_box_qp(qp, start=start).iterations
+        assert with_table <= without
+
+
+def test_region_table_is_only_a_hint():
+    # a table built from another H, or another box, points the search at a
+    # wrong partition; the exact finish rejects it and the search goes on to
+    # the reference bits
+    rng = np.random.default_rng(5)
+    steered = 0
+    for _ in range(200):
+        n = int(rng.integers(2, MAX_TABLE_MOVES + 1))
+        m = rng.normal(size=(n, n))
+        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
+                       lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
+        other = rng.normal(size=(n, n))
+        for table in (region_table(other.T @ other + np.eye(n), qp.lb, qp.ub),
+                      region_table(qp.h, 0.1 * qp.lb, 3.0 * qp.ub)):
+            sol = solve_box_qp(qp, table=table)
+            assert np.array_equal(sol.u, reference_solve_box_qp(qp).u)
+            assert sol.status == "converged" and sol.kkt_residual <= 1e-8
+            steered += sol.iterations > 1
+    assert steered > 50
+
+
+def test_region_table_locates_the_reference_partition():
+    # where no bound is weakly active, the region that holds f is the
+    # partition of the reference solution
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(1, MAX_TABLE_MOVES + 1))
+        m = rng.normal(size=(n, n))
+        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
+                       lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
+        u = reference_solve_box_qp(qp).u
+        expected = np.where(u <= qp.lb, -1, np.where(u >= qp.ub, 1, 0))
+        np.testing.assert_array_equal(region_table(qp.h, qp.lb, qp.ub).locate(qp.f), expected)
+
+
+def test_region_table_is_built_only_where_it_applies():
+    h = np.eye(MAX_TABLE_MOVES + 1)
+    box = np.ones(MAX_TABLE_MOVES + 1)
+    assert region_table(h, -box, box) is None  # too many moves
+    h, box = h[1:, 1:], box[1:]
+    table = region_table(h, -box, box)
+    assert table.parts.shape == (3 ** MAX_TABLE_MOVES, MAX_TABLE_MOVES)
+    zero_width = box.copy()
+    zero_width[2] = 0.0
+    assert region_table(h, -zero_width, zero_width) is None  # lb == ub (-0.0 == 0.0)
+    unbounded = box.copy()
+    unbounded[0] = np.inf
+    assert region_table(h, -box, unbounded) is None

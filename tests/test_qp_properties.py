@@ -41,7 +41,7 @@ from trackmpc import (  # noqa: E402
     linearize_velocity,
     solve_box_qp,
 )
-from trackmpc.qp import condense_cost  # noqa: E402
+from trackmpc.qp import MAX_TABLE_MOVES, condense_cost, region_table  # noqa: E402
 
 KKT_TOL = 1e-8
 
@@ -51,7 +51,7 @@ def _floats(lo: float, hi: float):
 
 
 @st.composite
-def box_qps(draw, max_n: int = 8):
+def box_qps(draw, max_n: int = 8, kinds=("wide", "narrow", "pinned")):
     """H = M'M + shift*I with wide, narrow or pinned (lb == ub) coordinates."""
     n = draw(st.integers(1, max_n))
     m = np.array(draw(st.lists(_floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
@@ -61,7 +61,7 @@ def box_qps(draw, max_n: int = 8):
     lb, ub = np.empty(n), np.empty(n)
     for i in range(n):
         center = draw(_floats(-1.0, 1.0))
-        kind = draw(st.sampled_from(("wide", "narrow", "pinned")))
+        kind = draw(st.sampled_from(kinds))
         width = {"wide": _floats(1e-2, 2.0), "narrow": _floats(1e-6, 1e-3),
                  "pinned": st.just(0.0)}[kind]
         lb[i] = center
@@ -237,6 +237,32 @@ def test_random_qps_keep_the_reference_bits(case):
 @given(started_qps(move_qps(max_n=20)))
 def test_move_structure_keeps_the_reference_bits(case):
     _assert_reference_bits(*case)
+
+
+# The region table of a QP's own (H, lb, ub) picks the partition the search
+# finishes once the guess and the start miss; that finish keeps the bits.
+
+def _assert_table_keeps_the_reference_bits(qp, start):
+    table = region_table(qp.h, qp.lb, qp.ub)
+    assert table is not None
+    ref = reference_solve_box_qp(qp).u
+    cold = solve_box_qp(qp, table=table)
+    event(f"guess missed: {cold.iterations > 1}")
+    assert np.array_equal(cold.u, ref)
+    assert np.array_equal(solve_box_qp(qp, start=start, table=table).u, ref)
+    assert cold.status == "converged" and cold.kkt_residual <= KKT_TOL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(started_qps(box_qps(max_n=MAX_TABLE_MOVES, kinds=("wide", "narrow"))))
+def test_table_path_keeps_the_reference_bits(case):
+    _assert_table_keeps_the_reference_bits(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(started_qps(move_qps(max_n=MAX_TABLE_MOVES)))
+def test_table_path_keeps_the_reference_bits_on_move_structure(case):
+    _assert_table_keeps_the_reference_bits(*case)
 
 
 # A weight_tuned QP of the shipped course (scenarios/complete.cfg): the
