@@ -140,7 +140,8 @@ class ModelQp(NamedTuple):
     beta + T du, with T the cumulative-move map, so cost condenses over the
     moves' Su T, input_weight is (w, T) of the w_u term, None when w_u is
     zero, and table is the RegionTable of (cost.h, the slew box), which
-    every QP of the run shares (None where region_table builds none). A
+    every QP of the run shares and from which the solver takes its bound
+    partition without a search (None where region_table builds none). A
     re-linearized model's record has input_weight and table None and is
     replaced only when its key changes.
     """
@@ -295,8 +296,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
       move, and the w_u term pulls those absolute commands toward u_target.
       Its ModelQp comes from init_state and is never replaced; a step forms
       only the drift of the held slip and f, and the solver is handed the
-      record's region table, which locates the QP's bound partition when
-      the guess and the start miss.
+      record's region table: unless the unconstrained minimizer lies inside
+      the box, it locates the QP's bound partition, which the solver
+      finishes without a search.
     * difference state (velocity_sl): the measured state is the backward
       difference of the last two measured plant states. The first-stage
       displacement reference comes from generate_delta_refs; later stages
@@ -314,7 +316,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     same operating point); otherwise it reuses ControllerState.model.
 
     Each step hands the solver the partition the previous solve accepted
-    after its guess missed. solve_box_qp is a pure function of (H, f, the
+    after its guess missed (a solve finished from the table takes one
+    iteration and hands on none). solve_box_qp is a pure function of (H, f, the
     bounds, start, table), and the table goes with the H object, so a step
     whose QP is the previous one bit for bit (the same H object, f bytes and
     bound, with the same start handed in) reuses

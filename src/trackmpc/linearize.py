@@ -45,6 +45,13 @@ class AffineLtiModel:
     b: np.ndarray      # (3,)
     k: np.ndarray      # (3,) affine drift per step
 
+    @classmethod
+    def _trusted(cls, c: np.ndarray, b: np.ndarray, k: np.ndarray) -> "AffineLtiModel":
+        """Build without the frozen constructor's setattr per field."""
+        model = object.__new__(cls)
+        model.__dict__.update(c=c, b=b, k=k)
+        return model
+
     @property
     def a(self) -> np.ndarray:
         """The full (3, 3) state matrix I + c e3'."""
@@ -106,7 +113,7 @@ def linearize_position(state: VehicleState, params: VehicleParams, ts: float) ->
         v * math.sin(heading),
         v / params.lr * math.sin(state.beta),
     ])
-    return AffineLtiModel(c=_UNCOUPLED, b=b, k=k)
+    return AffineLtiModel._trusted(_UNCOUPLED, b, k)
 
 
 def linearize_velocity(state: VehicleState, params: VehicleParams, ts: float) -> AffineLtiModel:
@@ -121,4 +128,4 @@ def linearize_velocity(state: VehicleState, params: VehicleParams, ts: float) ->
     the drift K is zero.
     """
     b = _slip_column(state, params, ts)
-    return AffineLtiModel(c=b[:2], b=b, k=_NO_DRIFT)
+    return AffineLtiModel._trusted(b[:2], b, _NO_DRIFT)

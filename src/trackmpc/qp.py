@@ -23,8 +23,9 @@ For a fixed (H, lb, ub) the optimal partition is a piecewise-constant
 function of f whose regions are polyhedra (Bemporad, Morari, Dua and
 Pistikopoulos, "The explicit linear quadratic regulator for constrained
 systems", Automatica 38(1), 2002). region_table enumerates them once for
-QPs of at most MAX_TABLE_MOVES variables, and the solver looks f up in it
-when its guess and its start miss; the lookup only steers the search.
+QPs of at most MAX_TABLE_MOVES variables, and a solver handed the table
+finishes the partition it locates for f in place of any search; the
+search runs only where the table names none or its finish fails.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ _EPS = float(np.finfo(float).eps)
 # 108 us at 8 (minimum of timeit repeats, shared 2-vCPU x86-64 host), against
 # about 47 us for one solver iteration.
 MAX_TABLE_MOVES = 6
+# A region table names a partition only where f lies farther than this,
+# relative, from the boundary of its region (see RegionTable).
+_BOUNDARY = 1e-9
 
 
 class HorizonWeights(NamedTuple):
@@ -170,6 +174,13 @@ class CondensedCost:
     suq: np.ndarray
     h: np.ndarray
 
+    @classmethod
+    def _trusted(cls, suq: np.ndarray, h: np.ndarray) -> "CondensedCost":
+        """Build without the frozen constructor's setattr per field."""
+        cost = object.__new__(cls)
+        cost.__dict__.update(suq=suq, h=h)
+        return cost
+
 
 def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
                   input_weight: tuple[float, np.ndarray] | None = None) -> CondensedCost:
@@ -189,7 +200,7 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
         w, t_map = input_weight
         h = h + w * (t_map.T @ t_map)
     h.flags.writeable = False
-    return CondensedCost(suq=suq, h=h)
+    return CondensedCost._trusted(suq, h)
 
 
 def build_tracking_qp(
@@ -245,7 +256,18 @@ class QpSolution:
         return sol
 
 
-def _reduced(h, f, lb, ub, x_unc, part, free):
+def _blocks(h, free, pinned):
+    """(rows, h_free, h_pinned): H's free rows and their free and pinned blocks.
+
+    The blocks are sliced from the free rows by column masks, which leaves
+    the pinned block F-ordered: its product with z rounds by that layout, so
+    a C-ordered copy of the same values would change the bits.
+    """
+    rows = h[free]
+    return rows, rows[:, free], rows[:, pinned]
+
+
+def _reduced(h, f, lb, ub, x_unc, part, free, blocks=None):
     """The cheap iterate of a partition: (z, rows, h_free, f_free).
 
     Pinned coordinates sit on their bound and free ones solve the reduced
@@ -254,9 +276,8 @@ def _reduced(h, f, lb, ub, x_unc, part, free):
     reuses the unconstrained solve x_unc and refines on H itself, which
     rounds like a copy of all its rows because every QpProblem's H is
     C-ordered (the constructor's symmetrization and condense_cost make it
-    so). The blocks are sliced from H's free rows by column masks, which
-    leaves the pinned block F-ordered: its product with z rounds by that
-    layout, so a C-ordered copy of the same values would change the bits.
+    so). blocks maps a free set's bytes to its _blocks of this H, built
+    ahead; without it they are gathered here.
     """
     n_free = np.count_nonzero(free)
     if n_free == free.size:
@@ -265,9 +286,12 @@ def _reduced(h, f, lb, ub, x_unc, part, free):
     if not n_free:
         return z, None, None, None
     pinned = ~free
-    rows = h[free]
-    h_free, f_free = rows[:, free], f[free]
-    z[free] = np.linalg.solve(h_free, -(f_free + rows[:, pinned] @ z[pinned]))
+    if blocks is None:
+        rows, h_free, h_pinned = _blocks(h, free, pinned)
+    else:
+        rows, h_free, h_pinned = blocks[free.tobytes()]
+    f_free = f[free]
+    z[free] = np.linalg.solve(h_free, -(f_free + h_pinned @ z[pinned]))
     return z, rows, h_free, f_free
 
 
@@ -319,17 +343,30 @@ class RegionTable(NamedTuple):
     depends on the free set S alone, one row per coordinate (z_i for a free
     i, g_i for a pinned one), and the pinned bounds add a constant per
     partition, which lo and hi absorb.
+
+    lo and hi are narrowed by a margin, _BOUNDARY times the box's width for
+    a free value and times the gradient's scale over the box, max|H| times
+    the largest bound, for a pinned one. Where f lies within it of a
+    region's boundary, two partitions both hold in exact arithmetic and
+    roundoff picks the one a search accepts, so the table names neither.
+
+    h is the H object the table was built from and blocks the _blocks of
+    each free set of it, keyed by the free mask's bytes, so that solving a
+    QP of that H object gathers none.
     """
 
     parts: np.ndarray     # (3^M, M) int8, -1/0/+1 per coordinate as solve_box_qp's start
     gains: np.ndarray     # (M 2^M, M): row i 2^M + s maps f to coordinate i's value on free set s
     free_set: np.ndarray  # (3^M,) each partition's free set, an index into the 2^M
-    lo: np.ndarray        # (M, 3^M) lower limits of each partition's values, less its constant
-    hi: np.ndarray        # (M, 3^M) upper limits, likewise
+    lo: np.ndarray        # (M, 3^M) lower limits of each partition's values, less its constant,
+    hi: np.ndarray        # (M, 3^M) and upper ones, both narrowed by the margin
+    h: np.ndarray
+    blocks: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def locate(self, f: np.ndarray) -> np.ndarray | None:
-        """The partition whose region holds f, a row of parts (copy it to change it);
-        None if roundoff leaves f in no region."""
+        """The partition whose region holds f with the margin, a row of parts
+        (copy it to change it); None if f lies in no region or within the
+        margin of a region's boundary."""
         w = (self.gains @ f).reshape(self.lo.shape[0], -1).take(self.free_set, axis=1)
         inside = ((w >= self.lo) & (w <= self.hi)).all(0)
         r = int(inside.argmax())
@@ -362,10 +399,35 @@ def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable |
     pinned_at = np.where(parts < 0, lb, np.where(parts > 0, ub, 0.0))
     z0 = pinned_at - np.einsum("rij,rj->ri", inv[free_set], pinned_at @ h)  # z at f = 0
     offset = np.einsum("rij,rj->ri", rows[free_set], z0)
-    lo = np.where(free, lb, np.where(parts < 0, 0.0, -np.inf)) - offset
-    hi = np.where(free, ub, np.where(parts > 0, 0.0, np.inf)) - offset
+    bound = max(float(np.abs(lb).max()), float(np.abs(ub).max()))
+    margin = _BOUNDARY * np.where(free, ub - lb, float(np.abs(h).max()) * bound)
+    lo = np.where(free, lb, np.where(parts < 0, 0.0, -np.inf)) - offset + margin
+    hi = np.where(free, ub, np.where(parts > 0, 0.0, np.inf)) - offset - margin
     return RegionTable(parts, gains.transpose(1, 0, 2).reshape(m << m, m), free_set,
-                       np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T))
+                       np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T), h,
+                       {s.tobytes(): _blocks(h, s, ~s) for s in sets})
+
+
+def _finish(h, f, lb, ub, movable, part, free, cheap, tol, it, primal_its):
+    """The exact finish of a partition from its cheap iterate: (solution, violations).
+
+    Refines the cheap iterate (z, rows, h_free, f_free) in place and tests
+    the refined point again. If it holds, the solution is its projection
+    onto the box with its KKT residual, and carries part as its start when
+    the solve took more than one iteration; otherwise the solution is None
+    and the violations are the refined point's, for the search to go on from.
+    """
+    z, rows, h_free, f_free = cheap
+    _refine(z, free, rows, h_free, f_free)
+    viol = _violations(h, f, lb, ub, movable, part, z)
+    if viol[-1]:
+        return None, viol
+    x = z.clip(lb, ub)  # exact projection of roundoff
+    g = viol[3] if x.tobytes() == z.tobytes() else h @ x + f  # the test's H z + f if clip kept z
+    resid = _kkt_residual(x, g, lb, ub)
+    return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
+                               else "inaccurate", resid, primal_its,
+                               part if it > 1 else None), viol
 
 
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
@@ -415,12 +477,17 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     start is carried only past a guess that missed.
 
     table is the RegionTable of the QP's (H, lb, ub), as region_table builds
-    it. Once the guess and the start (if one is tried) have missed, the
-    solver looks f up in it and finishes the partition found exactly, at
-    once; only if that finish fails, or f lies in no region, does the search
-    above go on, from the finished point's violations (or, with no region,
-    as without a table). Where the table's partition holds, a QP whose guess
-    and start miss takes two or three iterations. The table is read as a
+    it. Where the unconstrained minimizer lies strictly inside the box, the
+    guess is finished as above. Otherwise the solver looks f up in the table
+    and finishes the partition found exactly, at once, with neither the
+    guess's reduced solve nor the start tried; where that finish holds, the
+    solve takes one iteration. If it fails, or if f lies in no region or on
+    a region's boundary (within the table's margin, where roundoff would
+    pick between two partitions that both hold), the solver returns what
+    it returns without a table, and a finish it discarded is not counted.
+    A table built from this H object also holds H's blocks for every free
+    set, which that finish uses in place of gathering them (so H must not
+    change in place after the table is built). The table is read as a
     hint: one built from another H, or other bounds, changes the path and
     never the answer.
 
@@ -454,6 +521,19 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     part[x_unc >= ub] = 1
     part[fixed] = -1
 
+    if table is not None and np.count_nonzero(part):
+        # The unconstrained minimizer leaves the box: finish the table's partition.
+        found = table.locate(f)
+        if found is not None:
+            found = found.copy()
+            found[fixed] = -1
+            free = found == 0
+            blocks = table.blocks if table.h is h else None
+            sol, _ = _finish(h, f, lb, ub, movable, found, free,
+                             _reduced(h, f, lb, ub, x_unc, found, free, blocks), tol, 1, 0)
+            if sol is not None:
+                return sol
+
     # A start is tried only where it differs from the guess, i.e. where the
     # search it came from did not accept its own guess.
     warm = start is not None and start.tobytes() != part.tobytes()
@@ -469,26 +549,19 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         if primal:
             primal_its += 1
         free = part == 0
-        z, rows, h_free, f_free = _reduced(h, f, lb, ub, x_unc, part, free)
+        cheap = _reduced(h, f, lb, ub, x_unc, part, free)
+        z = cheap[0]  # refined in place by _finish
         # The guess partition is finished at once, so a guess that holds
         # costs no more than that; with a start to try, it is tested cheaply.
-        # The table's partition is finished at once too.
         exact = it == finish_at
+        if not exact:
+            viol = _violations(h, f, lb, ub, movable, part, z)
+            exact = not viol[-1]
         if exact:
-            _refine(z, free, rows, h_free, f_free)
-        too_low, too_high, leave, g, n_viol = _violations(h, f, lb, ub, movable, part, z)
-        if n_viol == 0 and not exact:
-            exact = True
-            _refine(z, free, rows, h_free, f_free)
-            too_low, too_high, leave, g, n_viol = _violations(h, f, lb, ub, movable, part, z)
-        if n_viol == 0:
-            x = z.clip(lb, ub)  # exact projection of roundoff
-            if x.tobytes() != z.tobytes():
-                g = h @ x + f  # else the test's gradient is already H x + f
-            resid = _kkt_residual(x, g, lb, ub)
-            return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
-                                       else "inaccurate", resid, primal_its,
-                                       part if it > 1 else None)
+            sol, viol = _finish(h, f, lb, ub, movable, part, free, cheap, tol, it, primal_its)
+            if sol is not None:
+                return sol
+        too_low, too_high, leave, g, n_viol = viol
         if warm:
             if it == 1:
                 # The guess missed: probe the start, then go on from whichever
@@ -502,14 +575,6 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             warm = False
             if missed[-1] <= n_viol:
                 part, too_low, too_high, leave, n_viol = missed
-        if table is not None:
-            found = table.locate(f)
-            table = None  # looked up once
-            if found is not None:
-                part = found.copy()
-                part[fixed] = -1
-                finish_at = it + 1
-                continue
         if not primal:
             if n_viol < best_infeas:
                 best_infeas = n_viol

@@ -239,15 +239,15 @@ def test_move_structure_keeps_the_reference_bits(case):
     _assert_reference_bits(*case)
 
 
-# The region table of a QP's own (H, lb, ub) picks the partition the search
-# finishes once the guess and the start miss; that finish keeps the bits.
+# The region table of a QP's own (H, lb, ub) names the partition the solver
+# finishes in place of a search; that finish keeps the bits.
 
 def _assert_table_keeps_the_reference_bits(qp, start):
     table = region_table(qp.h, qp.lb, qp.ub)
     assert table is not None
     ref = reference_solve_box_qp(qp).u
     cold = solve_box_qp(qp, table=table)
-    event(f"guess missed: {cold.iterations > 1}")
+    event(f"more than one iteration: {cold.iterations > 1}")
     assert np.array_equal(cold.u, ref)
     assert np.array_equal(solve_box_qp(qp, start=start, table=table).u, ref)
     assert cold.status == "converged" and cold.kkt_residual <= KKT_TOL
@@ -263,6 +263,41 @@ def test_table_path_keeps_the_reference_bits(case):
 @given(started_qps(move_qps(max_n=MAX_TABLE_MOVES)))
 def test_table_path_keeps_the_reference_bits_on_move_structure(case):
     _assert_table_keeps_the_reference_bits(*case)
+
+
+# Where the unconstrained minimizer lies on the box, or a bound is weakly
+# active, two partitions share a region boundary and both hold in exact
+# arithmetic, so roundoff picks the one a search accepts. Drawn in exact
+# arithmetic (integer H, dyadic bounds, f = -H x with x on a bound), QPs sit
+# on such a boundary; there the table's partition must not be taken in
+# place of the search's, so handed its own table a QP returns exactly what
+# it returns without one.
+
+@st.composite
+def boundary_qps(draw, max_n: int = MAX_TABLE_MOVES):
+    n = draw(st.integers(1, max_n))
+    m = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)), float)
+    h = m.reshape(n, n).T @ m.reshape(n, n) + draw(st.integers(1, 3)) * np.eye(n)
+    lb = -np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 8.0
+    ub = np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 8.0
+    # each coordinate on its lower bound, on its upper bound or at a dyadic
+    # point inside, at least one on a bound
+    where = np.array(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)))
+    where[draw(st.integers(0, n - 1))] = draw(st.sampled_from((-1, 1)))
+    inside = np.array(draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n))) / 8.0
+    x = np.where(where < 0, lb, np.where(where > 0, ub, inside.clip(lb / 2, ub / 2)))
+    return QpProblem(h=h, f=-(h @ x), lb=lb, ub=ub)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(boundary_qps())
+def test_table_keeps_the_search_bits_on_region_boundaries(qp):
+    sol = solve_box_qp(qp, table=region_table(qp.h, qp.lb, qp.ub))
+    cold = solve_box_qp(qp)
+    event(f"guess held without a table: {cold.iterations == 1}")
+    assert sol.u.tobytes() == cold.u.tobytes()
+    assert (sol.status, sol.kkt_residual) == (cold.status, cold.kkt_residual)
+    assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
 
 
 # A weight_tuned QP of the shipped course (scenarios/complete.cfg): the
