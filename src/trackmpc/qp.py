@@ -17,7 +17,10 @@ shape: dense, strictly convex, small (tens of variables), with the KKT
 condition of a box QP as its termination test. It searches bound
 partitions with cheap solves, optionally from a previous QP's partition,
 and finishes the one it accepts exactly, so its answer depends on that
-partition alone.
+partition alone. Where the unconstrained minimizer pins most moves, a few
+projected-gradient steps pick the first partition to try (More and
+Toraldo, "On the solution of large quadratic programming problems with
+bound constraints", SIAM J. Optim. 1(1), 1991).
 
 For a fixed (H, lb, ub) the optimal partition is a piecewise-constant
 function of f whose regions are polyhedra (Bemporad, Morari, Dua and
@@ -46,8 +49,12 @@ _EPS = float(np.finfo(float).eps)
 # about 47 us for one solver iteration.
 MAX_TABLE_MOVES = 6
 # A region table names a partition only where f lies farther than this,
-# relative, from the boundary of its region (see RegionTable).
+# relative, from the boundary of its region (see RegionTable); the search's
+# primal phase ignores violations within the same margin.
 _BOUNDARY = 1e-9
+# Projected-gradient steps that seed the search where the unconstrained
+# minimizer pins more than half the coordinates (see solve_box_qp).
+_SEED_STEPS = 8
 
 
 class HorizonWeights(NamedTuple):
@@ -303,15 +310,73 @@ def _refine(z, free, rows, h_free, f_free) -> None:
         z[free] -= np.linalg.solve(h_free, rows @ z + f_free)
 
 
-def _violations(h, f, lb, ub, movable, part, z):
+def _violations(h, f, test, movable, part, z):
     """(too_low, too_high, wrong-sign multipliers, gradient, count) at z.
 
-    Pinned coordinates sit exactly on a bound, so only free ones can be out
-    of the box; part * g > 0 is g < 0 at a lower and g > 0 at an upper bound.
+    test is (lo, hi, g_tol): a free value violates below lo or above hi, a
+    pinned multiplier when part * g exceeds g_tol; it is (lb, ub, 0.0)
+    outside the primal phase (see _margins). Pinned coordinates sit exactly on a
+    bound, so only free ones can be out of the box; part * g > 0 is g < 0 at
+    a lower and g > 0 at an upper bound.
     """
+    lo, hi, g_tol = test
     g = h @ z + f
-    too_low, too_high, leave = z < lb, z > ub, (part * g > 0.0) & movable
+    too_low, too_high, leave = z < lo, z > hi, (part * g > g_tol) & movable
     return too_low, too_high, leave, g, np.count_nonzero(too_low | too_high | leave)
+
+
+def _margins(h, lb, ub):
+    """The primal phase's violation test (lo, hi, g_tol), with the region
+    table's margins: a free value violates only beyond _BOUNDARY times the
+    box's widest finite side, a pinned multiplier only beyond _BOUNDARY
+    times max|H| times the largest finite bound; a margin with nothing
+    finite to scale it is 0.
+
+    On a degenerate QP (a bound with a zero multiplier) roundoff otherwise
+    flips such a multiplier's sign from one partition to the next, and the
+    ratio test and the release rule can cycle between them.
+    """
+    width = ub - lb
+    width = width[np.isfinite(width)]
+    bounds = np.abs(np.concatenate((lb, ub)))
+    bounds = bounds[np.isfinite(bounds)]
+    x_tol = _BOUNDARY * float(width.max()) if width.size else 0.0
+    g_tol = _BOUNDARY * float(np.abs(h).max()) * float(bounds.max()) if bounds.size else 0.0
+    return lb - x_tol, ub + x_tol, g_tol
+
+
+def _partition(x, lb, ub, fixed):
+    """The bound partition of x: -1 at or below lb (and where lb == ub), +1
+    at or above ub, 0 free."""
+    part = np.zeros(x.size, dtype=np.int8)
+    part[x <= lb] = -1
+    part[x >= ub] = 1
+    part[fixed] = -1
+    return part
+
+
+def _seed(h, f, lb, ub, x_unc):
+    """The point of _SEED_STEPS projected-gradient steps from clip(x_unc),
+    each x <- clip(x - (H x + f) / L).
+
+    L, the largest row sum of |H|, bounds H's largest eigenvalue
+    (Gershgorin), so every step descends. Each runs as
+    x <- clip((I - H/L) x - f/L) in four numpy calls on preallocated arrays.
+    Where L overflows, the steps stand still and the seed is clip(x_unc).
+    """
+    with np.errstate(over="ignore"):
+        scale = -1.0 / float(np.abs(h).sum(1).max())
+    a = h * scale
+    a.flat[::f.size + 1] += 1.0
+    c = f * scale
+    x = x_unc.clip(lb, ub)
+    y = np.empty_like(x)
+    for _ in range(_SEED_STEPS):
+        np.dot(a, x, out=y)
+        y += c
+        np.maximum(y, lb, out=x)
+        np.minimum(x, ub, out=x)
+    return x
 
 
 def _kkt_residual(x, g, lb, ub) -> float:
@@ -408,18 +473,19 @@ def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable |
                        {s.tobytes(): _blocks(h, s, ~s) for s in sets})
 
 
-def _finish(h, f, lb, ub, movable, part, free, cheap, tol, it, primal_its):
+def _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it, primal_its):
     """The exact finish of a partition from its cheap iterate: (solution, violations).
 
     Refines the cheap iterate (z, rows, h_free, f_free) in place and tests
-    the refined point again. If it holds, the solution is its projection
-    onto the box with its KKT residual, and carries part as its start when
-    the solve took more than one iteration; otherwise the solution is None
-    and the violations are the refined point's, for the search to go on from.
+    the refined point again with test (see _violations). If it holds, the
+    solution is its projection onto the box with its KKT residual, and
+    carries part as its start when the solve took more than one iteration;
+    otherwise the solution is None and the violations are the refined
+    point's, for the search to go on from.
     """
     z, rows, h_free, f_free = cheap
     _refine(z, free, rows, h_free, f_free)
-    viol = _violations(h, f, lb, ub, movable, part, z)
+    viol = _violations(h, f, test, movable, part, z)
     if viol[-1]:
         return None, viol
     x = z.clip(lb, ub)  # exact projection of roundoff
@@ -447,9 +513,15 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     search reached it.
 
     The search runs on cheap iterates, the reduced solve without
-    refinement; the first, the partition of the unconstrained minimizer,
-    is finished at once, and the all-free partition reuses the
-    unconstrained solve. Every violating coordinate swaps sides at once
+    refinement; the first is finished at once, and the all-free partition
+    reuses the unconstrained solve. The first partition is the guess, that
+    of the unconstrained minimizer, unless the guess pins more than half
+    the coordinates: the minimizer then lies far outside the box, and
+    _SEED_STEPS projected-gradient steps from its projection, x <- clip(x -
+    (H x + f) / L) with L the largest row sum of |H|, name the first
+    partition in place of the guess (the seed; More and Toraldo 1991). The
+    seed reads only (H, f, lb, ub), so it changes the path and never the
+    answer. Every violating coordinate swaps sides at once
     while the violation count keeps dropping (primal-dual active set;
     Hintermueller, Ito and Kunisch 2002). When these block swaps stall the
     search turns into a monotone primal active-set method, started from
@@ -458,33 +530,41 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     one reduced solve; a ratio test pins the first bound that blocks the
     step toward it, and a step that no bound blocks releases the pinned
     coordinate with the most negative multiplier. That phase is finite for
-    positive definite H (Nocedal and Wright, section 16.5). If the exact
-    finish disagrees with a cheap iterate, the search goes on from the
-    refined point's violations.
+    positive definite H (Nocedal and Wright, section 16.5). The phase counts
+    a violation only beyond the region table's relative margin _BOUNDARY: a
+    free value past the box by more than that times its widest finite side,
+    a multiplier wrong-signed by more than that times max|H| times the
+    largest finite bound (0 where nothing is finite). On a weakly active
+    bound roundoff picks the multiplier's sign, and without the margin the
+    ratio test and the release rule can cycle there. If the exact finish
+    disagrees with a cheap iterate, the search goes on from the refined
+    point's violations.
 
     start warm-starts the search with a partition (int8, -1/0/+1 per
     coordinate, as QpSolution.start holds it): the partition a QP accepted
-    after its guess missed, handed to the next, similar QP. It is tried
-    only when it differs from the guess. The guess is then tested on its
-    cheap iterate first and, if that holds, finished as without a start;
-    otherwise the start's cheap iterate is formed too and the search goes
-    on from whichever of the two has fewer violations, the guess on a tie.
-    That costs one reduced solve when the guess would have won anyway, and
-    a guess that holds cold still returns at iteration 1. Since the exact
+    after its first partition missed, handed to the next, similar QP. It is
+    tried only when it differs from the first partition (the guess or the
+    seed's). The first partition is then tested on its cheap iterate first
+    and, if that holds, finished as without a start; otherwise the start's
+    cheap iterate is formed too and the search goes on from whichever of
+    the two has fewer violations, the first partition on a tie. That costs
+    one reduced solve when the first partition would have won anyway, and
+    one that holds cold still returns at iteration 1. Since the exact
     finish depends only on the accepted partition, a start changes the
     path and never the answer. QpSolution.start is the accepted partition
     when the solve took more than one iteration and None otherwise, so a
-    start is carried only past a guess that missed.
+    start is carried only past a first partition that missed.
 
     table is the RegionTable of the QP's (H, lb, ub), as region_table builds
     it. Where the unconstrained minimizer lies strictly inside the box, the
     guess is finished as above. Otherwise the solver looks f up in the table
-    and finishes the partition found exactly, at once, with neither the
-    guess's reduced solve nor the start tried; where that finish holds, the
-    solve takes one iteration. If it fails, or if f lies in no region or on
-    a region's boundary (within the table's margin, where roundoff would
-    pick between two partitions that both hold), the solver returns what
-    it returns without a table, and a finish it discarded is not counted.
+    and finishes the partition found exactly, at once, with none of the
+    seed, the guess's reduced solve and the start tried; where that finish
+    holds, the solve takes one iteration. If it fails, or if f lies in no
+    region or on a region's boundary (within the table's margin, where
+    roundoff would pick between two partitions that both hold), the solver
+    returns what it returns without a table, and a finish it discarded is
+    not counted.
     A table built from this H object also holds H's blocks for every free
     set, which that finish uses in place of gathering them (so H must not
     change in place after the table is built). The table is read as a
@@ -516,12 +596,11 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     # is its reduced solve as well as the partition guess.
     x_unc = np.linalg.solve(h, -(f + 0.0))
     # Partition per coordinate: -1 at lower bound, +1 at upper, 0 free.
-    part = np.zeros(nv, dtype=np.int8)
-    part[x_unc <= lb] = -1
-    part[x_unc >= ub] = 1
-    part[fixed] = -1
+    part = _partition(x_unc, lb, ub, fixed)
+    test = lb, ub, 0.0  # the violation test, widened in the primal phase
 
-    if table is not None and np.count_nonzero(part):
+    pinned = np.count_nonzero(part)
+    if table is not None and pinned:
         # The unconstrained minimizer leaves the box: finish the table's partition.
         found = table.locate(f)
         if found is not None:
@@ -529,13 +608,17 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             found[fixed] = -1
             free = found == 0
             blocks = table.blocks if table.h is h else None
-            sol, _ = _finish(h, f, lb, ub, movable, found, free,
+            sol, _ = _finish(h, f, lb, ub, test, movable, found, free,
                              _reduced(h, f, lb, ub, x_unc, found, free, blocks), tol, 1, 0)
             if sol is not None:
                 return sol
+    if 2 * pinned > nv:
+        # The minimizer lies far outside the box: a few projected-gradient
+        # steps name the first partition in place of the guess.
+        part = _partition(_seed(h, f, lb, ub, x_unc), lb, ub, fixed)
 
-    # A start is tried only where it differs from the guess, i.e. where the
-    # search it came from did not accept its own guess.
+    # A start is tried only where it differs from the first partition, i.e.
+    # where the search it came from did not accept its own first partition.
     warm = start is not None and start.tobytes() != part.tobytes()
     finish_at = 0 if warm else 1  # the iteration whose partition is finished at once
     it = 0
@@ -551,21 +634,22 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
         free = part == 0
         cheap = _reduced(h, f, lb, ub, x_unc, part, free)
         z = cheap[0]  # refined in place by _finish
-        # The guess partition is finished at once, so a guess that holds
-        # costs no more than that; with a start to try, it is tested cheaply.
+        # The first partition is finished at once, so one that holds costs
+        # no more than that; with a start to try, it is tested cheaply.
         exact = it == finish_at
         if not exact:
-            viol = _violations(h, f, lb, ub, movable, part, z)
+            viol = _violations(h, f, test, movable, part, z)
             exact = not viol[-1]
         if exact:
-            sol, viol = _finish(h, f, lb, ub, movable, part, free, cheap, tol, it, primal_its)
+            sol, viol = _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it,
+                                primal_its)
             if sol is not None:
                 return sol
         too_low, too_high, leave, g, n_viol = viol
         if warm:
             if it == 1:
-                # The guess missed: probe the start, then go on from whichever
-                # of the two leaves fewer violations, the guess on a tie.
+                # The first partition missed: probe the start, then go on from
+                # whichever of the two leaves fewer violations, the first on a tie.
                 missed = part, too_low, too_high, leave, n_viol
                 part = np.array(start, dtype=np.int8)
                 if part.shape != (nv,):
@@ -587,6 +671,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
                 part[leave] = 0
                 continue
             primal = True
+            test = _margins(h, lb, ub)
         blocking = too_low | too_high
         if not blocking.any():
             # A subspace minimizer inside the box: release the pinned

@@ -9,12 +9,14 @@ when it is interior.
 import math
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import trackmpc.controllers as controllers_mod
+import trackmpc.qp as qp_mod
 from qp_reference import reference_solve_box_qp
 from trackmpc import (
     AffineLtiModel,
@@ -36,7 +38,7 @@ from trackmpc import (
 )
 from trackmpc.cli import run_compare
 from trackmpc.controllers import VARIANT_DEFAULTS
-from trackmpc.qp import MAX_TABLE_MOVES, condense_cost, region_table
+from trackmpc.qp import MAX_TABLE_MOVES, RegionTable, _seed, condense_cost, region_table
 
 PARAMS = VehicleParams()
 
@@ -568,10 +570,16 @@ def test_start_from_the_accepted_partition_returns_at_its_probe():
     assert warm.iterations == 2
     assert np.array_equal(warm.u, cold.u)
     np.testing.assert_array_equal(warm.start, cold.start)
-    # a start equal to the guess partition is not tried: the cold path runs
+
+    def partition(x):
+        return np.where(x <= qp.lb, -1, np.where(x >= qp.ub, 1, 0)).astype(np.int8)
+
+    # a start equal to the first partition, the guess or, where the guess
+    # pins more than half the coordinates (as here), the seed's, is not
+    # tried: the cold path runs
     x_unc = np.linalg.solve(qp.h, -qp.f)
-    guess = np.where(x_unc <= qp.lb, -1, np.where(x_unc >= qp.ub, 1, 0)).astype(np.int8)
-    same = solve_box_qp(qp, start=guess)
+    assert 2 * np.count_nonzero(partition(x_unc)) > x_unc.size
+    same = solve_box_qp(qp, start=partition(_seed(qp.h, qp.f, qp.lb, qp.ub, x_unc)))
     assert same.iterations == cold.iterations and np.array_equal(same.u, cold.u)
 
 
@@ -633,18 +641,35 @@ def test_ill_conditioned_tracking_instance():
 SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def _recorded_qps(scenario, tmp_path):
+class Recorded(NamedTuple):
+    qp: QpProblem
+    start: np.ndarray | None
+    table: RegionTable | None
+    variant: str
+
+
+def _recorded_qps(scenario, tmp_path, overrides=()):
     """Every QP run_compare solves on a shipped scenario, in order, with the
-    start and the region table the controller handed the solver."""
+    start and the region table the controller handed the solver and the
+    variant that posed it; overrides are --set assignments."""
     qps = []
+    posing = [None]
 
     def recording(qp, *args, **kwargs):
-        qps.append((qp, kwargs.get("start"), kwargs.get("table")))
+        qps.append(Recorded(qp, kwargs.get("start"), kwargs.get("table"), posing[0]))
         return solve_box_qp(qp, *args, **kwargs)
 
+    def tagged(variant, step):
+        def stepping(*args):
+            posing[0] = variant
+            return step(*args)
+        return stepping
+
+    steps = controllers_mod.CONTROLLER_STEPS
     cfg = apply_overrides(parse_config((SHIPPED / scenario).read_text()),
-                          [f"output.directory={tmp_path}"])
-    with mock.patch.object(controllers_mod, "solve_box_qp", recording):
+                          [f"output.directory={tmp_path}", *overrides])
+    with mock.patch.object(controllers_mod, "solve_box_qp", recording), \
+            mock.patch.dict(steps, {v: tagged(v, step) for v, step in steps.items()}):
         rows, failures = run_compare(cfg)
     assert failures == [] and len(rows) == 4
     return qps
@@ -668,14 +693,38 @@ def _counting_solves(solver, qps, starts=None):
     return sols, calls
 
 
+# Per variant, the iterations of one compare's solves as its steps call the
+# solver (with their start and table), before the projected-gradient seed.
+_UNSEEDED_ITERATIONS = {
+    "complete.cfg": {"baseline": 43, "weight_tuned": 162, "position_sl": 1161,
+                     "velocity_sl": 306},
+    "straight.cfg": {"baseline": 1, "weight_tuned": 1, "position_sl": 1, "velocity_sl": 1},
+    "sine_disturbed.cfg": {"baseline": 40, "weight_tuned": 160, "position_sl": 1054,
+                           "velocity_sl": 1254},
+    "step.cfg": {"baseline": 30, "weight_tuned": 120, "position_sl": 161, "velocity_sl": 265},
+}
+# position_sl's ceilings with the seed, where its minimizer lies far outside the box
+_SEEDED_CEILINGS = {"complete.cfg": 800, "sine_disturbed.cfg": 550}
+
+
 @pytest.mark.parametrize("scenario,fewer_solves", [
     ("complete.cfg", True), ("straight.cfg", False),
     ("sine_disturbed.cfg", True), ("step.cfg", False)])
 def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solves, tmp_path):
     # the search may take any path, but the exact finish of the partition it
     # accepts must return the reference solver's bits on every shipped QP,
-    # with fewer linear solves where the block swaps used to stall
-    qps = [qp for qp, _, _ in _recorded_qps(scenario, tmp_path)]
+    # with fewer linear solves where the block swaps used to stall; as the
+    # steps call it, no variant needs more iterations than before the seed,
+    # and position_sl needs far fewer where it seeds most
+    recorded = _recorded_qps(scenario, tmp_path)
+    totals = dict.fromkeys(_UNSEEDED_ITERATIONS[scenario], 0)
+    for r in recorded:
+        totals[r.variant] += solve_box_qp(r.qp, start=r.start, table=r.table).iterations
+    for variant, total in totals.items():
+        assert total <= _UNSEEDED_ITERATIONS[scenario][variant], (scenario, variant)
+    if scenario in _SEEDED_CEILINGS:
+        assert totals["position_sl"] <= _SEEDED_CEILINGS[scenario]
+    qps = [r.qp for r in recorded]
     ours, our_calls = _counting_solves(solve_box_qp, qps)
     theirs, their_calls = _counting_solves(reference_solve_box_qp, qps)
     for i, (sol, ref) in enumerate(zip(ours, theirs)):
@@ -696,7 +745,7 @@ def test_warm_start_keeps_every_shipped_qp_bit_for_bit(scenario, fewer_solves, t
     # partition where the guess missed) returns the cold solve's bits, a
     # guess that holds cold still holds at once, and the linear solves drop
     # where the controllers stay on the same bounds from step to step
-    qps, starts, _ = zip(*_recorded_qps(scenario, tmp_path))
+    qps, starts, _, _ = zip(*_recorded_qps(scenario, tmp_path))
     assert any(start is not None for start in starts) == (scenario != "straight.cfg")
     warm, warm_calls = _counting_solves(solve_box_qp, qps, starts)
     cold, cold_calls = _counting_solves(solve_box_qp, qps)
@@ -720,15 +769,36 @@ def test_region_table_finds_every_fixed_model_partition(scenario, tmp_path):
     # (the unconstrained one, the reduced one and the refinement), and the
     # answer keeps the reference bits
     recorded = _recorded_qps(scenario, tmp_path)
-    tables = {id(table) for _, _, table in recorded if table is not None}
+    tables = {id(r.table) for r in recorded if r.table is not None}
     assert len(tables) == 2  # baseline and weight_tuned
-    for i, (qp, start, table) in enumerate(recorded):
+    for i, (qp, start, table, _) in enumerate(recorded):
         if table is None:
             continue
         [sol], calls = _counting_solves(partial(solve_box_qp, table=table), [qp], [start])
         assert np.array_equal(sol.u, reference_solve_box_qp(qp).u), (scenario, i)
         assert sol.status == "converged" and sol.kkt_residual <= 1e-8, (scenario, i)
         assert sol.iterations == 1 and calls <= 3, (scenario, i)
+
+
+@pytest.mark.parametrize("scenario,rate_limit", [("step.cfg", 0.05), ("complete.cfg", 0.1)])
+def test_narrow_boxes_take_the_seed_and_keep_the_reference_bits(scenario, rate_limit, tmp_path):
+    # a slew box this narrow puts most re-linearizing QPs' minimizer far
+    # outside it, so their solves start from the seed's partition; every
+    # variant still runs ok and every QP returns the reference solver's bits
+    recorded = _recorded_qps(scenario, tmp_path, [f"controller.rate_limit={rate_limit}"])
+    seeded = dict.fromkeys(("position_sl", "velocity_sl"), 0)
+    for i, r in enumerate(recorded):
+        with mock.patch.object(qp_mod, "_seed", wraps=qp_mod._seed) as seed:
+            sol = solve_box_qp(r.qp, start=r.start, table=r.table)
+        assert np.array_equal(sol.u, reference_solve_box_qp(r.qp).u), (scenario, i)
+        assert sol.status == "converged" and sol.kkt_residual <= 1e-8, (scenario, i)
+        if r.variant in seeded:
+            seeded[r.variant] += seed.call_count
+    posed = {v: sum(r.variant == v for r in recorded) for v in seeded}
+    for variant, count in seeded.items():
+        assert 2 * count > posed[variant], (scenario, variant)
+    if scenario == "step.cfg":
+        assert seeded["velocity_sl"] == posed["velocity_sl"]
 
 
 def test_region_table_is_only_a_hint():

@@ -19,6 +19,7 @@ scaling to the dense product with kron(I, diag(q)).
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, event, given, settings, strategies as st  # noqa: E402
 
+import trackmpc.qp as qp_mod  # noqa: E402
 from qp_reference import reference_solve_box_qp  # noqa: E402
 from test_qp import _reference_prediction  # noqa: E402
 from trackmpc import (  # noqa: E402
@@ -172,6 +174,31 @@ def test_primal_phase_matches_the_oracles_where_it_runs():
     assert stalled == 25
 
 
+def test_seeded_search_matches_the_oracles():
+    # where the unconstrained minimizer pins more than half the coordinates,
+    # projected-gradient steps name the search's first partition; seeded
+    # draws are taken until 25 small ones took that path and searched on
+    # past it, solved cold or from a drawn start
+    rng = np.random.default_rng(11)
+    seeded = 0
+    for _ in range(2000):
+        qp = _random_move_qp(rng, int(rng.integers(2, 7)))
+        start = rng.integers(-1, 2, size=qp.f.size).astype(np.int8)
+        with mock.patch.object(qp_mod, "_seed", wraps=qp_mod._seed) as seed:
+            sols = solve_box_qp(qp), solve_box_qp(qp, start=start)
+        if not seed.called or max(sol.iterations for sol in sols) == 1:
+            continue
+        seeded += 1
+        ref = reference_solve_box_qp(qp).u
+        for sol in sols:
+            assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+            np.testing.assert_allclose(sol.u, _brute_force_minimizer(qp), rtol=0, atol=1e-7)
+            assert np.array_equal(sol.u, ref)
+        if seeded == 25:
+            break
+    assert seeded == 25
+
+
 # --- warm starts ---------------------------------------------------------
 #
 # A start is only a place for the search to begin: whatever partition it
@@ -274,7 +301,10 @@ def test_table_path_keeps_the_reference_bits_on_move_structure(case):
 # it returns without one.
 
 @st.composite
-def boundary_qps(draw, max_n: int = MAX_TABLE_MOVES):
+def boundary_qps(draw, max_n: int = MAX_TABLE_MOVES, weak: bool = False):
+    """With weak, half the draws give the coordinates on a bound
+    right-signed integer multipliers, some of them 0, so that only those
+    bounds are weakly active; the other half leave every multiplier 0."""
     n = draw(st.integers(1, max_n))
     m = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)), float)
     h = m.reshape(n, n).T @ m.reshape(n, n) + draw(st.integers(1, 3)) * np.eye(n)
@@ -286,6 +316,9 @@ def boundary_qps(draw, max_n: int = MAX_TABLE_MOVES):
     where[draw(st.integers(0, n - 1))] = draw(st.sampled_from((-1, 1)))
     inside = np.array(draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n))) / 8.0
     x = np.where(where < 0, lb, np.where(where > 0, ub, inside.clip(lb / 2, ub / 2)))
+    if weak and draw(st.booleans()):
+        lam = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+        return QpProblem(h=h, f=where * -lam - h @ x, lb=lb, ub=ub)
     return QpProblem(h=h, f=-(h @ x), lb=lb, ub=ub)
 
 
@@ -297,6 +330,19 @@ def test_table_keeps_the_search_bits_on_region_boundaries(qp):
     event(f"guess held without a table: {cold.iterations == 1}")
     assert sol.u.tobytes() == cold.u.tobytes()
     assert (sol.status, sol.kkt_residual) == (cold.status, cold.kkt_residual)
+    assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+
+
+# On such a boundary, a zero multiplier's sign is roundoff, which can flip
+# from one partition to the next; the search's primal phase, which pins and
+# releases one bound per step, must not cycle there.
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(boundary_qps(max_n=20, weak=True))
+def test_search_does_not_cycle_on_weakly_active_bounds(qp):
+    sol = solve_box_qp(qp)
+    event(f"primal phase reached: {sol.primal_iterations > 0}")
+    assert sol.iterations <= 50
     assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
 
 
