@@ -224,9 +224,32 @@ def main(argv=None) -> int:
         print(serialize_config(cfg), end="")
         return 0
 
-    if args.verb == "run":
-        out = Path(cfg.out_dir)
+    if args.verb == "sweep-alpha":
+        if cfg.variant not in FIXED_MODEL_VARIANTS:
+            print("error: sweep-alpha expects variant baseline or weight_tuned",
+                  file=sys.stderr)
+            return 1
+        if cfg.kind != "step":
+            print("error: sweep-alpha expects a step scenario", file=sys.stderr)
+            return 1
+        try:
+            alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+        except ValueError:
+            print(f"error: bad --alphas value {args.alphas!r}", file=sys.stderr)
+            return 1
+        if not alphas:
+            print("error: --alphas lists no values", file=sys.stderr)
+            return 1
+
+    out = Path(cfg.out_dir)
+    try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
+
+    if args.verb == "run":
         res = _run_variant(cfg, cfg.variant)
         write_trace(out / f"trace_{cfg.variant}.csv", res, cfg.vehicle)
         write_manifest(out / "manifest.json", cfg)
@@ -245,21 +268,6 @@ def main(argv=None) -> int:
         return 2 if failures else 0
 
     if args.verb == "sweep-alpha":
-        if cfg.variant not in FIXED_MODEL_VARIANTS:
-            print("error: sweep-alpha expects variant baseline or weight_tuned",
-                  file=sys.stderr)
-            return 1
-        if cfg.kind != "step":
-            print("error: sweep-alpha expects a step scenario", file=sys.stderr)
-            return 1
-        try:
-            alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-        except ValueError:
-            print(f"error: bad --alphas value {args.alphas!r}", file=sys.stderr)
-            return 1
-        if not alphas:
-            print("error: --alphas lists no values", file=sys.stderr)
-            return 1
         try:
             records = sweep_alpha(cfg, alphas)
         except ConfigError as exc:

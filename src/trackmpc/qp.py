@@ -20,7 +20,12 @@ and finishes the one it accepts exactly, so its answer depends on that
 partition alone. Where the unconstrained minimizer pins most moves, a few
 projected-gradient steps pick the first partition to try (More and
 Toraldo, "On the solution of large quadratic programming problems with
-bound constraints", SIAM J. Optim. 1(1), 1991).
+bound constraints", SIAM J. Optim. 1(1), 1991). Where block swaps from the
+unconstrained minimizer's partition stall with several violations left, a
+dual active-set phase adds one violated bound per step while every iterate
+keeps its multipliers' signs (Goldfarb and Idnani, "A numerically stable
+dual method for solving strictly convex quadratic programs", Math.
+Programming 27, 1983).
 
 For a fixed (H, lb, ub) the optimal partition is a piecewise-constant
 function of f whose regions are polyhedra (Bemporad, Morari, Dua and
@@ -252,14 +257,17 @@ class QpSolution:
     kkt_residual: float
     primal_iterations: int = 0  # of the iterations, those of the primal active-set phase
     start: np.ndarray | None = None  # the accepted partition when the guess missed
+    dual_iterations: int = 0  # of the iterations, those of the dual active-set phase
 
     @classmethod
     def _trusted(cls, u: np.ndarray, iterations: int, status: str, kkt_residual: float,
-                 primal_iterations: int, start: np.ndarray | None) -> "QpSolution":
+                 primal_iterations: int, start: np.ndarray | None,
+                 dual_iterations: int) -> "QpSolution":
         """Build without the frozen constructor's setattr per field."""
         sol = object.__new__(cls)
         sol.__dict__.update(u=u, iterations=iterations, status=status, kkt_residual=kkt_residual,
-                            primal_iterations=primal_iterations, start=start)
+                            primal_iterations=primal_iterations, start=start,
+                            dual_iterations=dual_iterations)
         return sol
 
 
@@ -379,6 +387,66 @@ def _seed(h, f, lb, ub, x_unc):
     return x
 
 
+def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, budget):
+    """The dual active-set phase from a partition and its cheap iterate:
+    (cheap, reduced solves), cheap None if the budget ran out first.
+
+    Changes part in place. First releases every pinned coordinate whose
+    multiplier fails test (see _margins), re-solving until none does; the
+    iterate is then dual feasible. Then pins the free coordinate farthest
+    outside the box and tries the partition: where every other pinned
+    multiplier keeps its sign the trial is the new iterate, else the point
+    steps along the segment toward the trial to where the first multiplier
+    reaches zero (point and gradient are affine along it), that coordinate
+    is released and the trial repeats. Returns the cheap iterate of the
+    first partition with no free value outside the box (Goldfarb and
+    Idnani 1983).
+    """
+    lo, hi, g_tol = test
+    its = 0
+    z = cheap[0]
+    g = h @ z + f
+    while True:
+        leave = (part * g > g_tol) & movable
+        if not leave.any():
+            break
+        if its == budget:
+            return None, its
+        its += 1
+        part[leave] = 0
+        cheap = _reduced(h, f, lb, ub, x_unc, part, part == 0)
+        z = cheap[0]
+        g = h @ z + f
+    while True:
+        out = np.maximum(lo - z, z - hi)  # > 0 only for a free value outside the box
+        j = int(np.argmax(out))
+        if not out[j] > 0.0:
+            return cheap, its
+        part[j] = -1 if z[j] < lo[j] else 1
+        while True:
+            if its == budget:
+                return None, its
+            its += 1
+            cheap = _reduced(h, f, lb, ub, x_unc, part, part == 0)
+            trial = cheap[0]
+            g_trial = h @ trial + f
+            # j's own multiplier grows from 0 at the point to its bound's
+            # sign at the trial; releasing it on roundoff would undo the pin.
+            wrong = (part * g_trial > g_tol) & movable
+            wrong[j] = False
+            if not wrong.any():
+                z, g = trial, g_trial
+                break
+            # Step to where the first wrong-signed multiplier reaches zero.
+            a = part * g
+            ratio = np.where(wrong, a / np.where(wrong, a - part * g_trial, -1.0), np.inf)
+            i = int(np.argmin(ratio))
+            t = max(float(ratio[i]), 0.0)
+            z = z + t * (trial - z)
+            g = g + t * (g_trial - g)
+            part[i] = 0
+
+
 def _kkt_residual(x, g, lb, ub) -> float:
     """max |x - clip(x - g)|, the box-QP KKT residual at x with gradient g."""
     return float(np.abs(x - (x - g).clip(lb, ub)).max())
@@ -473,7 +541,7 @@ def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable |
                        {s.tobytes(): _blocks(h, s, ~s) for s in sets})
 
 
-def _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it, primal_its):
+def _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it, primal_its, dual_its):
     """The exact finish of a partition from its cheap iterate: (solution, violations).
 
     Refines the cheap iterate (z, rows, h_free, f_free) in place and tests
@@ -493,7 +561,7 @@ def _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it, primal_its)
     resid = _kkt_residual(x, g, lb, ub)
     return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
                                else "inaccurate", resid, primal_its,
-                               part if it > 1 else None), viol
+                               part if it > 1 else None, dual_its), viol
 
 
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
@@ -524,21 +592,35 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     answer. Every violating coordinate swaps sides at once
     while the violation count keeps dropping (primal-dual active set;
     Hintermueller, Ito and Kunisch 2002). When these block swaps stall the
-    search turns into a monotone primal active-set method, started from
-    the iterate projected onto the box with only the bounds whose
-    multipliers have the right sign kept pinned. Each of its steps makes
-    one reduced solve; a ratio test pins the first bound that blocks the
-    step toward it, and a step that no bound blocks releases the pinned
-    coordinate with the most negative multiplier. That phase is finite for
-    positive definite H (Nocedal and Wright, section 16.5). The phase counts
-    a violation only beyond the region table's relative margin _BOUNDARY: a
-    free value past the box by more than that times its widest finite side,
-    a multiplier wrong-signed by more than that times max|H| times the
-    largest finite bound (0 where nothing is finite). On a weakly active
-    bound roundoff picks the multiplier's sign, and without the margin the
-    ratio test and the release rule can cycle there. If the exact finish
-    disagrees with a cheap iterate, the search goes on from the refined
-    point's violations.
+    search turns into an active-set method: a dual one where the QP took
+    no seed and at least 3 violations remain at the stall, a primal one
+    otherwise (on seeded QPs and short stalls the dual phase would cost
+    iterations).
+
+    The dual phase (Goldfarb and Idnani 1983) first releases every pinned
+    coordinate whose multiplier has the wrong sign, re-solving until none
+    has, so that the iterate is dual feasible. It then pins the free
+    coordinate farthest outside the box and solves the partition: if every
+    other pinned multiplier keeps its sign, that trial is the new iterate;
+    otherwise the point steps toward the trial to where the first
+    multiplier reaches zero, that coordinate is released and the trial is
+    solved again. Once no free coordinate lies outside the box the last
+    trial's cheap iterate is finished exactly, at no further reduced solve;
+    if that finish fails, the primal phase goes on from its refined point.
+    The primal phase starts from the iterate projected onto the box with
+    only the bounds whose multipliers have the right sign kept pinned. Each
+    of its steps makes one reduced solve; a ratio test pins the first bound
+    that blocks the step toward it, and a step that no bound blocks
+    releases the pinned coordinate with the most negative multiplier. It is
+    finite for positive definite H (Nocedal and Wright, section 16.5).
+    Both phases count a violation only beyond the region table's relative
+    margin _BOUNDARY: a free value past the box by more than that times its
+    widest finite side, a multiplier wrong-signed by more than that times
+    max|H| times the largest finite bound (0 where nothing is finite). On a
+    weakly active bound roundoff picks the multiplier's sign, and without
+    the margin the ratio test and the release rule can cycle there. If the
+    exact finish disagrees with a cheap iterate, the search goes on from
+    the refined point's violations.
 
     start warm-starts the search with a partition (int8, -1/0/+1 per
     coordinate, as QpSolution.start holds it): the partition a QP accepted
@@ -571,12 +653,13 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     hint: one built from another H, or other bounds, changes the path and
     never the answer.
 
-    Every reduced solve counts one iteration; primal_iterations counts
-    those of the primal phase. The status is "converged" only when the
-    returned point meets the tolerance, tol * max(1, max|H| max|u| +
-    max|f|), relative to the gradient's scale so that large weights alone
-    do not fail it; where that scale's roundoff reaches the box's widest
-    side, the residual cannot tell points apart and the absolute tol holds.
+    Every reduced solve counts one iteration; primal_iterations and
+    dual_iterations count those of the two phases. The status is
+    "converged" only when the returned point meets the tolerance, tol *
+    max(1, max|H| max|u| + max|f|), relative to the gradient's scale so
+    that large weights alone do not fail it; where that scale's roundoff
+    reaches the box's widest side, the residual cannot tell points apart
+    and the absolute tol holds.
     An accepted partition whose point does not meet it (say a NaN gradient,
     which no violation test catches) is "inaccurate". If the budget
     max_iter runs out first, returns the last partition's point clipped to
@@ -609,10 +692,11 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             free = found == 0
             blocks = table.blocks if table.h is h else None
             sol, _ = _finish(h, f, lb, ub, test, movable, found, free,
-                             _reduced(h, f, lb, ub, x_unc, found, free, blocks), tol, 1, 0)
+                             _reduced(h, f, lb, ub, x_unc, found, free, blocks), tol, 1, 0, 0)
             if sol is not None:
                 return sol
-    if 2 * pinned > nv:
+    seeded = 2 * pinned > nv
+    if seeded:
         # The minimizer lies far outside the box: a few projected-gradient
         # steps name the first partition in place of the guess.
         part = _partition(_seed(h, f, lb, ub, x_unc), lb, ub, fixed)
@@ -626,7 +710,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     best_infeas = nv + 1
     point = None  # the primal phase's feasible point, once it has one
     primal = False
-    primal_its = 0
+    primal_its = dual_its = 0
     while it < max_iter:
         it += 1
         if primal:
@@ -642,7 +726,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             exact = not viol[-1]
         if exact:
             sol, viol = _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it,
-                                primal_its)
+                                primal_its, dual_its)
             if sol is not None:
                 return sol
         too_low, too_high, leave, g, n_viol = viol
@@ -672,6 +756,20 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
                 continue
             primal = True
             test = _margins(h, lb, ub)
+            if not seeded and n_viol >= 3:
+                cheap, dual_its = _dual(h, f, lb, ub, x_unc, test, movable, part, cheap,
+                                        max_iter - it)
+                it += dual_its
+                if cheap is None:
+                    break
+                if dual_its:  # else every violation lies within the margins
+                    sol, viol = _finish(h, f, lb, ub, test, movable, part, part == 0, cheap,
+                                        tol, it, primal_its, dual_its)
+                    if sol is not None:
+                        return sol
+                    # The refined point disagrees: the primal phase restarts there.
+                    z, exact = cheap[0], True
+                    too_low, too_high, leave, g, n_viol = viol
         blocking = too_low | too_high
         if not blocking.any():
             # A subspace minimizer inside the box: release the pinned
@@ -701,4 +799,4 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     x = z.clip(lb, ub)
     resid = _kkt_residual(x, h @ x + f, lb, ub)
     return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
-                               else "max_iter", resid, primal_its, None)
+                               else "max_iter", resid, primal_its, None, dual_its)

@@ -626,6 +626,25 @@ def test_sweep_preconditions_exit_one(tmp_path, capsys):
     assert not (tmp_path / "sweep_alpha.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "compare", "sweep-alpha"])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unusable_output_directory_exits_one(verb, target, tmp_path, capsys, monkeypatch):
+    # an output directory that names a file, or lies below one, is one error
+    # line before any run, not a traceback from the first write
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("trackmpc.cli.run_closed_loop", no_run)
+    (tmp_path / "file").write_text("kept\n")
+    doc = tmp_path / "step.cfg"
+    doc.write_text("[scenario]\nkind = step\nduration = 3\n")
+    assert main([verb, str(doc), "--output-dir", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {tmp_path / target}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_sweep_alpha_verb_prints_one_line_per_alpha(tmp_path, capsys):
     step_doc = tmp_path / "step.cfg"
     step_doc.write_text("[scenario]\nkind = step\nduration = 3\n\n[controller]\nw_u = 200\n")

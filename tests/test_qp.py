@@ -705,6 +705,8 @@ _UNSEEDED_ITERATIONS = {
 }
 # position_sl's ceilings with the seed, where its minimizer lies far outside the box
 _SEEDED_CEILINGS = {"complete.cfg": 800, "sine_disturbed.cfg": 550}
+# velocity_sl's ceilings with the dual phase, where its block swaps stall most
+_DUAL_CEILINGS = {"sine_disturbed.cfg": 1000}
 
 
 @pytest.mark.parametrize("scenario,fewer_solves", [
@@ -715,7 +717,8 @@ def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solv
     # accepts must return the reference solver's bits on every shipped QP,
     # with fewer linear solves where the block swaps used to stall; as the
     # steps call it, no variant needs more iterations than before the seed,
-    # and position_sl needs far fewer where it seeds most
+    # and position_sl needs far fewer where it seeds most, velocity_sl where
+    # its searches stall
     recorded = _recorded_qps(scenario, tmp_path)
     totals = dict.fromkeys(_UNSEEDED_ITERATIONS[scenario], 0)
     for r in recorded:
@@ -724,6 +727,8 @@ def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solv
         assert total <= _UNSEEDED_ITERATIONS[scenario][variant], (scenario, variant)
     if scenario in _SEEDED_CEILINGS:
         assert totals["position_sl"] <= _SEEDED_CEILINGS[scenario]
+    if scenario in _DUAL_CEILINGS:
+        assert totals["velocity_sl"] <= _DUAL_CEILINGS[scenario]
     qps = [r.qp for r in recorded]
     ours, our_calls = _counting_solves(solve_box_qp, qps)
     theirs, their_calls = _counting_solves(reference_solve_box_qp, qps)

@@ -1,13 +1,13 @@
 """Property tests for the box-QP solver on random strictly convex instances.
 
-The partition search (block swaps, then the primal active-set phase when
-they stall) is the solver's only path, so every instance it can be handed
-must converge within the default iteration budget to the 1e-8 KKT
-contract. Small instances are also checked against a brute-force oracle
+The partition search (block swaps, then the dual or the primal active-set
+phase when they stall) is the solver's only path, so every instance it can
+be handed must converge within the default iteration budget to the 1e-8
+KKT contract. Small instances are also checked against a brute-force oracle
 that tries every partition of the coordinates into lower bound, free and
 upper bound (3^n of them) and keeps the cheapest feasible point; for a
 strictly convex QP that point is the unique minimizer. Random QPs up to
-n = 20, and those where the primal phase runs, are also held bit for bit to
+n = 20, and those where either phase runs, are also held bit for bit to
 the earlier solver kept in tests/qp_reference.py.
 
 The condensed prediction feeding those QPs is held bit for bit, down to
@@ -19,6 +19,7 @@ scaling to the dense product with kron(I, diag(q)).
 
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -346,6 +347,85 @@ def test_search_does_not_cycle_on_weakly_active_bounds(qp):
     assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
 
 
+# --- the dual active-set phase ----------------------------------------------
+#
+# velocity_sl's QPs stall the block swaps with several violations left: its
+# moves act on the lateral position through the heading, twice accumulated,
+# so H = S'DS + rI with S the twice-cumulative move map is ill-conditioned
+# (cond about 1e4 on the shipped noisy sine; the draws add 1e-5..1e-3 I to
+# S'DS scaled to max|H| = 1), and its minimizer lies inside the box but for
+# a few moves far outside it. There the search hands over
+# to its dual phase, whose answer must still be the exact finish of the
+# reference solver's partition, cold and from any start.
+
+@st.composite
+def stalling_qps(draw, max_n: int = 20):
+    n = draw(st.integers(3, max_n))
+    s = np.linalg.matrix_power(np.tril(np.ones((n, n))), 2)
+    d = 10.0 ** np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
+    h = s.T @ (d[:, None] * s)
+    h = h / np.abs(h).max() + 10.0 ** -draw(_floats(3.0, 5.0)) * np.eye(n)
+    w = 10.0 ** draw(_floats(-2.0, 0.0))
+    x = w * np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)):
+        x[i] = w * draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(_floats(0.1, 1.0))
+    return QpProblem(h=h, f=-(h @ x), lb=np.full(n, -w), ub=np.full(n, w))
+
+
+def _random_stalling_qp(rng, n):
+    s = np.linalg.matrix_power(np.tril(np.ones((n, n))), 2)
+    h = s.T @ (10.0 ** rng.uniform(-1.0, 1.0, size=(n, 1)) * s)
+    h = h / np.abs(h).max() + 10.0 ** -rng.uniform(3.0, 5.0) * np.eye(n)
+    w = 10.0 ** rng.uniform(-2.0, 0.0)
+    x = w * rng.uniform(-1.0, 1.0, size=n)
+    out = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
+    x[out] = w * rng.choice((-1.0, 1.0), size=out.size) * 10.0 ** rng.uniform(0.1, 1.0, out.size)
+    return QpProblem(h=h, f=-(h @ x), lb=np.full(n, -w), ub=np.full(n, w))
+
+
+def _assert_oracles(qp, sols):
+    """Every solution meets the KKT contract and keeps the reference bits, and
+    for n <= 7 matches the brute-force minimizer."""
+    ref = reference_solve_box_qp(qp).u
+    best = _brute_force_minimizer(qp) if qp.f.size <= 7 else None
+    for sol in sols:
+        assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+        assert np.array_equal(sol.u, ref)
+        if best is not None:
+            np.testing.assert_allclose(sol.u, best, rtol=0, atol=1e-7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(started_qps(stalling_qps()))
+def test_stalled_search_matches_the_oracles(case):
+    qp, start = case
+    sols = solve_box_qp(qp), solve_box_qp(qp, start=start)
+    for sol in sols:
+        event(f"dual phase reached: {sol.dual_iterations > 0}")
+        if sol.dual_iterations:
+            assert sol.primal_iterations == 0  # the dual phase's partition held
+    _assert_oracles(qp, sols)
+
+
+def test_dual_phase_matches_the_oracles_where_it_runs():
+    # few small QPs stall with three violations left, so seeded draws of the
+    # same shape are taken until 25 of at most 7 moves reached the dual
+    # phase cold; each is also solved from a drawn start
+    rng = np.random.default_rng(19)
+    reached = 0
+    for _ in range(5000):
+        qp = _random_stalling_qp(rng, int(rng.integers(5, 8)))
+        cold = solve_box_qp(qp)
+        if cold.dual_iterations == 0:
+            continue
+        reached += 1
+        start = rng.integers(-1, 2, size=qp.f.size).astype(np.int8)
+        _assert_oracles(qp, (cold, solve_box_qp(qp, start=start)))
+        if reached == 25:
+            break
+    assert reached == 25
+
+
 # A weight_tuned QP of the shipped course (scenarios/complete.cfg): the
 # reference solver's single swaps take 48 iterations on its 5 moves.
 _COURSE_H = (
@@ -376,6 +456,33 @@ def test_recorded_course_qp_finishes_in_the_primal_phase():
     assert 0 < sol.primal_iterations < sol.iterations < ref.iterations
     assert np.array_equal(sol.u, ref.u)
     assert sol.u.tobytes() == _from_hex(_COURSE_U).tobytes()  # the move the course applied
+
+
+def _recorded_qp(name: str) -> dict[str, np.ndarray]:
+    """The keys and values of a QP recorded in tests/golden/recorded_qps/."""
+    lines = (Path(__file__).parent / "golden" / "recorded_qps" / name).read_text().splitlines()
+    words = dict(line.split(" ", 1) for line in lines if not line.startswith("#"))
+    qp = {key: _from_hex(text) for key, text in words.items() if key != "start"}
+    qp["start"] = np.array(words["start"].split(), dtype=np.int8)
+    return qp
+
+
+def test_recorded_velocity_qp_finishes_in_the_dual_phase():
+    # the velocity_sl QP of the shipped noisy sine whose search took longest
+    # (52 iterations from its run's start, 45 of them in the primal phase)
+    rec = _recorded_qp("sine_disturbed_velocity_sl.txt")
+    n = rec["f"].size
+    h = np.zeros((n, n))
+    h[np.triu_indices(n)] = rec["h_upper"]
+    h += np.triu(h, 1).T
+    qp = QpProblem(h=h, f=rec["f"], lb=rec["lb"], ub=rec["ub"])
+    ref = reference_solve_box_qp(qp)
+    for sol in (solve_box_qp(qp, start=rec["start"]), solve_box_qp(qp)):
+        assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+        assert 0 < sol.dual_iterations and sol.primal_iterations == 0
+        assert sol.iterations <= 25
+        assert np.array_equal(sol.u, ref.u)
+        assert sol.u.tobytes() == rec["u"].tobytes()  # the move the run applied
 
 
 def _angles(lo: float, hi: float):
