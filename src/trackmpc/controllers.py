@@ -21,7 +21,7 @@ untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -174,28 +174,17 @@ def _same_start(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     return a is b or (a is not None and b is not None and a.tobytes() == b.tobytes())
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """What a controller carries between steps."""
 
     ref_cursor: int = 0
     prev_state: VehicleState | None = None  # previous measured state (velocity variant)
     # Per-run constants, built once by init_state from (cfg, params).
-    weights: HorizonWeights | None = field(default=None, compare=False)
+    weights: HorizonWeights | None = None
     # The model's QP data: the fixed model's from init_state, else the last step's.
-    model: ModelQp | None = field(default=None, compare=False)
+    model: ModelQp | None = None
     # The last solve; its solution's start is the next solve's start.
-    last_solve: LastSolve | None = field(default=None, compare=False)
-
-    @classmethod
-    def _trusted(cls, ref_cursor: int, prev_state: VehicleState | None,
-                 weights: HorizonWeights | None, model: ModelQp | None,
-                 last_solve: LastSolve | None) -> "ControllerState":
-        """Build without the frozen constructor's setattr per field."""
-        ctrl = object.__new__(cls)
-        ctrl.__dict__.update(ref_cursor=ref_cursor, prev_state=prev_state, weights=weights,
-                             model=model, last_solve=last_solve)
-        return ctrl
+    last_solve: LastSolve | None = None
 
 
 def _model_key(model: AffineLtiModel) -> bytes:
@@ -389,8 +378,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
             f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     if not repeat:
         last_solve = LastSolve(qp.h, f_bytes, bound, start, sol)
-    return float(sol.u[0]), ControllerState._trusted(cursor, plant, ctrl.weights, model_qp,
-                                                     last_solve)
+    return float(sol.u[0]), ControllerState(cursor, plant, ctrl.weights, model_qp, last_solve)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

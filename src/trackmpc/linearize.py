@@ -20,7 +20,7 @@ A = I + c e3', which build_prediction relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ _NO_DRIFT = np.zeros(3)
 _NO_DRIFT.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class AffineLtiModel:
+class AffineLtiModel(NamedTuple):
     """x(k+1) = A x(k) + B u(k) + K over the pose (x, y, psi) or its differences.
 
     Every model here has A = I + c e3': the identity except in its heading
@@ -44,13 +43,6 @@ class AffineLtiModel:
     c: np.ndarray      # (2,) heading-column coupling
     b: np.ndarray      # (3,)
     k: np.ndarray      # (3,) affine drift per step
-
-    @classmethod
-    def _trusted(cls, c: np.ndarray, b: np.ndarray, k: np.ndarray) -> "AffineLtiModel":
-        """Build without the frozen constructor's setattr per field."""
-        model = object.__new__(cls)
-        model.__dict__.update(c=c, b=b, k=k)
-        return model
 
     @property
     def a(self) -> np.ndarray:
@@ -113,7 +105,7 @@ def linearize_position(state: VehicleState, params: VehicleParams, ts: float) ->
         v * math.sin(heading),
         v / params.lr * math.sin(state.beta),
     ])
-    return AffineLtiModel._trusted(_UNCOUPLED, b, k)
+    return AffineLtiModel(_UNCOUPLED, b, k)
 
 
 def linearize_velocity(state: VehicleState, params: VehicleParams, ts: float) -> AffineLtiModel:
@@ -128,4 +120,4 @@ def linearize_velocity(state: VehicleState, params: VehicleParams, ts: float) ->
     the drift K is zero.
     """
     b = _slip_column(state, params, ts)
-    return AffineLtiModel._trusted(b[:2], b, _NO_DRIFT)
+    return AffineLtiModel(b[:2], b, _NO_DRIFT)

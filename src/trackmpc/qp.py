@@ -60,6 +60,9 @@ _BOUNDARY = 1e-9
 # Projected-gradient steps that seed the search where the unconstrained
 # minimizer pins more than half the coordinates (see solve_box_qp).
 _SEED_STEPS = 8
+# The KKT residual a converged solve meets, relative to the gradient's scale
+# (see _meets).
+KKT_TOL = 1e-8
 
 
 class HorizonWeights(NamedTuple):
@@ -174,8 +177,7 @@ class QpProblem:
         return qp
 
 
-@dataclass(frozen=True)
-class CondensedCost:
+class CondensedCost(NamedTuple):
     """The state-independent part of the condensed tracking cost.
 
     suq = Su' Qbar (M x 3N, C-contiguous) maps the free-response error to
@@ -185,13 +187,6 @@ class CondensedCost:
 
     suq: np.ndarray
     h: np.ndarray
-
-    @classmethod
-    def _trusted(cls, suq: np.ndarray, h: np.ndarray) -> "CondensedCost":
-        """Build without the frozen constructor's setattr per field."""
-        cost = object.__new__(cls)
-        cost.__dict__.update(suq=suq, h=h)
-        return cost
 
 
 def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
@@ -212,7 +207,7 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
         w, t_map = input_weight
         h = h + w * (t_map.T @ t_map)
     h.flags.writeable = False
-    return CondensedCost._trusted(suq, h)
+    return CondensedCost(suq, h)
 
 
 def build_tracking_qp(
@@ -249,8 +244,7 @@ def build_tracking_qp(
     return QpProblem._trusted(cost.h, f, lb, ub)
 
 
-@dataclass(frozen=True)
-class QpSolution:
+class QpSolution(NamedTuple):
     u: np.ndarray
     iterations: int
     status: str          # "converged", "inaccurate" or "max_iter"
@@ -258,17 +252,6 @@ class QpSolution:
     primal_iterations: int = 0  # of the iterations, those of the primal active-set phase
     start: np.ndarray | None = None  # the accepted partition when the guess missed
     dual_iterations: int = 0  # of the iterations, those of the dual active-set phase
-
-    @classmethod
-    def _trusted(cls, u: np.ndarray, iterations: int, status: str, kkt_residual: float,
-                 primal_iterations: int, start: np.ndarray | None,
-                 dual_iterations: int) -> "QpSolution":
-        """Build without the frozen constructor's setattr per field."""
-        sol = object.__new__(cls)
-        sol.__dict__.update(u=u, iterations=iterations, status=status, kkt_residual=kkt_residual,
-                            primal_iterations=primal_iterations, start=start,
-                            dual_iterations=dual_iterations)
-        return sol
 
 
 def _blocks(h, free, pinned):
@@ -452,18 +435,19 @@ def _kkt_residual(x, g, lb, ub) -> float:
     return float(np.abs(x - (x - g).clip(lb, ub)).max())
 
 
-def _meets(resid: float, tol: float, h, f, lb, ub, x) -> bool:
-    """resid <= tol * max(1, s) with s = max|H| max|x| + max|f|, the tolerance
-    relative to the gradient's scale; s is formed only when resid exceeds tol.
+def _meets(resid: float, h, f, lb, ub, x) -> bool:
+    """resid <= KKT_TOL * max(1, s) with s = max|H| max|x| + max|f|, the
+    tolerance relative to the gradient's scale; s is formed only when resid
+    exceeds KKT_TOL.
 
     The residual of a point in the box is at most the box's widest side, so
     once the gradient's roundoff eps * s reaches that width every point in
-    the box scores like a solution; such a QP is held to the absolute tol.
+    the box scores like a solution; such a QP is held to the absolute KKT_TOL.
     """
-    if resid <= tol:
+    if resid <= KKT_TOL:
         return True
     scale = float(np.abs(h).max()) * float(np.abs(x).max()) + float(np.abs(f).max())
-    return resid <= tol * max(1.0, scale) and _EPS * scale < float((ub - lb).max())
+    return resid <= KKT_TOL * max(1.0, scale) and _EPS * scale < float((ub - lb).max())
 
 
 class RegionTable(NamedTuple):
@@ -541,7 +525,7 @@ def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable |
                        {s.tobytes(): _blocks(h, s, ~s) for s in sets})
 
 
-def _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it, primal_its, dual_its):
+def _finish(h, f, lb, ub, test, movable, part, free, cheap, it, primal_its, dual_its):
     """The exact finish of a partition from its cheap iterate: (solution, violations).
 
     Refines the cheap iterate (z, rows, h_free, f_free) in place and tests
@@ -559,15 +543,13 @@ def _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it, primal_its,
     x = z.clip(lb, ub)  # exact projection of roundoff
     g = viol[3] if x.tobytes() == z.tobytes() else h @ x + f  # the test's H z + f if clip kept z
     resid = _kkt_residual(x, g, lb, ub)
-    return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
-                               else "inaccurate", resid, primal_its,
-                               part if it > 1 else None, dual_its), viol
+    return QpSolution(x, it, "converged" if _meets(resid, h, f, lb, ub, x) else "inaccurate",
+                      resid, primal_its, part if it > 1 else None, dual_its), viol
 
 
-def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
-                 start: np.ndarray | None = None,
+def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None = None,
                  table: RegionTable | None = None) -> QpSolution:
-    """Deterministic box-QP solve to a KKT tolerance.
+    """Deterministic box-QP solve to the KKT tolerance KKT_TOL.
 
     The search is over bound partitions: pinned coordinates sit on their
     bound, free coordinates solve the reduced normal equations, and a
@@ -624,14 +606,16 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
 
     start warm-starts the search with a partition (int8, -1/0/+1 per
     coordinate, as QpSolution.start holds it): the partition a QP accepted
-    after its first partition missed, handed to the next, similar QP. It is
-    tried only when it differs from the first partition (the guess or the
-    seed's). The first partition is then tested on its cheap iterate first
-    and, if that holds, finished as without a start; otherwise the start's
-    cheap iterate is formed too and the search goes on from whichever of
-    the two has fewer violations, the first partition on a tie. That costs
-    one reduced solve when the first partition would have won anyway, and
-    one that holds cold still returns at iteration 1. Since the exact
+    after its first partition missed, handed to the next, similar QP. A
+    start of another shape or with another entry is a ValueError, whatever
+    path the solve would take. It is tried only when it differs from the
+    first partition (the guess or the seed's). The first partition is then
+    tested on its cheap iterate first and, if that holds, finished as
+    without a start; otherwise the start's cheap iterate is formed too and
+    the search goes on from whichever of the two has fewer violations, the
+    first partition on a tie. That costs one reduced solve when the first
+    partition would have won anyway, and one that holds cold still returns
+    at iteration 1. Since the exact
     finish depends only on the accepted partition, a start changes the
     path and never the answer. QpSolution.start is the accepted partition
     when the solve took more than one iteration and None otherwise, so a
@@ -655,23 +639,25 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
 
     Every reduced solve counts one iteration; primal_iterations and
     dual_iterations count those of the two phases. The status is
-    "converged" only when the returned point meets the tolerance, tol *
+    "converged" only when the returned point meets the tolerance, KKT_TOL *
     max(1, max|H| max|u| + max|f|), relative to the gradient's scale so
     that large weights alone do not fail it; where that scale's roundoff
     reaches the box's widest side, the residual cannot tell points apart
-    and the absolute tol holds.
+    and the absolute KKT_TOL holds.
     An accepted partition whose point does not meet it (say a NaN gradient,
     which no violation test catches) is "inaccurate". If the budget
     max_iter runs out first, returns the last partition's point clipped to
     the box, with status "max_iter" unless it happens to meet the tolerance
     anyway.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     h, f, lb, ub = qp.h, qp.f, qp.lb, qp.ub
     nv = f.size
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (nv,) or not ((start == 0) | (np.abs(start) == 1)).all():
+            raise ValueError(f"start must hold {nv} entries of -1, 0 or 1, got {start!r}")
     fixed = lb == ub  # equality-pinned coordinates never pivot
     movable = ~fixed
     # The all-free partition's right-hand side is -(f + H[free, pinned] z) with
@@ -692,7 +678,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             free = found == 0
             blocks = table.blocks if table.h is h else None
             sol, _ = _finish(h, f, lb, ub, test, movable, found, free,
-                             _reduced(h, f, lb, ub, x_unc, found, free, blocks), tol, 1, 0, 0)
+                             _reduced(h, f, lb, ub, x_unc, found, free, blocks), 1, 0, 0)
             if sol is not None:
                 return sol
     seeded = 2 * pinned > nv
@@ -725,8 +711,8 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
             viol = _violations(h, f, test, movable, part, z)
             exact = not viol[-1]
         if exact:
-            sol, viol = _finish(h, f, lb, ub, test, movable, part, free, cheap, tol, it,
-                                primal_its, dual_its)
+            sol, viol = _finish(h, f, lb, ub, test, movable, part, free, cheap, it, primal_its,
+                                dual_its)
             if sol is not None:
                 return sol
         too_low, too_high, leave, g, n_viol = viol
@@ -736,8 +722,6 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
                 # whichever of the two leaves fewer violations, the first on a tie.
                 missed = part, too_low, too_high, leave, n_viol
                 part = np.array(start, dtype=np.int8)
-                if part.shape != (nv,):
-                    raise ValueError(f"start must have {nv} entries, got shape {part.shape}")
                 part[fixed] = -1  # the multiplier test never moves these
                 continue
             warm = False
@@ -764,7 +748,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
                     break
                 if dual_its:  # else every violation lies within the margins
                     sol, viol = _finish(h, f, lb, ub, test, movable, part, part == 0, cheap,
-                                        tol, it, primal_its, dual_its)
+                                        it, primal_its, dual_its)
                     if sol is not None:
                         return sol
                     # The refined point disagrees: the primal phase restarts there.
@@ -798,5 +782,5 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000,
     _refine(z, free, rows, h_free, f_free)
     x = z.clip(lb, ub)
     resid = _kkt_residual(x, h @ x + f, lb, ub)
-    return QpSolution._trusted(x, it, "converged" if _meets(resid, tol, h, f, lb, ub, x)
-                               else "max_iter", resid, primal_its, None, dual_its)
+    return QpSolution(x, it, "converged" if _meets(resid, h, f, lb, ub, x) else "max_iter",
+                      resid, primal_its, None, dual_its)
