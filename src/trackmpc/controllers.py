@@ -39,7 +39,7 @@ from .qp import (
     region_table,
     solve_box_qp,
 )
-from .vehicle import VehicleParams, VehicleState
+from .vehicle import VehicleParams, VehicleState, ct_derivative
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ReferencePath
@@ -218,13 +218,8 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
                            region_table(cost.h, -bound, bound))
     prev = None
     if cfg.variant == "velocity_sl":
-        heading = plant.psi + plant.beta
-        prev = VehicleState(
-            x=plant.x - params.v * math.cos(heading) * cfg.ts,
-            y=plant.y - params.v * math.sin(heading) * cfg.ts,
-            psi=plant.psi - params.v / params.lr * math.sin(plant.beta) * cfg.ts,
-            beta=plant.beta,
-        )
+        dx, dy, dpsi = (cfg.ts * ct_derivative(plant, params)).tolist()
+        prev = VehicleState(plant.x - dx, plant.y - dy, plant.psi - dpsi, plant.beta)
     return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, model=model_qp)
 
 

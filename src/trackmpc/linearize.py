@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vehicle import VehicleParams, VehicleState
+from .vehicle import VehicleParams, VehicleState, ct_derivative
 
 _UNCOUPLED = np.zeros(2)  # c of a model whose A is the identity
 _UNCOUPLED.flags.writeable = False
@@ -98,14 +98,7 @@ def linearize_position(state: VehicleState, params: VehicleParams, ts: float) ->
     plant sits at the operating point. Input is the slip change off beta.
     """
     b = _slip_column(state, params, ts)
-    v = params.v
-    heading = state.psi + state.beta
-    k = ts * np.array([
-        v * math.cos(heading),
-        v * math.sin(heading),
-        v / params.lr * math.sin(state.beta),
-    ])
-    return AffineLtiModel(_UNCOUPLED, b, k)
+    return AffineLtiModel(_UNCOUPLED, b, ts * ct_derivative(state, params))
 
 
 def linearize_velocity(state: VehicleState, params: VehicleParams, ts: float) -> AffineLtiModel:

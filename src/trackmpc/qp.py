@@ -31,9 +31,9 @@ For a fixed (H, lb, ub) the optimal partition is a piecewise-constant
 function of f whose regions are polyhedra (Bemporad, Morari, Dua and
 Pistikopoulos, "The explicit linear quadratic regulator for constrained
 systems", Automatica 38(1), 2002). region_table enumerates them once for
-QPs of at most MAX_TABLE_MOVES variables, and a solver handed the table
-finishes the partition it locates for f in place of any search; the
-search runs only where the table names none or its finish fails.
+QPs of at most MAX_TABLE_MOVES variables. A solver handed the table takes
+the partition it locates for f as its first partition and the search does
+the rest, so a finish that fails is never discarded uncounted.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def _blocks(h, free, pinned):
     return rows, rows[:, free], rows[:, pinned]
 
 
-def _reduced(h, f, lb, ub, x_unc, part, free, blocks=None):
+def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
     """The cheap iterate of a partition: (z, rows, h_free, f_free).
 
     Pinned coordinates sit on their bound and free ones solve the reduced
@@ -275,7 +275,7 @@ def _reduced(h, f, lb, ub, x_unc, part, free, blocks=None):
     rounds like a copy of all its rows because every QpProblem's H is
     C-ordered (the constructor's symmetrization and condense_cost make it
     so). blocks maps a free set's bytes to its _blocks of this H, built
-    ahead; without it they are gathered here.
+    ahead; where it is None they are gathered here.
     """
     n_free = np.count_nonzero(free)
     if n_free == free.size:
@@ -370,7 +370,7 @@ def _seed(h, f, lb, ub, x_unc):
     return x
 
 
-def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, budget):
+def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, blocks, budget):
     """The dual active-set phase from a partition and its cheap iterate:
     (cheap, reduced solves), cheap None if the budget ran out first.
 
@@ -385,21 +385,19 @@ def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, budget):
     first partition with no free value outside the box (Goldfarb and
     Idnani 1983).
     """
-    lo, hi, g_tol = test
+    lo, hi, _ = test
     its = 0
     z = cheap[0]
-    g = h @ z + f
     while True:
-        leave = (part * g > g_tol) & movable
+        _, _, leave, g, _ = _violations(h, f, test, movable, part, z)
         if not leave.any():
             break
         if its == budget:
             return None, its
         its += 1
         part[leave] = 0
-        cheap = _reduced(h, f, lb, ub, x_unc, part, part == 0)
+        cheap = _reduced(h, f, lb, ub, x_unc, part, part == 0, blocks)
         z = cheap[0]
-        g = h @ z + f
     while True:
         out = np.maximum(lo - z, z - hi)  # > 0 only for a free value outside the box
         j = int(np.argmax(out))
@@ -410,12 +408,11 @@ def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, budget):
             if its == budget:
                 return None, its
             its += 1
-            cheap = _reduced(h, f, lb, ub, x_unc, part, part == 0)
+            cheap = _reduced(h, f, lb, ub, x_unc, part, part == 0, blocks)
             trial = cheap[0]
-            g_trial = h @ trial + f
             # j's own multiplier grows from 0 at the point to its bound's
             # sign at the trial; releasing it on roundoff would undo the pin.
-            wrong = (part * g_trial > g_tol) & movable
+            _, _, wrong, g_trial, _ = _violations(h, f, test, movable, part, trial)
             wrong[j] = False
             if not wrong.any():
                 z, g = trial, g_trial
@@ -564,20 +561,20 @@ def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None 
 
     The search runs on cheap iterates, the reduced solve without
     refinement; the first is finished at once, and the all-free partition
-    reuses the unconstrained solve. The first partition is the guess, that
-    of the unconstrained minimizer, unless the guess pins more than half
-    the coordinates: the minimizer then lies far outside the box, and
-    _SEED_STEPS projected-gradient steps from its projection, x <- clip(x -
-    (H x + f) / L) with L the largest row sum of |H|, name the first
-    partition in place of the guess (the seed; More and Toraldo 1991). The
-    seed reads only (H, f, lb, ub), so it changes the path and never the
-    answer. Every violating coordinate swaps sides at once
-    while the violation count keeps dropping (primal-dual active set;
-    Hintermueller, Ito and Kunisch 2002). When these block swaps stall the
-    search turns into an active-set method: a dual one where the QP took
-    no seed and at least 3 violations remain at the stall, a primal one
-    otherwise (on seeded QPs and short stalls the dual phase would cost
-    iterations).
+    reuses the unconstrained solve. The first partition is the region
+    table's (see table below) or else the guess, that of the unconstrained
+    minimizer, unless the guess pins more than half the coordinates: the
+    minimizer then lies far outside the box, and _SEED_STEPS
+    projected-gradient steps from its projection, x <- clip(x - (H x + f) /
+    L) with L the largest row sum of |H|, name the first partition in place
+    of the guess (the seed; More and Toraldo 1991). The seed reads only (H,
+    f, lb, ub), so it changes the path and never the answer. Every
+    violating coordinate swaps sides at once while the violation count
+    keeps dropping (primal-dual active set; Hintermueller, Ito and Kunisch
+    2002). When these block swaps stall the search turns into an
+    active-set method: a dual one where the QP took no seed and at least 3
+    violations remain at the stall, a primal one otherwise (on seeded QPs
+    and short stalls the dual phase would cost iterations).
 
     The dual phase (Goldfarb and Idnani 1983) first releases every pinned
     coordinate whose multiplier has the wrong sign, re-solving until none
@@ -609,33 +606,31 @@ def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None 
     after its first partition missed, handed to the next, similar QP. A
     start of another shape or with another entry is a ValueError, whatever
     path the solve would take. It is tried only when it differs from the
-    first partition (the guess or the seed's). The first partition is then
-    tested on its cheap iterate first and, if that holds, finished as
-    without a start; otherwise the start's cheap iterate is formed too and
-    the search goes on from whichever of the two has fewer violations, the
-    first partition on a tie. That costs one reduced solve when the first
-    partition would have won anyway, and one that holds cold still returns
-    at iteration 1. Since the exact
-    finish depends only on the accepted partition, a start changes the
-    path and never the answer. QpSolution.start is the accepted partition
-    when the solve took more than one iteration and None otherwise, so a
-    start is carried only past a first partition that missed.
+    first partition (the table's, the seed's or the guess). The first
+    partition is then tested on its cheap iterate first and, if that holds,
+    finished as without a start; otherwise the start's cheap iterate is
+    formed too and the search goes on from whichever of the two has fewer
+    violations, the first partition on a tie. That costs one reduced solve
+    when the first partition would have won anyway, and one that holds cold
+    still returns at iteration 1. Since the exact finish depends only on
+    the accepted partition, a start changes the path and never the answer.
+    QpSolution.start is the accepted partition when the solve took more
+    than one iteration and None otherwise, so a start is carried only past
+    a first partition that missed.
 
     table is the RegionTable of the QP's (H, lb, ub), as region_table builds
-    it. Where the unconstrained minimizer lies strictly inside the box, the
-    guess is finished as above. Otherwise the solver looks f up in the table
-    and finishes the partition found exactly, at once, with none of the
-    seed, the guess's reduced solve and the start tried; where that finish
-    holds, the solve takes one iteration. If it fails, or if f lies in no
-    region or on a region's boundary (within the table's margin, where
-    roundoff would pick between two partitions that both hold), the solver
-    returns what it returns without a table, and a finish it discarded is
-    not counted.
-    A table built from this H object also holds H's blocks for every free
-    set, which that finish uses in place of gathering them (so H must not
-    change in place after the table is built). The table is read as a
-    hint: one built from another H, or other bounds, changes the path and
-    never the answer.
+    it. Where the unconstrained minimizer leaves the box, the solver looks f
+    up in the table, and the partition found is the first partition, in
+    place of the guess and the seed; where it holds, the solve takes one
+    iteration. The search does the rest: where its finish fails, it goes on
+    from there with that reduced solve counted. Where f lies in no region or
+    on a region's boundary (within the table's margin, where roundoff would
+    pick between two partitions that both hold), the first partition is the
+    one without a table. A table built from this H object also holds H's
+    blocks for every free set, which every reduced solve uses in place of
+    gathering them (so H must not change in place after the table is
+    built). The table is read as a hint: one built from another H, or other
+    bounds, changes the path and never the answer.
 
     Every reduced solve counts one iteration; primal_iterations and
     dual_iterations count those of the two phases. The status is
@@ -669,28 +664,19 @@ def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None 
     test = lb, ub, 0.0  # the violation test, widened in the primal phase
 
     pinned = np.count_nonzero(part)
-    if table is not None and pinned:
-        # The unconstrained minimizer leaves the box: finish the table's partition.
-        found = table.locate(f)
-        if found is not None:
-            found = found.copy()
-            found[fixed] = -1
-            free = found == 0
-            blocks = table.blocks if table.h is h else None
-            sol, _ = _finish(h, f, lb, ub, test, movable, found, free,
-                             _reduced(h, f, lb, ub, x_unc, found, free, blocks), 1, 0, 0)
-            if sol is not None:
-                return sol
-    seeded = 2 * pinned > nv
+    # Where the guess pins a coordinate the table's partition for f comes
+    # first, else the seed's where the guess pins more than half of them.
+    found = table.locate(f) if table is not None and pinned else None
+    if found is not None:
+        part = found.copy()
+        part[fixed] = -1
+    seeded = found is None and 2 * pinned > nv
     if seeded:
-        # The minimizer lies far outside the box: a few projected-gradient
-        # steps name the first partition in place of the guess.
         part = _partition(_seed(h, f, lb, ub, x_unc), lb, ub, fixed)
-
+    blocks = table.blocks if table is not None and table.h is h else None
     # A start is tried only where it differs from the first partition, i.e.
     # where the search it came from did not accept its own first partition.
     warm = start is not None and start.tobytes() != part.tobytes()
-    finish_at = 0 if warm else 1  # the iteration whose partition is finished at once
     it = 0
     patience = 3
     best_infeas = nv + 1
@@ -702,11 +688,11 @@ def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None 
         if primal:
             primal_its += 1
         free = part == 0
-        cheap = _reduced(h, f, lb, ub, x_unc, part, free)
+        cheap = _reduced(h, f, lb, ub, x_unc, part, free, blocks)
         z = cheap[0]  # refined in place by _finish
         # The first partition is finished at once, so one that holds costs
         # no more than that; with a start to try, it is tested cheaply.
-        exact = it == finish_at
+        exact = it == 1 and not warm
         if not exact:
             viol = _violations(h, f, test, movable, part, z)
             exact = not viol[-1]
@@ -742,7 +728,7 @@ def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None 
             test = _margins(h, lb, ub)
             if not seeded and n_viol >= 3:
                 cheap, dual_its = _dual(h, f, lb, ub, x_unc, test, movable, part, cheap,
-                                        max_iter - it)
+                                        blocks, max_iter - it)
                 it += dual_its
                 if cheap is None:
                     break
@@ -778,7 +764,7 @@ def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None 
         part[j] = -1 if too_low[j] else 1
 
     free = part == 0
-    z, rows, h_free, f_free = _reduced(h, f, lb, ub, x_unc, part, free)
+    z, rows, h_free, f_free = _reduced(h, f, lb, ub, x_unc, part, free, blocks)
     _refine(z, free, rows, h_free, f_free)
     x = z.clip(lb, ub)
     resid = _kkt_residual(x, h @ x + f, lb, ub)

@@ -365,6 +365,16 @@ def test_qp_problem_validation():
         QpProblem(h=np.zeros((2, 2)), f=np.zeros(2), lb=-np.ones(2), ub=np.ones(2))
     with pytest.raises(ValueError, match="lb <= ub"):
         QpProblem(h=np.eye(2), f=np.zeros(2), lb=np.ones(2), ub=-np.ones(2))
+    with pytest.raises(ValueError, match="H must be 2x2"):
+        QpProblem(h=np.eye(3), f=np.zeros(2), lb=-np.ones(2), ub=np.ones(2))
+    with pytest.raises(ValueError, match="bound shapes must match"):
+        QpProblem(h=np.eye(2), f=np.zeros(2), lb=-np.ones(3), ub=np.ones(2))
+    pred = build_prediction(linearize_initial(PARAMS, 0.1), 4, 2)
+    cost = condense_cost(pred, _weights(w_y=1.0, w_u=0.0, w_du=1.0, alpha=1.0))
+    with pytest.raises(ValueError, match="reference stack must have 12 entries, got 9"):
+        build_tracking_qp(pred, cost, np.zeros(3), np.zeros(9), (-0.1, 0.1))
+    with pytest.raises(ValueError, match="need du_bounds low <= high"):
+        build_tracking_qp(pred, cost, np.zeros(3), np.zeros(12), (0.1, -0.1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -811,10 +821,12 @@ def test_narrow_boxes_take_the_seed_and_keep_the_reference_bits(scenario, rate_l
     seeded = dict.fromkeys(("position_sl", "velocity_sl"), 0)
     totals = dict.fromkeys(_NARROW_ITERATIONS[scenario], 0)
     for i, r in enumerate(recorded):
-        with mock.patch.object(qp_mod, "_seed", wraps=qp_mod._seed) as seed:
+        with mock.patch.object(qp_mod, "_seed", wraps=qp_mod._seed) as seed, \
+                mock.patch.object(qp_mod, "_reduced", wraps=qp_mod._reduced) as reduced:
             sol = solve_box_qp(r.qp, start=r.start, table=r.table)
         assert np.array_equal(sol.u, reference_solve_box_qp(r.qp).u), (scenario, i)
         assert sol.status == "converged" and sol.kkt_residual <= 1e-8, (scenario, i)
+        assert reduced.call_count == sol.iterations, (scenario, i)
         totals[r.variant] += sol.iterations
         if r.variant in seeded:
             seeded[r.variant] += seed.call_count
@@ -829,8 +841,8 @@ def test_narrow_boxes_take_the_seed_and_keep_the_reference_bits(scenario, rate_l
 
 def test_region_table_is_only_a_hint():
     # a table built from another H, or another box, points the search at a
-    # wrong partition; the exact finish rejects it and the search goes on to
-    # the reference bits
+    # wrong partition; the exact finish rejects it and the search goes on
+    # from there to the reference bits, counting every reduced solve
     rng = np.random.default_rng(5)
     steered = 0
     for _ in range(200):
@@ -841,9 +853,11 @@ def test_region_table_is_only_a_hint():
         other = rng.normal(size=(n, n))
         for table in (region_table(other.T @ other + np.eye(n), qp.lb, qp.ub),
                       region_table(qp.h, 0.1 * qp.lb, 3.0 * qp.ub)):
-            sol = solve_box_qp(qp, table=table)
+            with mock.patch.object(qp_mod, "_reduced", wraps=qp_mod._reduced) as reduced:
+                sol = solve_box_qp(qp, table=table)
             assert np.array_equal(sol.u, reference_solve_box_qp(qp).u)
             assert sol.status == "converged" and sol.kkt_residual <= 1e-8
+            assert reduced.call_count == sol.iterations  # a failed finish counts too
             steered += sol.iterations > 1
     assert steered > 50
 

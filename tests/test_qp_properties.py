@@ -483,6 +483,14 @@ def test_recorded_velocity_qp_finishes_in_the_dual_phase():
         assert sol.iterations <= 25
         assert np.array_equal(sol.u, ref.u)
         assert sol.u.tobytes() == rec["u"].tobytes()  # the move the run applied
+    # cold, its block swaps stall at iteration 8: a budget of 8 runs out in
+    # the dual phase's release loop, one of 9 to 12 in its pinning loop, and
+    # the solve returns the last partition's point clipped to the box
+    for max_iter in (8, 9, 12):
+        sol = solve_box_qp(qp, max_iter=max_iter)
+        assert sol.status == "max_iter" and sol.iterations == max_iter, max_iter
+        assert sol.dual_iterations == max_iter - 8 and sol.primal_iterations == 0, max_iter
+        assert ((qp.lb <= sol.u) & (sol.u <= qp.ub)).all(), max_iter
 
 
 def _angles(lo: float, hi: float):
