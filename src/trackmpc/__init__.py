@@ -21,6 +21,7 @@ from .qp import (
     QpSolution,
     build_prediction,
     build_tracking_qp,
+    move_box,
     solve_box_qp,
 )
 from .controllers import (

@@ -36,6 +36,7 @@ from .qp import (
     build_prediction,
     build_tracking_qp,
     condense_cost,
+    move_box,
     region_table,
     solve_box_qp,
 )
@@ -139,11 +140,11 @@ class ModelQp(NamedTuple):
     model's record once: pred predicts over the absolute slip commands
     beta + T du, with T the cumulative-move map, so cost condenses over the
     moves' Su T, input_weight is (w, T) of the w_u term, None when w_u is
-    zero, and table is the RegionTable of (cost.h, the slew box), which
-    every QP of the run shares and from which the solver takes its bound
-    partition without a search (None where region_table builds none). A
-    re-linearized model's record has input_weight and table None and is
-    replaced only when its key changes.
+    zero, and table is the RegionTable of (cost.h, the run's slew box
+    ControllerState.box), which every QP of the run shares and from which
+    the solver takes its bound partition without a search (None where
+    region_table builds none). A re-linearized model's record has
+    input_weight and table None and is replaced only when its key changes.
     """
 
     key: bytes
@@ -157,15 +158,16 @@ class LastSolve(NamedTuple):
     """The last QP solve, keyed by what it is a pure function of.
 
     h is the QP's Hessian object, the read-only cost.h shared while a model
-    is reused, f the bytes of its gradient, bound its box half-width and
-    start the partition it was handed. solution.start is the next step's
-    start, so a step whose QP has the same h object, f bytes and bound, and
-    whose start has the bytes of start, is handed solution as it stands.
+    is reused, f the bytes of its gradient, box its (lb, ub) object, the
+    run's ControllerState.box, and start the partition it was handed.
+    solution.start is the next step's start, so a step whose QP has the same
+    h object, f bytes and box object, and whose start has the bytes of
+    start, is handed solution as it stands.
     """
 
     h: np.ndarray
     f: bytes
-    bound: float
+    box: tuple[np.ndarray, np.ndarray]
     start: np.ndarray | None
     solution: QpSolution
 
@@ -179,8 +181,13 @@ class ControllerState(NamedTuple):
 
     ref_cursor: int = 0
     prev_state: VehicleState | None = None  # previous measured state (velocity variant)
-    # Per-run constants, built once by init_state from (cfg, params).
+    # Per-run constants, built once by init_state from (cfg, path, params), all
+    # read-only: the horizon weights, the flat reference stack the variant
+    # slices its stage references from (see _reference_stack), and the slew
+    # box (lb, ub) that every QP of the run takes as its bounds.
     weights: HorizonWeights | None = None
+    refs: np.ndarray | None = None
+    box: tuple[np.ndarray, np.ndarray] | None = None
     # The model's QP data: the fixed model's from init_state, else the last step's.
     model: ModelQp | None = None
     # The last solve; its solution's start is the next solve's start.
@@ -191,12 +198,39 @@ def _model_key(model: AffineLtiModel) -> bytes:
     return model.c.tobytes() + model.b.tobytes() + model.k.tobytes()
 
 
-def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams) -> ControllerState:
+def _reference_stack(path: "ReferencePath", n: int, displacements: bool) -> np.ndarray:
+    """A run's stage references as one flat read-only array of rows (x, y, 0).
+
+    Row j is path sample j, or with displacements the step from sample j-1
+    to sample j (row 0, before the first sample, is zero); N more rows
+    repeat the last, so a horizon that runs past the final sample is clamped
+    to it. A step slices its N stage references out of this stack.
+    """
+    last = len(path) - 1
+    idx = np.minimum(np.arange(last + 1 + n), last)
+    rows = np.zeros((idx.size, 3))
+    if displacements:
+        ahead = idx[1:]
+        rows[1:, 0] = path.x[ahead] - path.x[ahead - 1]
+        rows[1:, 1] = path.y[ahead] - path.y[ahead - 1]
+    else:
+        rows[:, 0] = path.x[idx]
+        rows[:, 1] = path.y[idx]
+    refs = rows.reshape(-1)
+    refs.flags.writeable = False
+    return refs
+
+
+def init_state(cfg: ControllerConfig, plant: VehicleState, path: "ReferencePath",
+               params: VehicleParams) -> ControllerState:
     """Initial controller state for a plant starting at rest on its path.
 
-    Builds what depends only on (cfg, params) once: the horizon weights of
-    every variant, and for the fixed absolute-slip model its ModelQp, region
-    table included, so that each step forms only the QP gradient.
+    Builds what depends only on (cfg, path, params) once, all read-only: the
+    horizon weights, the variant's reference stack over path (positions, or
+    per-sample displacements for velocity_sl; see _reference_stack), the slew
+    box +-rate_limit*ts of every move, and for the fixed absolute-slip model
+    its ModelQp, region table included, so that each step forms only the QP
+    gradient.
 
     The velocity variant needs a previous sample to difference against; the
     plant is assumed to have been cruising, so the initial state is
@@ -205,6 +239,10 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
     """
     n, m = cfg.horizon, cfg.control_horizon
     hw = horizon_weights(cfg)
+    difference_state = cfg.variant == "velocity_sl"
+    refs = _reference_stack(path, n, difference_state)
+    bound = cfg.rate_limit * cfg.ts
+    box = move_box(m, (-bound, bound))
     model_qp = None
     if cfg.variant in FIXED_MODEL_VARIANTS:
         model = linearize_initial(params, cfg.ts)
@@ -213,24 +251,14 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, params: VehicleParams
         input_weight = None if hw.target is None else (hw.target, t_low)
         moves = PredictionMatrices(pred.sx, pred.su @ t_low, pred.sk)
         cost = condense_cost(moves, hw, input_weight)
-        bound = np.full(m, cfg.rate_limit * cfg.ts)
         model_qp = ModelQp(_model_key(model), pred, cost, input_weight,
-                           region_table(cost.h, -bound, bound))
+                           region_table(cost.h, *box))
     prev = None
-    if cfg.variant == "velocity_sl":
+    if difference_state:
         dx, dy, dpsi = (cfg.ts * ct_derivative(plant, params)).tolist()
         prev = VehicleState(plant.x - dx, plant.y - dy, plant.psi - dpsi, plant.beta)
-    return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, model=model_qp)
-
-
-def _stack_position_refs(path: "ReferencePath", cursor: int, n: int) -> np.ndarray:
-    """Stage references (x, y, psi=0) for stages cursor+1 .. cursor+n, clamped at the end."""
-    last = len(path) - 1
-    idx = np.minimum(cursor + 1 + np.arange(n), last)
-    refs = np.zeros(3 * n)
-    refs[0::3] = path.x[idx]
-    refs[1::3] = path.y[idx]
-    return refs
+    return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, refs=refs, box=box,
+                           model=model_qp)
 
 
 class EndOfPath(ControlError):
@@ -288,12 +316,20 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
       displacement reference comes from generate_delta_refs; later stages
       chain the per-sample displacements along the path from the picked
       sample onward (the final displacement repeats if the path runs out).
+      They are a copy of the run's displacement stack from the picked
+      sample on, whose first stage the picked displacement overwrites.
       Heading-difference references are zero, which is unweighted under the
       default Q.
 
     position_sl is neither: it re-linearizes the pose model at the measured
     (psi, beta) every call and tracks the indexed position stack with slip
     changes bounded directly by the rate limit.
+
+    The reference stack, the slew box and the weights are init_state's run
+    constants: a position variant's stage references are a view of the
+    run's position stack from sample ref_cursor + 1 on (clamped at the
+    final sample), and every QP takes the run's box objects as its bounds.
+    The path is read only by generate_delta_refs.
 
     A re-linearizing variant builds a new ModelQp only when its model's
     bytes differ from the previous step's (a straight stretch repeats the
@@ -304,7 +340,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     iteration and hands on none). solve_box_qp is a pure function of (H, f, the
     bounds, start, table), and the table goes with the H object, so a step
     whose QP is the previous one bit for bit (the same H object, f bytes and
-    bound, with the same start handed in) reuses
+    box object, with the same start handed in) reuses
     ControllerState.last_solve's solution without calling it; every field,
     start included, is what the call would return. On straight.cfg that is
     1946 of 1950 solves, on complete.cfg 30 of 559.
@@ -313,7 +349,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     difference_state = cfg.variant == "velocity_sl"
     if difference_state and ctrl.prev_state is None:
         raise ControlError("velocity controller state has no previous sample; use init_state")
-    if ctrl.weights is None or (fixed_model and ctrl.model is None):
+    if ctrl.refs is None or (fixed_model and ctrl.model is None):
         raise ControlError(f"{cfg.variant} controller state has no run constants; use init_state")
     n, m = cfg.horizon, cfg.control_horizon
     model_qp = ctrl.model
@@ -333,28 +369,25 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     if input_weight is not None:
         input_target = (*input_weight, np.full(m, plant.beta - cfg.u_target))
 
+    refs, box = ctrl.refs, ctrl.box
     if difference_state:
         prev = ctrl.prev_state
         x0 = np.array([plant.x - prev.x, plant.y - prev.y, plant.psi - prev.psi])
         dx_ref, dy_ref, cursor = generate_delta_refs(plant, path, ctrl.ref_cursor, params, cfg.ts)
-        last = len(path) - 1
-        ahead = np.minimum(cursor + np.arange(1, n), last)
-        x_ref = np.zeros(3 * n)
+        x_ref = refs[3 * cursor:3 * (cursor + n)].copy()
         x_ref[0], x_ref[1] = dx_ref, dy_ref
-        x_ref[3::3] = path.x[ahead] - path.x[ahead - 1]
-        x_ref[4::3] = path.y[ahead] - path.y[ahead - 1]
     else:
         x0 = np.array([plant.x, plant.y, plant.psi])
-        x_ref = _stack_position_refs(path, ctrl.ref_cursor, n)
         cursor = ctrl.ref_cursor + 1
+        first = min(3 * cursor, refs.size - 3 * n)  # past the final sample, all stages sit on it
+        x_ref = refs[first:first + 3 * n]
 
-    bound = cfg.rate_limit * cfg.ts
-    qp = build_tracking_qp(pred, cost, x0, x_ref, (-bound, bound), input_target)
+    qp = build_tracking_qp(pred, cost, x0, x_ref, box, input_target)
     last_solve = ctrl.last_solve
     start = None if last_solve is None else last_solve.solution.start
     f_bytes = qp.f.tobytes()
     repeat = (last_solve is not None and last_solve.h is qp.h and last_solve.f == f_bytes
-              and last_solve.bound == bound and _same_start(last_solve.start, start))
+              and last_solve.box is box and _same_start(last_solve.start, start))
     sol = last_solve.solution if repeat else solve_box_qp(qp, start=start, table=table)
     if sol.status != "converged":
         if not np.isfinite(qp.f).all():
@@ -372,8 +405,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
             f"at weight scale max|H| = {float(np.abs(qp.h).max()):.3e} "
             f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     if not repeat:
-        last_solve = LastSolve(qp.h, f_bytes, bound, start, sol)
-    return float(sol.u[0]), ControllerState(cursor, plant, ctrl.weights, model_qp, last_solve)
+        last_solve = LastSolve(qp.h, f_bytes, box, start, sol)
+    return float(sol.u[0]), ControllerState(cursor, plant, ctrl.weights, refs, box, model_qp,
+                                            last_solve)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

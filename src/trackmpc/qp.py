@@ -210,12 +210,27 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
     return CondensedCost(suq, h)
 
 
+def move_box(m: int, du_bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (lb, ub) that box each of m moves to du_bounds = (low, high).
+
+    A run builds its box once and hands it to build_tracking_qp, so every QP
+    it poses shares the two arrays.
+    """
+    lo, hi = du_bounds
+    if not lo <= hi:
+        raise ValueError(f"need du_bounds low <= high, got ({lo}, {hi})")
+    lb = np.full(m, float(lo))
+    ub = np.full(m, float(hi))
+    lb.flags.writeable = ub.flags.writeable = False
+    return lb, ub
+
+
 def build_tracking_qp(
     pred: PredictionMatrices,
     cost: CondensedCost,
     x0: np.ndarray,
     x_ref: np.ndarray,
-    du_bounds: tuple[float, float],
+    box: tuple[np.ndarray, np.ndarray],
     input_target: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> QpProblem:
     """The box QP of the tracking cost, H = cost.h and f = Su' Qbar (Sx x0 + Sk - Xref).
@@ -223,25 +238,21 @@ def build_tracking_qp(
     Sx and Sk come from pred and Su' Qbar from cost, which condenses the
     moves' Su with (w, T) of input_target = (w, T, c): the term
     0.5 w |T U + c|^2 on the commands T U + c measured from their target,
-    which adds w T'c to f. du_bounds boxes every move. The QpProblem skips
-    the public constructor's checks, which hold by construction.
+    which adds w T'c to f. x0 and x_ref are float arrays of 3 and 3N
+    entries, and box is move_box's (lb, ub), which the QP takes as its
+    bounds. Only x_ref's shape is checked, since a stack of another shape
+    would broadcast; the QpProblem skips the public constructor's checks,
+    which hold by construction.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(3)
-    x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    m, n3 = cost.suq.shape
-    if x_ref.size != n3:
-        raise ValueError(f"reference stack must have {n3} entries, got {x_ref.size}")
-    lo, hi = du_bounds
-    if not lo <= hi:
-        raise ValueError(f"need du_bounds low <= high, got ({lo}, {hi})")
-
+    n3 = cost.suq.shape[1]
+    if x_ref.shape != (n3,):
+        raise ValueError(f"reference stack must have {n3} entries, got {x_ref.size} "
+                         f"in shape {x_ref.shape}")
     f = cost.suq @ (pred.sx @ x0 + pred.sk - x_ref)
     if input_target is not None:
         w, t_map, offset = input_target
         f = f + w * (t_map.T @ offset)
-    lb = np.full(m, float(lo))
-    ub = np.full(m, float(hi))
-    return QpProblem._trusted(cost.h, f, lb, ub)
+    return QpProblem._trusted(cost.h, f, *box)
 
 
 class QpSolution(NamedTuple):

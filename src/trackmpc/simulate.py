@@ -274,7 +274,7 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
         raise ValueError(f"controller ts {cfg.ts} does not match path sample time {path.ts}")
     steps = len(path) - 1
     state = initial_state if initial_state is not None else default_initial_state(path)
-    ctrl = _controllers.init_state(cfg, state, params)
+    ctrl = _controllers.init_state(cfg, state, path, params)
     step_fn = _controllers.CONTROLLER_STEPS[cfg.variant]
     noisy = disturbance.kind == "gaussian_output"
     if noisy:
@@ -285,8 +285,8 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
         if disturbance.apply_to_x:
             noise_x = gaussian_noise(disturbance, counters + np.uint64(_X_STREAM_OFFSET)).tolist()
 
-    t_trace = [0.0]
-    states = [state.as_array()]
+    # One (x, y, psi, beta) row per sample, stacked once after the loop.
+    rows = [(state.x, state.y, state.psi, state.beta)]
     inputs: list[float] = []
     measured: list[tuple[float, float]] = []
     iter_times: list[float] = []
@@ -312,19 +312,19 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
         measured.append((meas.x, meas.y))
         iter_times.append(elapsed)
         inputs.append(u)
-        t_trace.append(float(path.t[k + 1]))
-        states.append(state.as_array())
+        rows.append((state.x, state.y, state.psi, state.beta))
 
-    n_samples = len(states)
+    n_samples = len(rows)
+    states = np.array(rows, dtype=float)
     return SimResult(
         variant=cfg.variant,
-        t=np.array(t_trace),
-        states=np.vstack(states),
+        t=np.concatenate(([0.0], path.t[1:n_samples])),
+        states=states,
         inputs=np.array(inputs),
         measured=np.array(measured).reshape(len(measured), 2),
         x_ref=path.x[:n_samples].copy(),
         y_ref=path.y[:n_samples].copy(),
-        ssd=ssd_from_traces(np.vstack(states), path.x[:n_samples], path.y[:n_samples]),
+        ssd=ssd_from_traces(states, path.x[:n_samples], path.y[:n_samples]),
         iter_times=np.array(iter_times),
         total_time=float(np.sum(iter_times)) if iter_times else 0.0,
         status=status,

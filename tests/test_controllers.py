@@ -122,9 +122,9 @@ _LINEARIZE = {
 def test_step_dispatches_through_module_globals(variant, monkeypatch):
     # every variant looks its stages up as globals of trackmpc.controllers
     # at call time (tracing wrappers patch them there). What depends only on
-    # (cfg, params) is built once by init_state: the horizon weights, and
-    # for the fixed absolute-slip model its linearization, prediction and
-    # condensed cost. Each step then builds one fresh QpProblem and solves
+    # (cfg, path, params) is built once by init_state: the horizon weights,
+    # the reference stack, the slew box, and for the fixed absolute-slip
+    # model its linearization, prediction and condensed cost. Each step then builds one fresh QpProblem and solves
     # it at most once: not at all when it is the previous step's QP bit for
     # bit, which no step on this sine path is.
     calls = Counter()
@@ -149,7 +149,7 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     cfg = config_for(variant, w_u=50.0, u_target=0.01)
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     fixed_model = variant in ("baseline", "weight_tuned")
     per_run = {"horizon_weights": 1}
     if fixed_model:
@@ -173,6 +173,103 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     assert calls == Counter(per_step)
     assert all(type(qp) is trackmpc.qp.QpProblem for qp in solved)
     assert len({id(qp) for qp in solved}) == steps
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+class _Captured(Exception):
+    """Raised by a stand-in build_tracking_qp once it has recorded its reference."""
+
+
+def _stage_refs_built_per_step(path, cursor, n, first_stage=None):
+    """The stage references as a step used to build them, cursor being the
+    position variants' ref_cursor or velocity_sl's picked sample."""
+    last = len(path) - 1
+    refs = np.zeros(3 * n)
+    if first_stage is None:  # positions of stages cursor+1 .. cursor+n
+        idx = np.minimum(cursor + 1 + np.arange(n), last)
+        refs[0::3] = path.x[idx]
+        refs[1::3] = path.y[idx]
+        return refs
+    ahead = np.minimum(cursor + np.arange(1, n), last)
+    refs[0], refs[1] = first_stage
+    refs[3::3] = path.x[ahead] - path.x[ahead - 1]
+    refs[4::3] = path.y[ahead] - path.y[ahead - 1]
+    return refs
+
+
+@pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.cfg")))
+def test_run_reference_stacks_give_the_per_step_references(scenario, monkeypatch):
+    # init_state builds the reference stack a variant reads once per run; at
+    # every cursor of the path, horizons running past its final sample
+    # included, the stage references a step hands build_tracking_qp are
+    # byte for byte the ones the step used to build itself. The stack is
+    # read-only and a position variant's references are a view of it
+    seen = []
+
+    def capture(pred, cost, x0, x_ref, box, input_target=None):
+        seen.append(x_ref)
+        raise _Captured
+
+    first_stage = (0.25, -0.5)
+    picked = {}
+
+    def pick(plant, path, cursor, params, ts):
+        return (*first_stage, picked["cursor"])
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", capture)
+    monkeypatch.setattr(trackmpc.controllers, "generate_delta_refs", pick)
+    scenario_cfg = parse_config((SCENARIOS / scenario).read_text())
+    for variant in VARIANTS:
+        cfg = scenario_cfg.controller_config(variant)
+        path = scenario_cfg.build_path(cfg.ts)
+        plant = default_initial_state(path)
+        ctrl = init_state(cfg, plant, path, PARAMS)
+        assert not ctrl.refs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ctrl.refs[0] = 1.0
+        difference_state = variant == "velocity_sl"
+        # a position variant steps from ref_cursor, which a run takes to
+        # len(path) - 2; velocity_sl from the sample generate_delta_refs picks
+        cursors = range(len(path) + (0 if difference_state else 2))
+        for cursor in cursors:
+            seen.clear()
+            picked["cursor"] = cursor
+            with pytest.raises(_Captured):
+                CONTROLLER_STEPS[variant](ctrl._replace(ref_cursor=cursor), plant, path, cfg,
+                                          PARAMS)
+            (x_ref,) = seen
+            expected = _stage_refs_built_per_step(
+                path, cursor, cfg.horizon, first_stage if difference_state else None)
+            assert _same_bytes(x_ref, expected), (variant, cursor)
+            if not difference_state:
+                assert x_ref.base is ctrl.refs.base and not x_ref.flags.writeable
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_qp_of_a_run_shares_the_slew_box(variant, monkeypatch):
+    # the slew box is built once per run: every QP a run poses takes the
+    # same two read-only arrays as its bounds, the bytes of
+    # np.full(M, -+rate_limit * ts), and no step allocates a box of its own
+    built = []
+    real = trackmpc.controllers.build_tracking_qp
+
+    def building(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", building)
+    cfg = config_for(variant)
+    path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+    result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
+    assert result.status == "ok" and len(built) == result.inputs.size
+    lb, ub = built[0].lb, built[0].ub
+    assert all(qp.lb is lb and qp.ub is ub for qp in built)
+    bound = cfg.rate_limit * cfg.ts
+    assert _same_bytes(lb, np.full(cfg.control_horizon, -bound))
+    assert _same_bytes(ub, np.full(cfg.control_horizon, bound))
+    assert not (lb.flags.writeable or ub.flags.writeable)
 
 
 def _same_bytes(a, b):
@@ -200,7 +297,7 @@ def test_fixed_model_record_carries_the_region_table_of_its_qps(variant, monkeyp
         cfg = config_for(variant, control_horizon=m)
         path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
         plant = VehicleState(x=0.1, y=0.2, psi=0.05, beta=0.01)
-        ctrl = init_state(cfg, plant, PARAMS)
+        ctrl = init_state(cfg, plant, path, PARAMS)
         handed.clear()
         for _ in range(3):
             _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
@@ -233,7 +330,7 @@ def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
     step = CONTROLLER_STEPS[variant]
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = VehicleState(x=0.1, y=0.2, psi=0.05, beta=0.01)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     fixed_model = variant in ("baseline", "weight_tuned")
     built = ctrl.model
     assert (built is not None) == fixed_model
@@ -243,7 +340,7 @@ def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
     assert hit.model is first
     if fixed_model:
         assert first is built
-        fresh_record = init_state(cfg, plant, PARAMS).model
+        fresh_record = init_state(cfg, plant, path, PARAMS).model
         _, miss = step(ctrl._replace(model=fresh_record), plant, path, cfg, PARAMS)
     else:
         _, miss = step(ctrl._replace(model=None), plant, path, cfg, PARAMS)
@@ -303,7 +400,7 @@ def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypa
     cfg = config_for(variant)
     path = make_straight_path(4.0, cfg.ts)
     plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
     first = ctrl.model
     _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
@@ -366,7 +463,7 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
 
     plant = default_initial_state(path)
     with pytest.raises(ControlError) as err:
-        CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+        CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
     assert str(err.value) == expected()
 
 
@@ -385,7 +482,7 @@ def test_non_finite_qp_is_a_control_error(variant, monkeypatch):
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
     with pytest.raises(ControlError, match=f"{variant} QP stopped at .* KKT residual nan"):
-        CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+        CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -395,8 +492,8 @@ def test_non_finite_reference_names_the_gradient(variant):
     cfg = config_for(variant)
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, PARAMS)
     path.y[1:] = np.nan
+    ctrl = init_state(cfg, plant, path, PARAMS)
     with pytest.raises(ControlError) as err:
         CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
     message = str(err.value)
@@ -411,7 +508,7 @@ def test_step_carries_the_start_outside_equality(monkeypatch):
     cfg = config_for("velocity_sl")
     path = make_step_path(1.0, 6.0, cfg.ts)
     plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     assert ctrl.last_solve is None
     real = trackmpc.controllers.solve_box_qp
     handed, returned = [], []
@@ -442,9 +539,6 @@ def _same_solution(a, b):
             and (a.start is b.start is None
                  or a.start is not None and b.start is not None
                  and _same_bytes(a.start, b.start)))
-
-
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.mark.parametrize("scenario,reused", [
@@ -497,12 +591,12 @@ def test_reused_solutions_are_what_a_fresh_solve_returns(scenario, reused, tmp_p
 def test_only_a_bit_identical_qp_reuses_the_last_solve(variant, change, monkeypatch):
     # on a straight path every step's QP is the first one's (f = 0). One
     # ulp or the sign of a zero in f, another start handed in, an H of the
-    # same bytes that is a new object or another bound makes a new QP,
+    # same bytes that is a new object or another slew box makes a new QP,
     # which is solved and stored in place of the last solve
     cfg = config_for(variant)
     path = make_straight_path(4.0, cfg.ts)
     plant = default_initial_state(path)
-    _, ctrl = CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+    _, ctrl = CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
     stored = ctrl.last_solve
     assert stored.solution.start is None and not np.frombuffer(stored.f).any()
 
@@ -533,7 +627,8 @@ def test_only_a_bit_identical_qp_reuses_the_last_solve(variant, change, monkeypa
         ctrl = ctrl._replace(last_solve=stored._replace(
             solution=stored.solution._replace(start=handed)))
     if change == "bound":
-        cfg = replace(cfg, rate_limit=cfg.rate_limit / 2)
+        half = cfg.rate_limit * cfg.ts / 2
+        ctrl = ctrl._replace(box=trackmpc.qp.move_box(cfg.control_horizon, (-half, half)))
     u, after = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
     if change is None:
         assert solved == [] and after.last_solve is ctrl.last_solve
@@ -562,7 +657,7 @@ def test_a_repeat_whose_guess_missed_is_reused_once_its_start_repeats(monkeypatc
         return built[-1]
 
     monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", building)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     while ctrl.last_solve is None or ctrl.last_solve.solution.start is None:
         u, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
         plant = step_nonlinear(plant, u, cfg.ts, PARAMS)
@@ -574,7 +669,7 @@ def test_a_repeat_whose_guess_missed_is_reused_once_its_start_repeats(monkeypatc
 
     monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", lambda *a, **k: missed)
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", solving)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     states = []
     for _ in range(4):
         _, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
@@ -594,7 +689,7 @@ def test_a_step_that_raises_stores_no_solve(monkeypatch):
     cfg = config_for("baseline")
     path = make_straight_path(4.0, cfg.ts)
     plant = default_initial_state(path)
-    _, ctrl = CONTROLLER_STEPS["baseline"](init_state(cfg, plant, PARAMS), plant, path, cfg,
+    _, ctrl = CONTROLLER_STEPS["baseline"](init_state(cfg, plant, path, PARAMS), plant, path, cfg,
                                            PARAMS)
     stored = ctrl.last_solve
     real_build = trackmpc.controllers.build_tracking_qp
@@ -633,7 +728,7 @@ def test_on_path_start_commands_zero(variant):
     cfg = config_for(variant)
     path = make_straight_path(10.0, cfg.ts)
     plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     u, _ = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
     assert abs(u) < 1e-12
 
@@ -641,7 +736,7 @@ def test_on_path_start_commands_zero(variant):
 def test_velocity_backward_initialization():
     cfg = config_for("velocity_sl")
     plant = VehicleState(x=3.0, y=-1.0, psi=0.3, beta=0.05)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, make_straight_path(4.0, cfg.ts), PARAMS)
     prev = ctrl.prev_state
     assert prev is not None
     heading = 0.3 + 0.05
@@ -667,7 +762,7 @@ def test_step_reference_saturates_first_move():
     cfg = config_for("baseline")
     path = make_step_path(1.0, 6.0, cfg.ts)
     plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, PARAMS)
+    ctrl = init_state(cfg, plant, path, PARAMS)
     u, after = CONTROLLER_STEPS["baseline"](ctrl, plant, path, cfg, PARAMS)
     assert u == pytest.approx(cfg.rate_limit * cfg.ts, abs=1e-12)
     assert after.ref_cursor == 1
@@ -682,7 +777,7 @@ def test_input_target_pulls_slip():
     plant = default_initial_state(path)
     step = CONTROLLER_STEPS["baseline"]
     cfg_plain = config_for("baseline", alpha=1.0)
-    u_plain, _ = step(init_state(cfg_plain, plant, PARAMS), plant, path, cfg_plain, PARAMS)
+    u_plain, _ = step(init_state(cfg_plain, plant, path, PARAMS), plant, path, cfg_plain, PARAMS)
     assert abs(u_plain) < 1e-12
 
     wy, wdu, wu, c = 10.0, 0.1, 50.0, 0.02
@@ -690,7 +785,7 @@ def test_input_target_pulls_slip():
     for sign in (1.0, -1.0):
         cfg = config_for("baseline", alpha=1.0, w_u=wu, u_target=sign * c,
                          horizon=1, control_horizon=1)
-        u, _ = step(init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+        u, _ = step(init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
         assert u == pytest.approx(sign * expected, abs=1e-9)
 
 
@@ -701,7 +796,7 @@ def test_input_target_is_ignored_by_relinearizing_variants(variant):
     cfg = config_for(variant, alpha=1.0, w_u=50.0, u_target=0.02)
     path = make_straight_path(10.0, cfg.ts)
     plant = default_initial_state(path)
-    u, _ = CONTROLLER_STEPS[variant](init_state(cfg, plant, PARAMS), plant, path, cfg, PARAMS)
+    u, _ = CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
     assert abs(u) < 1e-12
 
 

@@ -33,6 +33,7 @@ from trackmpc import (
     linearize_initial,
     linearize_position,
     linearize_velocity,
+    move_box,
     parse_config,
     solve_box_qp,
 )
@@ -50,9 +51,10 @@ def _weights(**settings) -> HorizonWeights:
 
 
 def _tracking_qp(pred, x0, x_ref, hw, du_bounds, input_target=None):
-    """Condense the cost and assemble the QP in one call."""
+    """Condense the cost, box the moves and assemble the QP in one call."""
     cost = condense_cost(pred, hw, None if input_target is None else input_target[:2])
-    return build_tracking_qp(pred, cost, x0, x_ref, du_bounds, input_target)
+    return build_tracking_qp(pred, cost, x0, x_ref, move_box(pred.su.shape[1], du_bounds),
+                             input_target)
 
 
 def test_scaling_alpha_one_is_identity():
@@ -352,7 +354,7 @@ def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
         x_ref = rng.normal(size=3 * n)
         h, f = _reference_qp(moves.su, pred.sx, sk_mv, x0, x_ref, hw, target)
         for qp in (_tracking_qp(step, x0, x_ref, hw, (-0.1, 0.1), target),
-                   build_tracking_qp(step, cost, x0, x_ref, (-0.1, 0.1), target)):
+                   build_tracking_qp(step, cost, x0, x_ref, move_box(m, (-0.1, 0.1)), target)):
             assert np.array_equal(qp.h, h)
             assert np.array_equal(qp.f, f)
 
@@ -372,9 +374,9 @@ def test_qp_problem_validation():
     pred = build_prediction(linearize_initial(PARAMS, 0.1), 4, 2)
     cost = condense_cost(pred, _weights(w_y=1.0, w_u=0.0, w_du=1.0, alpha=1.0))
     with pytest.raises(ValueError, match="reference stack must have 12 entries, got 9"):
-        build_tracking_qp(pred, cost, np.zeros(3), np.zeros(9), (-0.1, 0.1))
+        build_tracking_qp(pred, cost, np.zeros(3), np.zeros(9), move_box(2, (-0.1, 0.1)))
     with pytest.raises(ValueError, match="need du_bounds low <= high"):
-        build_tracking_qp(pred, cost, np.zeros(3), np.zeros(12), (0.1, -0.1))
+        build_tracking_qp(pred, cost, np.zeros(3), np.zeros(12), move_box(2, (0.1, -0.1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

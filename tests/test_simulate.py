@@ -1,12 +1,15 @@
 """Reference-path generators, the disturbance stream, and the run harness."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trackmpc.controllers as controllers_mod
+import trackmpc.simulate as simulate_mod
 from trackmpc import (
     ControlError,
     DisturbanceSpec,
@@ -317,3 +320,51 @@ def test_failed_run_keeps_consistent_partial_trace(monkeypatch):
     # the recorded ssd covers exactly the surviving samples
     assert result.ssd == pytest.approx(
         ssd_from_traces(result.states, result.x_ref, result.y_ref), abs=1e-15)
+
+
+# --- the benchmark's patch points ---------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("variant", ["baseline", "velocity_sl"])
+def test_harness_looks_up_the_plant_step_once_per_move(variant, monkeypatch):
+    # perfbench times the controller by running a kernel after each plant
+    # step, patched in as trackmpc.simulate.step_nonlinear: the harness must
+    # look it up by that name on every step and call it once per applied
+    # move. The counter is patched in during the first controller step, so
+    # a plant step bound before the loop would miss it
+    calls = []
+    real = simulate_mod.step_nonlinear
+    real_step = controllers_mod.CONTROLLER_STEPS[variant]
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    def patching(*args):
+        monkeypatch.setattr(simulate_mod, "step_nonlinear", counting)
+        return real_step(*args)
+
+    monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, variant, patching)
+    cfg = config_for(variant)
+    path = make_sine_path(1.0, 40.0, 3.0, cfg.ts)
+    result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
+    assert result.status == "ok" and result.inputs.size == len(path) - 1
+    assert calls == result.inputs.tolist()
+
+
+def test_every_traced_name_resolves_on_the_package():
+    # perfbench/tracing.py wraps each function where it is looked up at call
+    # time; every (module, attribute) it names must exist there, and so must
+    # the step table whose entries it wraps
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, (module, attrs) in tracing.TRACED.items():
+        for attr in attrs:
+            owner = importlib.import_module(f"trackmpc.{module}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (name, module, attr)
+    assert tuple(controllers_mod.CONTROLLER_STEPS) == controllers_mod.VARIANTS
