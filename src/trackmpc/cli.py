@@ -46,6 +46,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(target: Path, header, rows) -> None:
+    with open(target, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trace(target: Path, res: SimResult, params) -> None:
     """Write one closed-loop trace as CSV (deterministic bytes, no timing)."""
     states = res.states.T.tolist()
@@ -53,10 +60,7 @@ def write_trace(target: Path, res: SimResult, params) -> None:
                res.x_ref.tolist(), res.y_ref.tolist(), res.inputs.tolist()]
     cells = [[repr(value) for value in column] for column in columns]
     cells[-1] += [""] * (len(res.t) - len(res.inputs))  # no move after the last sample
-    with open(target, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(zip(*cells))
+    _write_csv(target, TRACE_COLUMNS, zip(*cells))
 
 
 def read_trace(source: Path) -> dict:
@@ -124,12 +128,9 @@ def run_compare(cfg: ScenarioConfig) -> tuple:
         else:
             failures.append((variant, res.status))
     rows.sort(key=lambda row: row.ssd)
-    with open(out / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([row.model, _fmt(row.ssd),
-                             _fmt(row.time_per_iteration), _fmt(row.total_time)])
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
+               [(row.model, _fmt(row.ssd), _fmt(row.time_per_iteration), _fmt(row.total_time))
+                for row in rows])
     write_manifest(out / "manifest.json", cfg)
     return rows, failures
 
@@ -164,11 +165,8 @@ def sweep_alpha(cfg: ScenarioConfig, alphas) -> list:
             raise RuntimeError(f"alpha={scen.alpha:g}: run failed: {res.status}")
         rt = rise_time(res.t, res.states[:, 1], cfg.amplitude)
         records.append((scen.alpha, rt, res.ssd))
-    with open(out / "sweep_alpha.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for alpha, rt, ssd in records:
-            writer.writerow([_fmt(alpha), _fmt(rt), _fmt(ssd)])
+    _write_csv(out / "sweep_alpha.csv", SWEEP_COLUMNS,
+               [tuple(map(_fmt, record)) for record in records])
     write_manifest(out / "manifest.json", cfg)
     return records
 
@@ -267,20 +265,18 @@ def main(argv=None) -> int:
             print(f"{variant}: {status}", file=sys.stderr)
         return 2 if failures else 0
 
-    if args.verb == "sweep-alpha":
-        try:
-            records = sweep_alpha(cfg, alphas)
-        except ConfigError as exc:
-            print(f"error: --alphas: {exc.message}", file=sys.stderr)
-            return 1
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for alpha, rt, ssd in records:
-            print(f"alpha={alpha:g}: rise_time={rt:.4f} s, ssd={ssd:.6g} m^2")
-        return 0
-
-    raise AssertionError(f"unhandled verb {args.verb!r}")
+    # sweep-alpha, the one verb left
+    try:
+        records = sweep_alpha(cfg, alphas)
+    except ConfigError as exc:
+        print(f"error: --alphas: {exc.message}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for alpha, rt, ssd in records:
+        print(f"alpha={alpha:g}: rise_time={rt:.4f} s, ssd={ssd:.6g} m^2")
+    return 0
 
 
 if __name__ == "__main__":

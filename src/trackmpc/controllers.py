@@ -8,8 +8,8 @@ they consume, not in the QP machinery:
   in-horizon commands also respect it.
 * weight_tuned: identical pipeline to baseline with the faster sample time
   and longer horizon.
-* position_sl: re-linearizes the position model at the measured operating
-  point every step; input is the slip change with a direct rate box.
+* position_sl: re-linearizes the position model whenever the measured
+  operating point changes; input is the slip change with a direct rate box.
 * velocity_sl: difference-state model over per-sample displacements,
   tracking displacement references selected by a monotone path cursor.
 
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linearize import AffineLtiModel, linearize_initial, linearize_position, linearize_velocity
+from .linearize import linearize_initial, linearize_position, linearize_velocity
 from .qp import (
     CondensedCost,
     HorizonWeights,
@@ -132,22 +132,23 @@ def config_for(variant: str, ts: float | None = None, horizon: int | None = None
 
 
 class ModelQp(NamedTuple):
-    """One model's prediction and condensed cost, keyed by its bytes.
+    """One model's prediction and condensed cost, keyed by its operating point.
 
-    key is the bytes of the model's c, b and k, so the sign of a zero tells
-    two models apart; pred and cost are a pure function of the key and the
-    run constants (N, M, weights). init_state builds the fixed absolute-slip
-    model's record once: pred predicts over the absolute slip commands
+    A re-linearized model's key is the 16 bytes of the measured (psi, beta)
+    as float64, all that its linearization reads of the state, so the sign
+    of a zero counts; pred and cost are a pure function of the key and the
+    run constants, input_weight and table are None, and a step replaces the
+    record only when the key changes. init_state builds the fixed model's
+    record once, key None: pred predicts over the absolute slip commands
     beta + T du, with T the cumulative-move map, so cost condenses over the
     moves' Su T, input_weight is (w, T) of the w_u term, None when w_u is
     zero, and table is the RegionTable of (cost.h, the run's slew box
     ControllerState.box), which every QP of the run shares and from which
     the solver takes its bound partition without a search (None where
-    region_table builds none). A re-linearized model's record has
-    input_weight and table None and is replaced only when its key changes.
+    region_table builds none).
     """
 
-    key: bytes
+    key: bytes | None
     pred: PredictionMatrices
     cost: CondensedCost
     input_weight: tuple[float, np.ndarray] | None
@@ -192,10 +193,6 @@ class ControllerState(NamedTuple):
     model: ModelQp | None = None
     # The last solve; its solution's start is the next solve's start.
     last_solve: LastSolve | None = None
-
-
-def _model_key(model: AffineLtiModel) -> bytes:
-    return model.c.tobytes() + model.b.tobytes() + model.k.tobytes()
 
 
 def _reference_stack(path: "ReferencePath", n: int, displacements: bool) -> np.ndarray:
@@ -251,8 +248,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, path: "ReferencePath"
         input_weight = None if hw.target is None else (hw.target, t_low)
         moves = PredictionMatrices(pred.sx, pred.su @ t_low, pred.sk)
         cost = condense_cost(moves, hw, input_weight)
-        model_qp = ModelQp(_model_key(model), pred, cost, input_weight,
-                           region_table(cost.h, *box))
+        model_qp = ModelQp(None, pred, cost, input_weight, region_table(cost.h, *box))
     prev = None
     if difference_state:
         dx, dy, dpsi = (cfg.ts * ct_derivative(plant, params)).tolist()
@@ -322,8 +318,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
       default Q.
 
     position_sl is neither: it re-linearizes the pose model at the measured
-    (psi, beta) every call and tracks the indexed position stack with slip
-    changes bounded directly by the rate limit.
+    (psi, beta) and tracks the indexed position stack with slip changes
+    bounded directly by the rate limit.
 
     The reference stack, the slew box and the weights are init_state's run
     constants: a position variant's stage references are a view of the
@@ -331,9 +327,9 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     final sample), and every QP takes the run's box objects as its bounds.
     The path is read only by generate_delta_refs.
 
-    A re-linearizing variant builds a new ModelQp only when its model's
-    bytes differ from the previous step's (a straight stretch repeats the
-    same operating point); otherwise it reuses ControllerState.model.
+    A re-linearizing variant linearizes and builds a new ModelQp only when
+    the measured (psi, beta) differs in a byte from the previous step's (a
+    straight stretch repeats it); otherwise it reuses ControllerState.model.
 
     Each step hands the solver the partition the previous solve accepted
     after its guess missed (a solve finished from the table takes one
@@ -354,11 +350,10 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     n, m = cfg.horizon, cfg.control_horizon
     model_qp = ctrl.model
     if not fixed_model:
-        linearize = linearize_velocity if difference_state else linearize_position
-        model = linearize(plant, params, cfg.ts)
-        key = _model_key(model)
+        key = np.array([plant.psi, plant.beta]).tobytes()
         if model_qp is None or model_qp.key != key:
-            pred = build_prediction(model, n, m)
+            linearize = linearize_velocity if difference_state else linearize_position
+            pred = build_prediction(linearize(plant, params, cfg.ts), n, m)
             model_qp = ModelQp(key, pred, condense_cost(pred, ctrl.weights), None, None)
     _, pred, cost, input_weight, table = model_qp
     if fixed_model:

@@ -42,6 +42,8 @@ class ReferencePath:
 
     heading0 is the tangent direction at the first sample when the generator
     knows it exactly (step paths point along x regardless of the jump).
+    t, x and y are read-only float copies of the arrays given, so a path
+    cannot change after its checks, and the caller's arrays stay writeable.
     """
 
     t: np.ndarray
@@ -51,9 +53,7 @@ class ReferencePath:
     heading0: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        t, x, y = (np.array(values, dtype=float) for values in (self.t, self.x, self.y))
         if not (t.shape == x.shape == y.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("path needs matching 1-d t/x/y arrays with at least 2 samples")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
@@ -62,9 +62,9 @@ class ReferencePath:
             raise ValueError("path times must be strictly increasing")
         if not self.ts > 0.0:
             raise ValueError(f"path sample time must be positive, got {self.ts}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        for name, values in (("t", t), ("x", x), ("y", y)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
         return self.t.size

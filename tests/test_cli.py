@@ -199,6 +199,8 @@ def test_overrides_win_and_add_missing_keys():
     ("controller.w_du=-0.1", "weights must be nonnegative"),
     ("controller.alpha=0", r"--set controller\.alpha=0: .*alpha must be positive"),
     ("controller.alpha=-2.8", "alpha must be positive"),
+    ("scenario.amplitude=-1", r"--set scenario\.amplitude=-1: .*amplitude must be nonnegative"),
+    ("scenario.wavelength=0", "wavelength must be positive"),
 ])
 def test_override_errors(bad, needle):
     # overrides have no source line: every error is anchored at line 0,
@@ -715,6 +717,22 @@ def test_failed_run_exits_two(tmp_path, capsys, monkeypatch):
     assert "deliberate failure" in capsys.readouterr().err
     # the truncated trace is still written for post-mortems
     assert (tmp_path / "out" / "trace_baseline.csv").exists()
+
+
+def test_failed_sweep_run_exits_two(tmp_path, capsys, monkeypatch):
+    # a sweep stops at its first failed run and names its alpha; it writes
+    # no table, which would read as a finished sweep
+    def doomed(ctrl, plant, path, cfg, params):
+        raise ControlError("deliberate failure")
+
+    monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, "baseline", doomed)
+    step_doc = tmp_path / "step.cfg"
+    step_doc.write_text("[scenario]\nkind = step\nduration = 3\n")
+    out = tmp_path / "out"
+    assert main(["sweep-alpha", str(step_doc), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: alpha=0.7: run failed: failed: deliberate failure\n"
+    assert not (out / "sweep_alpha.csv").exists()
 
 
 def test_compare_reports_partial_failure(tmp_path, capsys, monkeypatch):

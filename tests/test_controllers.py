@@ -158,8 +158,8 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     assert calls == Counter(per_run)
 
     # Three steps from one plant, then one from a turned plant. A
-    # re-linearizing variant linearizes every step but builds its prediction
-    # and condensed cost once per distinct model: twice here.
+    # re-linearizing variant linearizes and builds its prediction and
+    # condensed cost once per distinct operating point (psi, beta): twice here.
     calls.clear()
     plants = (plant, plant, plant, replace(plant, psi=plant.psi + 0.1))
     for measured in plants:
@@ -167,7 +167,7 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     steps = len(plants)
     per_step = {"build_tracking_qp": steps, "solve_box_qp": steps}
     if not fixed_model:
-        per_step.update({_LINEARIZE[variant]: steps, "build_prediction": 2, "condense_cost": 2})
+        per_step.update({_LINEARIZE[variant]: 2, "build_prediction": 2, "condense_cost": 2})
     if variant == "velocity_sl":
         per_step["generate_delta_refs"] = steps
     assert calls == Counter(per_step)
@@ -372,22 +372,9 @@ def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
 @pytest.mark.parametrize("variant", ["position_sl", "velocity_sl"])
 @pytest.mark.parametrize("nudge", ["sign_of_zero", "one_ulp"])
 def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypatch):
-    # the reuse key is the model's bytes: -0.0 against +0.0, or one ulp,
-    # in the heading coupling c is a new model with a prediction of its own
-    name = _LINEARIZE[variant]
-    real = getattr(trackmpc.controllers, name)
-    models = []
-
-    def nudged(state, params, ts):
-        model = real(state, params, ts)
-        assert model.c[0] == 0.0  # heading along x: -v ts sin(0) is a zero
-        if models:
-            c = model.c.copy()
-            c[0] = -c[0] if nudge == "sign_of_zero" else np.nextafter(c[0], np.inf)
-            model = trackmpc.linearize.AffineLtiModel(c=c, b=model.b, k=model.k)
-        models.append(model)
-        return model
-
+    # the reuse key is the bytes of the measured (psi, beta): -0.0 against
+    # +0.0, or one ulp, in either is a new operating point with a model and
+    # prediction of its own, while a step that moves only (x, y) builds nothing
     builds = Counter()
     real_build = trackmpc.controllers.build_prediction
 
@@ -395,20 +382,29 @@ def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypa
         builds["n"] += 1
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(trackmpc.controllers, name, nudged)
     monkeypatch.setattr(trackmpc.controllers, "build_prediction", counting)
     cfg = config_for(variant)
+    step = CONTROLLER_STEPS[variant]
+    linearize = getattr(trackmpc.controllers, _LINEARIZE[variant])
     path = make_straight_path(4.0, cfg.ts)
-    plant = default_initial_state(path)
-    ctrl = init_state(cfg, plant, path, PARAMS)
-    _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
-    first = ctrl.model
-    _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
-    assert builds["n"] == 2
-    assert ctrl.model.key != first.key
-    fresh = real_build(models[1], cfg.horizon, cfg.control_horizon)
-    for name in ("sx", "su", "sk"):
-        assert _same_bytes(getattr(ctrl.model.pred, name), getattr(fresh, name)), name
+    start = default_initial_state(path)
+    nudged = -0.0 if nudge == "sign_of_zero" else float(np.nextafter(0.0, 1.0))
+    for field in ("psi", "beta"):
+        assert _same_bytes(np.array(getattr(start, field)), np.array(0.0))
+        plant = replace(start, **{field: nudged})
+        builds.clear()
+        _, ctrl = step(init_state(cfg, start, path, PARAMS), start, path, cfg, PARAMS)
+        first = ctrl.model
+        _, ctrl = step(ctrl, plant, path, cfg, PARAMS)
+        assert builds["n"] == 2, field
+        assert ctrl.model is not first and ctrl.model.key != first.key
+        fresh = real_build(linearize(plant, PARAMS, cfg.ts), cfg.horizon, cfg.control_horizon)
+        for name in ("sx", "su", "sk"):
+            assert _same_bytes(getattr(ctrl.model.pred, name), getattr(fresh, name)), name
+        built = ctrl.model
+        _, ctrl = step(ctrl, replace(plant, x=plant.x + 0.5, y=plant.y - 0.25), path, cfg,
+                       PARAMS)
+        assert builds["n"] == 2 and ctrl.model is built, field
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -488,10 +484,12 @@ def test_non_finite_qp_is_a_control_error(variant, monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_non_finite_reference_names_the_gradient(variant):
     # a reference gone NaN after the path's own checks makes the QP gradient
-    # NaN: the failure names that gradient, not the weight scale
+    # NaN: the failure names that gradient, not the weight scale. A path is
+    # read-only after its checks, so the test unfreezes it to write the NaN
     cfg = config_for(variant)
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
+    path.y.flags.writeable = True
     path.y[1:] = np.nan
     ctrl = init_state(cfg, plant, path, PARAMS)
     with pytest.raises(ControlError) as err:

@@ -128,3 +128,14 @@ def test_zero_ts_degenerates_to_identity():
     model = linearize_position(VehicleState(psi=0.4, beta=0.1), PARAMS, 0.0)
     np.testing.assert_allclose(model.b, np.zeros(3), atol=0)
     np.testing.assert_allclose(model.k, np.zeros(3), atol=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda ts: linearize_initial(PARAMS, ts),
+    lambda ts: linearize_position(VehicleState(psi=0.4, beta=0.1), PARAMS, ts),
+], ids=["initial", "slip_column"])
+def test_negative_ts_is_rejected(build):
+    # the fixed model and the slip column shared by the re-linearized models
+    # each check the sample time they are handed
+    with pytest.raises(ValueError, match="sample time must be nonnegative, got -0.05"):
+        build(-0.05)

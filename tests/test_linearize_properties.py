@@ -8,6 +8,9 @@ coordinates they claim (criterion 1 checks 100 fixed draws):
 * the velocity model's heading column A[:, 2] is d(x+, y+, psi+)/dpsi;
 * the position model keeps A = I, which is the step's Jacobian in (x, y),
   and its drift K is the zero-input step itself.
+
+Both models also read nothing of the state but (psi, beta), which the
+controllers' model reuse keys on.
 """
 
 import math
@@ -89,3 +92,16 @@ def test_position_model_matches_the_step_in_x_y_and_drift(case):
         _assert_close(model.a[:, col], fd)
     drift = _pose(step_nonlinear(state, 0.0, ts, PARAMS)) - _pose(state)
     np.testing.assert_allclose(model.k, drift, rtol=0, atol=1e-12 * (1.0 + np.abs(_pose(state)).max()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operating_states(), _floats(-1e6, 1e6), _floats(-1e6, 1e6))
+def test_models_read_only_heading_and_slip(case, x, y):
+    # controller_step keys a re-linearized model by the bytes of (psi, beta)
+    # alone: moving the state in (x, y) must not change a byte of the model
+    state, _, ts = case
+    moved = replace(state, x=x, y=y)
+    for linearize in (linearize_position, linearize_velocity):
+        here, there = linearize(state, PARAMS, ts), linearize(moved, PARAMS, ts)
+        for name in here._fields:
+            assert getattr(here, name).tobytes() == getattr(there, name).tobytes(), name

@@ -109,6 +109,19 @@ def test_path_validation():
         ReferencePath(t=t, x=t, y=np.zeros(5), ts=0.0)
 
 
+def test_path_is_frozen_after_its_checks():
+    # init_state copies the path into its reference stack while velocity_sl
+    # reads it again every step, so a path must not change mid-run; the
+    # caller's own arrays are copied, not frozen
+    given = {name: np.arange(5) * 0.1 for name in ("t", "x", "y")}
+    path = ReferencePath(**given, ts=0.1)
+    for name, values in given.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(path, name)[0] = 1.0
+        values[0] = 1.0
+        assert getattr(path, name)[0] == 0.0
+
+
 def test_initial_heading_falls_back_to_first_segment():
     path = ReferencePath(t=np.array([0.0, 0.1]), x=np.array([0.0, 1.0]),
                          y=np.array([0.0, 1.0]), ts=0.1)
