@@ -19,6 +19,7 @@ from .qp import (
     PredictionMatrices,
     QpProblem,
     QpSolution,
+    TrackingQp,
     build_prediction,
     build_tracking_qp,
     move_box,

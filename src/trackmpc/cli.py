@@ -162,7 +162,7 @@ def sweep_alpha(cfg: ScenarioConfig, alphas) -> list:
     for scen in scenarios:
         res = _run_variant(scen, scen.variant)
         if res.status != "ok":
-            raise RuntimeError(f"alpha={scen.alpha:g}: run failed: {res.status}")
+            raise RuntimeError(f"alpha={scen.alpha:g}: {res.status}")
         rt = rise_time(res.t, res.states[:, 1], cfg.amplitude)
         records.append((scen.alpha, rt, res.ssd))
     _write_csv(out / "sweep_alpha.csv", SWEEP_COLUMNS,

@@ -326,6 +326,14 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
                               f"variant {name!r}: v = {cfg.vehicle.v:g} m/s over {t_last:g} s "
                               f"carries the path past the path coordinate bound of "
                               f"{MAX_PATH_COORDINATE:g} m")
+        # make_sine_path's phase 2 pi x / wavelength, at the path's last x
+        if kind == "sine" and not math.isfinite(2.0 * math.pi * (cfg.vehicle.v * t_last)
+                                                / cfg.wavelength):
+            raise ConfigError(line_of(("scenario", "wavelength"), ("vehicle", "v"),
+                                      ("controller", "ts"), ("scenario", "duration")),
+                              f"variant {name!r}: wavelength {cfg.wavelength:g} m makes the "
+                              f"sine's phase 2 pi x / wavelength overflow by "
+                              f"x = {cfg.vehicle.v * t_last:g} m")
         horizon_span = ctrl.ts * ctrl.horizon
         if horizon_span > span + 1e-9:
             raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"),

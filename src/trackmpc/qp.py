@@ -169,12 +169,14 @@ class QpProblem:
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
 
-    @classmethod
-    def _trusted(cls, h: np.ndarray, f: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
-        """Wrap arrays already in normal form (symmetric PD H, flat vectors) unchecked."""
-        qp = object.__new__(cls)
-        qp.__dict__.update(h=h, f=f, lb=lb, ub=ub)
-        return qp
+
+class TrackingQp(NamedTuple):
+    """The box QP a control step poses: QpProblem's fields, in its normal form by construction."""
+
+    h: np.ndarray
+    f: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
 
 
 class CondensedCost(NamedTuple):
@@ -232,7 +234,7 @@ def build_tracking_qp(
     x_ref: np.ndarray,
     box: tuple[np.ndarray, np.ndarray],
     input_target: tuple[float, np.ndarray, np.ndarray] | None = None,
-) -> QpProblem:
+) -> TrackingQp:
     """The box QP of the tracking cost, H = cost.h and f = Su' Qbar (Sx x0 + Sk - Xref).
 
     Sx and Sk come from pred and Su' Qbar from cost, which condenses the
@@ -241,8 +243,7 @@ def build_tracking_qp(
     which adds w T'c to f. x0 and x_ref are float arrays of 3 and 3N
     entries, and box is move_box's (lb, ub), which the QP takes as its
     bounds. Only x_ref's shape is checked, since a stack of another shape
-    would broadcast; the QpProblem skips the public constructor's checks,
-    which hold by construction.
+    would broadcast; QpProblem's checks hold by construction.
     """
     n3 = cost.suq.shape[1]
     if x_ref.shape != (n3,):
@@ -252,7 +253,7 @@ def build_tracking_qp(
     if input_target is not None:
         w, t_map, offset = input_target
         f = f + w * (t_map.T @ offset)
-    return QpProblem._trusted(cost.h, f, *box)
+    return TrackingQp(cost.h, f, *box)
 
 
 class QpSolution(NamedTuple):
@@ -283,10 +284,10 @@ def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
     normal equations without refinement; rows, h_free and f_free are what
     _refine needs, h_free None when nothing is free. The all-free partition
     reuses the unconstrained solve x_unc and refines on H itself, which
-    rounds like a copy of all its rows because every QpProblem's H is
-    C-ordered (the constructor's symmetrization and condense_cost make it
-    so). blocks maps a free set's bytes to its _blocks of this H, built
-    ahead; where it is None they are gathered here.
+    rounds like a copy of all its rows because every QP's H is C-ordered
+    (QpProblem's symmetrization makes it so, and a TrackingQp holds
+    condense_cost's). blocks maps a free set's bytes to its _blocks of this
+    H, built ahead; where it is None they are gathered here.
     """
     n_free = np.count_nonzero(free)
     if n_free == free.size:
@@ -555,9 +556,11 @@ def _finish(h, f, lb, ub, test, movable, part, free, cheap, it, primal_its, dual
                       resid, primal_its, part if it > 1 else None, dual_its), viol
 
 
-def solve_box_qp(qp: QpProblem, max_iter: int = 10000, start: np.ndarray | None = None,
+def solve_box_qp(qp: QpProblem | TrackingQp, max_iter: int = 10000, start: np.ndarray | None = None,
                  table: RegionTable | None = None) -> QpSolution:
     """Deterministic box-QP solve to the KKT tolerance KKT_TOL.
+
+    qp is a QpProblem or a control step's TrackingQp; the solve reads only h, f, lb and ub.
 
     The search is over bound partitions: pinned coordinates sit on their
     bound, free coordinates solve the reduced normal equations, and a

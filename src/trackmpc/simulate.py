@@ -18,7 +18,6 @@ import numpy as np
 from .vehicle import VehicleParams, VehicleState, step_nonlinear
 from . import controllers as _controllers
 
-_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
@@ -127,8 +126,8 @@ def complete_arc(lead_in: float, amplitude: float, wavelength: float, periods: i
     # a period spans 2000 grid steps or more: a larger count fails unmultiplied
     sine_len = periods * wavelength if periods <= MAX_GRID_POINTS else math.inf
     x_end = lead_in + sine_len + tail
-    dx = min(0.01, wavelength / 2000.0)
-    if not (x_end + dx) / dx <= MAX_GRID_POINTS:
+    dx = min(0.01, wavelength / 2000.0)  # 0 where a subnormal wavelength underflows
+    if not (dx > 0.0 and (x_end + dx) / dx <= MAX_GRID_POINTS):
         raise ValueError(f"a complete path over {x_end:g} m needs more than {MAX_GRID_POINTS} "
                          f"arc-length grid points at a step of {dx:g} m")
     xg = np.arange(0.0, x_end + dx, dx)
@@ -140,7 +139,8 @@ def complete_arc(lead_in: float, amplitude: float, wavelength: float, periods: i
 def complete_sample_count(arc_length: float, v: float, ts: float) -> int:
     """Samples of a complete path of arc_length [m] at v*ts apart, bounded."""
     step = v * ts
-    steps = arc_length / step if step > 0.0 else math.inf
+    # a Python float quotient overflows to inf without numpy's warning
+    steps = float(arc_length) / step if step > 0.0 else math.inf
     return int(math.floor(_bounded(steps, f"a {arc_length:g} m path at v*ts = {step:g} m"))) + 1
 
 

@@ -42,6 +42,8 @@ class VehicleParams:
             raise ValueError(f"axle distances must be positive, got lf={self.lf}, lr={self.lr}")
         if not self.v > 0.0:
             raise ValueError(f"speed must be positive, got v={self.v}")
+        if not math.isfinite(self.v / self.lr):
+            raise ValueError(f"yaw rate scale v/lr must be finite, got v={self.v}, lr={self.lr}")
 
 
 @dataclass(frozen=True)

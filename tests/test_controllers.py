@@ -124,9 +124,10 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     # at call time (tracing wrappers patch them there). What depends only on
     # (cfg, path, params) is built once by init_state: the horizon weights,
     # the reference stack, the slew box, and for the fixed absolute-slip
-    # model its linearization, prediction and condensed cost. Each step then builds one fresh QpProblem and solves
-    # it at most once: not at all when it is the previous step's QP bit for
-    # bit, which no step on this sine path is.
+    # model its linearization, prediction and condensed cost. Each step then
+    # builds one fresh TrackingQp and solves it at most once: not at all when
+    # it is the previous step's QP bit for bit, which no step on this sine
+    # path is.
     calls = Counter()
     solved = []
 
@@ -171,7 +172,7 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     if variant == "velocity_sl":
         per_step["generate_delta_refs"] = steps
     assert calls == Counter(per_step)
-    assert all(type(qp) is trackmpc.qp.QpProblem for qp in solved)
+    assert all(type(qp) is trackmpc.qp.TrackingQp for qp in solved)
     assert len({id(qp) for qp in solved}) == steps
 
 
@@ -471,7 +472,7 @@ def test_non_finite_qp_is_a_control_error(variant, monkeypatch):
 
     def poisoned(*args, **kwargs):
         qp = real(*args, **kwargs)
-        return trackmpc.qp.QpProblem._trusted(qp.h, np.full_like(qp.f, np.nan), qp.lb, qp.ub)
+        return qp._replace(f=np.full_like(qp.f, np.nan))
 
     monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", poisoned)
     cfg = config_for(variant)
@@ -611,7 +612,7 @@ def test_only_a_bit_identical_qp_reuses_the_last_solve(variant, change, monkeypa
             f[0] = -f[0]
         elif change == "h_equal_copy":
             h = h.copy()
-        built.append(trackmpc.qp.QpProblem._trusted(h, f, qp.lb, qp.ub))
+        built.append(trackmpc.qp.TrackingQp(h, f, qp.lb, qp.ub))
         return built[-1]
 
     def solving(qp, **kwargs):
@@ -696,7 +697,7 @@ def test_a_step_that_raises_stores_no_solve(monkeypatch):
 
     def nudged(*args, **kwargs):
         qp = real_build(*args, **kwargs)
-        return trackmpc.qp.QpProblem._trusted(qp.h, qp.f + 1.0, qp.lb, qp.ub)
+        return qp._replace(f=qp.f + 1.0)
 
     def starved(qp, **kwargs):
         solves["n"] += 1

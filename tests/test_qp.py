@@ -23,6 +23,7 @@ from trackmpc import (
     HorizonWeights,
     PredictionMatrices,
     QpProblem,
+    TrackingQp,
     VehicleParams,
     VehicleState,
     apply_overrides,
@@ -540,9 +541,9 @@ def test_solver_reports_exhausted_budget():
 
 
 def test_status_follows_the_residual():
-    # a non-finite f only reaches the solver past the public constructor's
-    # checks; its partition shows no violations, but it is no solution
-    qp = QpProblem._trusted(np.eye(2), np.array([np.nan, 0.0]), -np.ones(2), np.ones(2))
+    # a non-finite f only reaches the solver past QpProblem's checks, in a
+    # TrackingQp; its partition shows no violations, but it is no solution
+    qp = TrackingQp(np.eye(2), np.array([np.nan, 0.0]), -np.ones(2), np.ones(2))
     sol = solve_box_qp(qp)
     assert sol.status == "inaccurate"
     assert np.isnan(sol.kkt_residual)

@@ -168,6 +168,8 @@ def test_params_validate_positive():
         VehicleParams(lf=-1.0)
     with pytest.raises(ValueError):
         VehicleParams(v=0.0)
+    with pytest.raises(ValueError, match="v/lr must be finite"):
+        VehicleParams(lr=5e-324)  # positive, but v/lr overflows
 
 
 def test_state_rejects_nonfinite_and_wild_slip():
