@@ -9,21 +9,16 @@ disturbance).  Parse errors carry the offending line number.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 
 from .controllers import VARIANTS, ControllerConfig, config_for
 from .simulate import (
-    MAX_PATH_COORDINATE,
     DisturbanceSpec,
     ReferencePath,
-    complete_arc,
-    complete_sample_count,
     make_complete_path,
     make_sine_path,
     make_step_path,
     make_straight_path,
-    sample_count,
 )
 from .vehicle import VehicleParams
 
@@ -284,56 +279,29 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
 
     cfg = ScenarioConfig(**top)
 
-    # every variant's run builds a path: size each one before any is built,
-    # integrating a complete path's arc length once on a bounded grid, and
-    # bound its reach (a complete path's x is bounded by its grid)
-    if not cfg.amplitude <= MAX_PATH_COORDINATE:
-        raise ConfigError(line_of(("scenario", "amplitude")),
-                          f"amplitude {cfg.amplitude:g} m exceeds the path coordinate "
-                          f"bound of {MAX_PATH_COORDINATE:g} m")
-    try:
-        samples, span = partial(sample_count, duration), duration
-        if kind == "complete":
-            _, arc = complete_arc(cfg.lead_in, cfg.amplitude, cfg.wavelength, cfg.periods,
-                                  cfg.tail)
-            samples = partial(complete_sample_count, arc[-1], cfg.vehicle.v)
-            span = (samples(0.05) - 1) * 0.05  # the last sample time at ts = 0.05
-    except ValueError as exc:
-        raise ConfigError(line_of(("scenario", "lead_in"), ("scenario", "tail"),
-                                  ("scenario", "wavelength"), ("scenario", "periods"),
-                                  ("vehicle", "v"), ("scenario", "kind")), str(exc)) from None
-
-    # controller-level validation, anchored to the most specific line set
+    # controller-level validation, anchored to the most specific line set;
+    # every variant's run builds its path, so build each one here: its
+    # builder bounds its size and reach before any array
     anchor = line_of(("controller", "ts"), ("controller", "horizon"),
                      ("controller", "control_horizon"), ("controller", "rate_limit"),
                      ("controller", "alpha"), ("controller", "w_y"),
                      ("controller", "w_u"), ("controller", "w_du"))
+    path_anchor = line_of(("scenario", "amplitude"), ("scenario", "wavelength"),
+                          ("scenario", "lead_in"), ("scenario", "tail"), ("scenario", "periods"),
+                          ("scenario", "duration"), ("vehicle", "v"), ("controller", "ts"),
+                          ("scenario", "kind"))
+    paths = {}  # ts -> the path every variant at that sample time runs on
     for name in dict.fromkeys(tuple(variants) + (variant,)):
         try:
             ctrl = cfg.controller_config(name)
         except ValueError as exc:
             raise ConfigError(anchor, f"variant {name!r}: {exc}") from None
-        try:
-            n_samples = samples(ctrl.ts)
-        except ValueError as exc:
-            raise ConfigError(line_of(("controller", "ts"), ("scenario", "duration"),
-                                      ("vehicle", "v"), ("scenario", "kind")),
-                              f"variant {name!r}: {exc}") from None
-        t_last = ctrl.ts * (n_samples - 1)
-        if kind != "complete" and not cfg.vehicle.v * t_last <= MAX_PATH_COORDINATE:
-            raise ConfigError(line_of(("vehicle", "v"), ("controller", "ts"),
-                                      ("scenario", "duration"), ("scenario", "kind")),
-                              f"variant {name!r}: v = {cfg.vehicle.v:g} m/s over {t_last:g} s "
-                              f"carries the path past the path coordinate bound of "
-                              f"{MAX_PATH_COORDINATE:g} m")
-        # make_sine_path's phase 2 pi x / wavelength, at the path's last x
-        if kind == "sine" and not math.isfinite(2.0 * math.pi * (cfg.vehicle.v * t_last)
-                                                / cfg.wavelength):
-            raise ConfigError(line_of(("scenario", "wavelength"), ("vehicle", "v"),
-                                      ("controller", "ts"), ("scenario", "duration")),
-                              f"variant {name!r}: wavelength {cfg.wavelength:g} m makes the "
-                              f"sine's phase 2 pi x / wavelength overflow by "
-                              f"x = {cfg.vehicle.v * t_last:g} m")
+        if ctrl.ts not in paths:
+            try:
+                paths[ctrl.ts] = cfg.build_path(ctrl.ts)
+            except ValueError as exc:
+                raise ConfigError(path_anchor, f"variant {name!r}: {exc}") from None
+        span = paths[ctrl.ts].t[-1] if kind == "complete" else duration
         horizon_span = ctrl.ts * ctrl.horizon
         if horizon_span > span + 1e-9:
             raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"),

@@ -74,11 +74,14 @@ class ReferencePath:
         return math.atan2(self.y[1] - self.y[0], self.x[1] - self.x[0])
 
 
-def _bounded(steps: float, what: str) -> float:
-    """steps, checked to give at most MAX_PATH_SAMPLES samples (NaN and inf fail)."""
+def _counted(steps: float, rounding, what: str) -> int:
+    """rounding(steps) + 1 path samples, checked to be 2 to MAX_PATH_SAMPLES (NaN and inf fail)."""
     if not steps <= MAX_PATH_SAMPLES - 1:
         raise ValueError(f"{what} needs more than {MAX_PATH_SAMPLES} path samples")
-    return steps
+    n = rounding(steps) + 1
+    if n < 2:
+        raise ValueError(f"{what} gives fewer than 2 path samples")
+    return n
 
 
 def sample_count(duration: float, ts: float) -> int:
@@ -87,7 +90,19 @@ def sample_count(duration: float, ts: float) -> int:
         raise ValueError(f"duration must be positive, got {duration}")
     if not ts > 0.0:
         raise ValueError(f"sample time must be positive, got {ts}")
-    return int(math.ceil(_bounded(duration / ts, f"{duration:g} s at sample time {ts:g} s"))) + 1
+    return _counted(duration / ts, math.ceil, f"{duration:g} s at sample time {ts:g} s")
+
+
+def _within_reach(amplitude: float, v: float = 0.0, t_last: float = 0.0) -> float:
+    """The last x, v*t_last, of a path whose x advances at v; it and the amplitude bounded."""
+    if not abs(amplitude) <= MAX_PATH_COORDINATE:
+        raise ValueError(f"amplitude {amplitude:g} m exceeds the path coordinate bound of "
+                         f"{MAX_PATH_COORDINATE:g} m")
+    x_last = v * t_last  # a Python float product overflows to inf without numpy's warning
+    if not abs(x_last) <= MAX_PATH_COORDINATE:
+        raise ValueError(f"v = {v:g} m/s over {t_last:g} s carries the path past the path "
+                         f"coordinate bound of {MAX_PATH_COORDINATE:g} m")
+    return x_last
 
 
 def make_step_path(amplitude: float, duration: float, ts: float,
@@ -98,6 +113,7 @@ def make_step_path(amplitude: float, duration: float, ts: float,
     so heading0 = 0 even though the first segment jumps sideways.
     """
     n = sample_count(duration, ts)
+    _within_reach(amplitude, v, ts * (n - 1))
     k = np.arange(n)
     t = k * ts
     x = v * ts * k
@@ -111,6 +127,11 @@ def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: flo
     if not wavelength > 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     n = sample_count(duration, ts)
+    x_last = _within_reach(amplitude, v, ts * (n - 1))
+    # the phase is largest at the last x, where a subnormal wavelength overflows it
+    if not math.isfinite(2.0 * math.pi * x_last / wavelength):
+        raise ValueError(f"wavelength {wavelength:g} m makes the sine's phase 2 pi x / "
+                         f"wavelength overflow by x = {x_last:g} m")
     t = np.arange(n) * ts
     x = v * t
     y = amplitude * np.sin(2.0 * math.pi * x / wavelength)
@@ -118,9 +139,17 @@ def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: flo
     return ReferencePath(t=t, x=x, y=y, ts=ts, heading0=math.atan(slope0))
 
 
-def complete_arc(lead_in: float, amplitude: float, wavelength: float, periods: int,
-                 tail: float) -> tuple[np.ndarray, np.ndarray]:
-    """A complete path's fine x grid, bounded before it is built, and the arc length along it."""
+def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
+                       amplitude: float = 4.0, wavelength: float = 50.0,
+                       periods: int = 2, tail: float = 50.0) -> ReferencePath:
+    """Straight lead-in, sine section, straight tail, sampled by arc length.
+
+    Samples advance v*ts along the curve, so a constant-speed vehicle can sit
+    on every sample exactly; the profile is C0 at the joins because the sine
+    starts and ends on whole periods. The fine x grid the arc length is
+    integrated on is bounded before it is built, and x is bounded by it.
+    """
+    _within_reach(amplitude)
     if not (lead_in > 0.0 and tail > 0.0 and wavelength > 0.0 and periods >= 1):
         raise ValueError("complete path needs positive segment lengths and at least one period")
     # a period spans 2000 grid steps or more: a larger count fails unmultiplied
@@ -132,32 +161,16 @@ def complete_arc(lead_in: float, amplitude: float, wavelength: float, periods: i
                          f"arc-length grid points at a step of {dx:g} m")
     xg = np.arange(0.0, x_end + dx, dx)
     yg = _complete_profile(xg, lead_in, amplitude, wavelength, sine_len)
-    seg = np.hypot(np.diff(xg), np.diff(yg))
-    return xg, np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def complete_sample_count(arc_length: float, v: float, ts: float) -> int:
-    """Samples of a complete path of arc_length [m] at v*ts apart, bounded."""
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(xg), np.diff(yg)))])
+    # invert s at v*ts apart; a Python float quotient overflows to inf without
+    # numpy's warning
     step = v * ts
-    # a Python float quotient overflows to inf without numpy's warning
-    steps = float(arc_length) / step if step > 0.0 else math.inf
-    return int(math.floor(_bounded(steps, f"a {arc_length:g} m path at v*ts = {step:g} m"))) + 1
-
-
-def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
-                       amplitude: float = 4.0, wavelength: float = 50.0,
-                       periods: int = 2, tail: float = 50.0) -> ReferencePath:
-    """Straight lead-in, sine section, straight tail, sampled by arc length.
-
-    Samples advance v*ts along the curve, so a constant-speed vehicle can sit
-    on every sample exactly; the profile is C0 at the joins because the sine
-    starts and ends on whole periods.
-    """
-    xg, s = complete_arc(lead_in, amplitude, wavelength, periods, tail)  # then invert s
-    n = complete_sample_count(s[-1], v, ts)
-    sk = np.arange(n) * (v * ts)
+    arc = float(s[-1])
+    n = _counted(arc / step if step > 0.0 else math.inf, math.floor,
+                 f"a {arc:g} m path at v*ts = {step:g} m")
+    sk = np.arange(n) * step
     xs = np.interp(sk, s, xg)
-    ys = _complete_profile(xs, lead_in, amplitude, wavelength, periods * wavelength)
+    ys = _complete_profile(xs, lead_in, amplitude, wavelength, sine_len)
     t = np.arange(n) * ts
     return ReferencePath(t=t, x=xs, y=ys, ts=ts, heading0=0.0)
 

@@ -122,6 +122,7 @@ def test_full_document_with_comments():
     ("[scenario]\nperiods = 0\n", 2, "periods"),
     ("[controller]\nvariant = pid\n", 2, "variant must be one of"),
     ("[controller]\nvariants = baseline, pid\n", 2, "unknown variant"),
+    ("[controller]\nvariants = ,\n", 2, "variants must list at least one item"),
     ("[controller]\nhorizon = ten\n", 2, "expects an integer"),
     ("[disturbance]\nkind = uniform\n", 2, "disturbance"),
     ("[disturbance]\napply_to_x = maybe\n", 2, "true/false"),
@@ -138,6 +139,8 @@ def test_full_document_with_comments():
     ("[controller]\nhorizon = 501\n", 2, "M <= N <= 500"),
     ("[scenario]\nkind = step\namplitude = 1e10\n", 3, "path coordinate bound of 1e+09 m"),
     ("[vehicle]\nv = 1e9\n", 2, "path coordinate bound of 1e+09 m"),
+    ("[scenario]\nkind = sine\nwavelength = 5e-324\n", 3,
+     "variant 'baseline': wavelength 4.94066e-324 m makes the sine's phase"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -151,6 +154,20 @@ def test_prediction_window_must_fit_the_run():
     doc = "[scenario]\nkind = straight\nduration = 1.0\n"
     with pytest.raises(ConfigError, match="prediction window"):
         parse_config(doc)  # baseline looks 2 s ahead
+
+
+def test_complete_window_is_measured_on_the_path_the_run_builds():
+    # at ts = 0.001 the path has 181 samples and ends at 0.18 s, past the
+    # 0.17 s window (a path sampled at ts = 0.05 would end at 0.15 s)
+    cfg = parse_config("[scenario]\nkind = complete\n[vehicle]\nv = 1000\n"
+                       "[controller]\nts = 0.001\nhorizon = 170\ncontrol_horizon = 5\n")
+    path = cfg.build_path(0.001)
+    assert (len(path), path.t[-1]) == (181, pytest.approx(0.18))
+
+
+def test_straight_path_ignores_its_amplitude():
+    # a straight path never reads the amplitude, so no bound applies to it
+    assert parse_config("[scenario]\namplitude = 1e300\n").amplitude == 1e300
 
 
 def test_complete_scenario_rejects_explicit_duration():

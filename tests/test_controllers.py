@@ -74,6 +74,8 @@ def test_config_overrides_win():
 def test_config_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         config_for("pid")
+    with pytest.raises(ValueError, match="unknown variant 'pid'"):
+        ControllerConfig("pid", 0.05, 20, 5)
 
 
 def test_config_validation():

@@ -467,15 +467,19 @@ def _recorded_qp(name: str) -> dict[str, np.ndarray]:
     return qp
 
 
-def test_recorded_velocity_qp_finishes_in_the_dual_phase():
-    # the velocity_sl QP of the shipped noisy sine whose search took longest
-    # (52 iterations from its run's start, 45 of them in the primal phase)
+def _recorded_velocity_qp() -> tuple[QpProblem, dict[str, np.ndarray]]:
+    """The velocity_sl QP of the shipped noisy sine whose search took longest
+    (52 iterations from its run's start, 45 of them in the primal phase)."""
     rec = _recorded_qp("sine_disturbed_velocity_sl.txt")
     n = rec["f"].size
     h = np.zeros((n, n))
     h[np.triu_indices(n)] = rec["h_upper"]
     h += np.triu(h, 1).T
-    qp = QpProblem(h=h, f=rec["f"], lb=rec["lb"], ub=rec["ub"])
+    return QpProblem(h=h, f=rec["f"], lb=rec["lb"], ub=rec["ub"]), rec
+
+
+def test_recorded_velocity_qp_finishes_in_the_dual_phase():
+    qp, rec = _recorded_velocity_qp()
     ref = reference_solve_box_qp(qp)
     for sol in (solve_box_qp(qp, start=rec["start"]), solve_box_qp(qp)):
         assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
@@ -491,6 +495,35 @@ def test_recorded_velocity_qp_finishes_in_the_dual_phase():
         assert sol.status == "max_iter" and sol.iterations == max_iter, max_iter
         assert sol.dual_iterations == max_iter - 8 and sol.primal_iterations == 0, max_iter
         assert ((qp.lb <= sol.u) & (sol.u <= qp.ub)).all(), max_iter
+
+
+def test_failed_dual_finish_restarts_the_primal_phase():
+    # no QP found by search fails the exact finish of the dual phase's
+    # partition, so the finish after the dual phase is made to reject it
+    # once: the primal phase then goes on from the refined point, and the
+    # partition it accepts still returns the reference solver's bits
+    qp, rec = _recorded_velocity_qp()
+    real_dual, real_finish = qp_mod._dual, qp_mod._finish
+    calls = []  # "dual" per dual phase, then "rejected" for the finish after it
+
+    def dual(*args):
+        calls.append("dual")
+        return real_dual(*args)
+
+    def finish(*args):
+        sol, viol = real_finish(*args)
+        if calls == ["dual"]:
+            calls.append("rejected")
+            return None, viol
+        return sol, viol
+
+    with mock.patch.object(qp_mod, "_dual", dual), mock.patch.object(qp_mod, "_finish", finish):
+        sol = solve_box_qp(qp)
+    assert calls == ["dual", "rejected"]
+    assert sol.dual_iterations > 0 and sol.primal_iterations > 0
+    assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+    assert np.array_equal(sol.u, reference_solve_box_qp(qp).u)
+    assert sol.u.tobytes() == rec["u"].tobytes()
 
 
 def _angles(lo: float, hi: float):

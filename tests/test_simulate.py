@@ -2,6 +2,8 @@
 
 import importlib.util
 import math
+import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +97,35 @@ def test_path_sample_count_is_bounded():
         make_straight_path(50000.0, 0.5)
     with pytest.raises(ValueError, match="more than 100000 path samples"):
         make_step_path(1.0, 1e9, 0.05)
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: make_step_path(1.0, 30.0, 0.05, v=1e307), "path coordinate bound of 1e+09 m"),
+    (lambda: make_sine_path(1.0, 5e-324, 8.0, 0.05), "phase 2 pi x / wavelength overflow"),
+    (lambda: make_complete_path(0.05, amplitude=1e308), "path coordinate bound of 1e+09 m"),
+    (lambda: make_step_path(1e300, 6.0, 0.05), "path coordinate bound of 1e+09 m"),
+    (lambda: make_complete_path(10.0, v=1e308), "fewer than 2 path samples"),
+    (lambda: make_step_path(1.0, 5e-324, 10.0, v=1e308), "fewer than 2 path samples"),
+], ids=["step-speed", "sine-phase", "complete-amplitude", "step-amplitude", "complete-samples",
+        "step-samples"])
+def test_builders_bound_their_size_and_reach(build, bound):
+    # each builder checks its own sizes and reach before it builds an array,
+    # so an input past a bound is one ValueError naming it, never a numpy
+    # overflow or NaN warning (an error here) nor a path with y = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(bound)):
+            build()
+
+
+def test_sample_count_and_sine_reject_nonpositive_sizes():
+    assert simulate_mod.sample_count(6.0, 0.2) == 31
+    with pytest.raises(ValueError, match="duration must be positive, got 0"):
+        simulate_mod.sample_count(0.0, 0.05)
+    with pytest.raises(ValueError, match="sample time must be positive, got 0"):
+        simulate_mod.sample_count(6.0, 0.0)
+    with pytest.raises(ValueError, match="wavelength must be positive, got 0"):
+        make_sine_path(1.0, 0.0, 8.0, 0.05)
 
 
 def test_path_validation():

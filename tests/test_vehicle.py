@@ -147,6 +147,15 @@ def test_slip_steer_round_trip():
         assert steer_from_slip(slip_from_steer(delta, params), params) == pytest.approx(delta, abs=1e-12)
 
 
+@pytest.mark.parametrize("angle", [math.pi / 2, -math.pi / 2])
+def test_slip_steer_maps_reject_a_right_angle(angle):
+    params = VehicleParams()
+    with pytest.raises(ValueError, match="steering angle must stay inside"):
+        slip_from_steer(angle, params)
+    with pytest.raises(ValueError, match="slip angle must stay inside"):
+        steer_from_slip(angle, params)
+
+
 def test_slip_zero_maps_to_zero():
     params = VehicleParams()
     assert slip_from_steer(0.0, params) == 0.0
