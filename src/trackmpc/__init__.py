@@ -17,7 +17,6 @@ from .linearize import (
 from .qp import (
     HorizonWeights,
     PredictionMatrices,
-    QpProblem,
     QpSolution,
     TrackingQp,
     build_prediction,

@@ -64,7 +64,7 @@ def write_trace(target: Path, res: SimResult, params) -> None:
 
 
 def read_trace(source: Path) -> dict:
-    """Read a trace CSV back as column arrays (the final u cell is empty)."""
+    """Read a trace CSV back as column arrays; only the final u cell may be empty."""
     with open(source, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -72,11 +72,13 @@ def read_trace(source: Path) -> dict:
             raise ValueError(f"unexpected trace columns {header} in {source}")
         rows = list(reader)
     cols = {name: [] for name in TRACE_COLUMNS}
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
+        cells = row[:-1] if row is rows[-1] else row  # no move after the last sample
+        if len(row) != len(TRACE_COLUMNS) or "" in cells:
+            raise ValueError(f"line {line} of {source} is not a full trace row: {row}")
         for name, cell in zip(TRACE_COLUMNS, row):
-            if name == "u" and cell == "":
-                continue
-            cols[name].append(float(cell))
+            if cell:
+                cols[name].append(float(cell))
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
 

@@ -44,14 +44,6 @@ class AffineLtiModel(NamedTuple):
     b: np.ndarray      # (3,)
     k: np.ndarray      # (3,) affine drift per step
 
-    @property
-    def a(self) -> np.ndarray:
-        """The full (3, 3) state matrix I + c e3'."""
-        a = np.eye(3)
-        a[:2, 2] = self.c
-        a.flags.writeable = False
-        return a
-
 
 def _slip_column(state: VehicleState, params: VehicleParams, ts: float) -> np.ndarray:
     """B = ts * [-v*sin(psi+beta), v*cos(psi+beta), (v/lr)*cos(beta)] at the state."""

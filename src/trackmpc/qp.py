@@ -39,7 +39,6 @@ the rest, so a finish that fails is never discarded uncounted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -131,47 +130,12 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     return PredictionMatrices(sx=sx, su=su, sk=sk)
 
 
-@dataclass(frozen=True)
-class QpProblem:
-    """min 0.5 u'Hu + f'u subject to lb <= u <= ub, with H symmetric PD.
-
-    H and f must be finite; a bound may be infinite.
-    """
-
-    h: np.ndarray
-    f: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        f = np.asarray(self.f, dtype=float).reshape(-1)
-        nv = f.size
-        if h.shape != (nv, nv):
-            raise ValueError(f"H must be {nv}x{nv}, got {h.shape}")
-        if not (np.isfinite(h).all() and np.isfinite(f).all()):
-            raise ValueError("H and f must be finite")
-        if not np.allclose(h, h.T, atol=1e-9 * max(1.0, float(np.abs(h).max()))):
-            raise ValueError("H must be symmetric")
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            raise ValueError("H must be positive definite (degenerate weights?)") from None
-        lb = np.asarray(self.lb, dtype=float).reshape(-1)
-        ub = np.asarray(self.ub, dtype=float).reshape(-1)
-        if lb.shape != (nv,) or ub.shape != (nv,):
-            raise ValueError("bound shapes must match the variable count")
-        if np.any(lb > ub):
-            raise ValueError("need lb <= ub elementwise")
-        # Normalize stored arrays (symmetric H, flat vectors).
-        object.__setattr__(self, "h", 0.5 * (h + h.T))
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
-
-
 class TrackingQp(NamedTuple):
-    """The box QP a control step poses: QpProblem's fields, in its normal form by construction."""
+    """min 0.5 u'Hu + f'u subject to lb <= u <= ub, the box QP a control step poses.
+
+    In normal form by construction: H exactly symmetric, positive definite,
+    C-ordered and read-only; f and lb <= ub flat float64 vectors of H's size.
+    """
 
     h: np.ndarray
     f: np.ndarray
@@ -243,7 +207,8 @@ def build_tracking_qp(
     which adds w T'c to f. x0 and x_ref are float arrays of 3 and 3N
     entries, and box is move_box's (lb, ub), which the QP takes as its
     bounds. Only x_ref's shape is checked, since a stack of another shape
-    would broadcast; QpProblem's checks hold by construction.
+    would broadcast. The QP is in normal form by construction: H = cost.h
+    symmetric and C-ordered, f flat and lb <= ub.
     """
     n3 = cost.suq.shape[1]
     if x_ref.shape != (n3,):
@@ -285,9 +250,8 @@ def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
     _refine needs, h_free None when nothing is free. The all-free partition
     reuses the unconstrained solve x_unc and refines on H itself, which
     rounds like a copy of all its rows because every QP's H is C-ordered
-    (QpProblem's symmetrization makes it so, and a TrackingQp holds
-    condense_cost's). blocks maps a free set's bytes to its _blocks of this
-    H, built ahead; where it is None they are gathered here.
+    (condense_cost builds it so). blocks maps a free set's bytes to its
+    _blocks of this H, built ahead; where it is None they are gathered here.
     """
     n_free = np.count_nonzero(free)
     if n_free == free.size:
@@ -556,11 +520,12 @@ def _finish(h, f, lb, ub, test, movable, part, free, cheap, it, primal_its, dual
                       resid, primal_its, part if it > 1 else None, dual_its), viol
 
 
-def solve_box_qp(qp: QpProblem | TrackingQp, max_iter: int = 10000, start: np.ndarray | None = None,
+def solve_box_qp(qp: TrackingQp, max_iter: int = 10000, start: np.ndarray | None = None,
                  table: RegionTable | None = None) -> QpSolution:
     """Deterministic box-QP solve to the KKT tolerance KKT_TOL.
 
-    qp is a QpProblem or a control step's TrackingQp; the solve reads only h, f, lb and ub.
+    qp holds H symmetric positive definite and C-ordered, and f, lb <= ub
+    flat float vectors of H's size; the solve reads only these four fields.
 
     The search is over bound partitions: pinned coordinates sit on their
     bound, free coordinates solve the reduced normal equations, and a

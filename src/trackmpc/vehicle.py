@@ -62,10 +62,6 @@ class VehicleState:
         if abs(self.beta) >= _HALF_PI:
             raise ValueError(f"slip angle must stay inside (-pi/2, pi/2), got {self.beta}")
 
-    def as_array(self) -> np.ndarray:
-        """State as a length-4 array (x, y, psi, beta)."""
-        return np.array([self.x, self.y, self.psi, self.beta])
-
 
 def slip_from_steer(delta_f: float, params: VehicleParams) -> float:
     """Slip angle produced by a front steering angle.

@@ -4,12 +4,21 @@ trackmpc.qp.solve_box_qp returns the exact finish of the first partition
 whose refined point passes the violation test. Any search that reaches the
 same partition returns the same bits, so the current solver is held to
 this copy's output with np.array_equal, and its linear-solve count to this
-copy's.
+copy's. box_qp builds the tests' own QPs as TrackingQp records in normal form.
 """
 
 import numpy as np
 
-from trackmpc.qp import QpSolution
+from trackmpc.qp import QpSolution, TrackingQp
+
+
+def box_qp(h, f, lb, ub) -> TrackingQp:
+    """The box QP min 0.5 u'Hu + f'u, lb <= u <= ub in its normal form:
+    H symmetrized as 0.5 (H + H'), f and the bounds flat float vectors."""
+    h = np.asarray(h, dtype=float)
+    return TrackingQp(0.5 * (h + h.T), np.asarray(f, dtype=float).reshape(-1),
+                      np.asarray(lb, dtype=float).reshape(-1),
+                      np.asarray(ub, dtype=float).reshape(-1))
 
 
 def reference_solve_box_qp(qp, tol=1e-8, max_iter=10000):

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qp_reference import box_qp
+from test_linearize import state_matrix
 from trackmpc import (
     DisturbanceSpec,
-    QpProblem,
     VARIANTS,
     VehicleParams,
     VehicleState,
@@ -72,7 +73,7 @@ def test_criterion_1_linearizations_match_finite_differences():
         plus = step_nonlinear(replace(state, psi=psi + h), 0.0, ts, PARAMS)
         minus = step_nonlinear(replace(state, psi=psi - h), 0.0, ts, PARAMS)
         fd_a3 = np.array([plus.x - minus.x, plus.y - minus.y, plus.psi - minus.psi]) / (2.0 * h)
-        col = linearize_velocity(op, PARAMS, ts).a[:, 2]
+        col = state_matrix(linearize_velocity(op, PARAMS, ts))[:, 2]
         worst = max(worst, float(np.max(np.abs(col - fd_a3)) / np.max(np.abs(fd_a3))))
     elapsed = time.perf_counter() - tic
 
@@ -95,7 +96,7 @@ def test_criterion_2_solver_matches_independent_oracles():
         f = rng.normal(size=n)
         lb = rng.uniform(-0.4, -0.05, size=n)
         ub = rng.uniform(0.05, 0.4, size=n)
-        sol = solve_box_qp(QpProblem(h=hmat, f=f, lb=lb, ub=ub))
+        sol = solve_box_qp(box_qp(h=hmat, f=f, lb=lb, ub=ub))
         res = 1e-3
         axes = [np.arange(lb[i], ub[i] + res / 2, res) for i in range(n)]
         if n == 1:
@@ -116,7 +117,7 @@ def test_criterion_2_solver_matches_independent_oracles():
         f = rng.normal(size=n)
         lb = rng.uniform(-1.0, -0.01, size=n)
         ub = rng.uniform(0.01, 1.0, size=n)
-        sol = solve_box_qp(QpProblem(h=hmat, f=f, lb=lb, ub=ub))
+        sol = solve_box_qp(box_qp(h=hmat, f=f, lb=lb, ub=ub))
         worst_kkt = max(worst_kkt, sol.kkt_residual)
         w = rng.uniform(lb, ub, size=(1000, n))
         cost_star = 0.5 * sol.u @ hmat @ sol.u + f @ sol.u
@@ -273,7 +274,7 @@ def test_criterion_9_condensed_prediction_equals_rollout():
         x = x0.copy()
         rolled = []
         for stage in range(n):
-            x = model.a @ x + model.b * moves[min(stage, m - 1)] + k_vec
+            x = state_matrix(model) @ x + model.b * moves[min(stage, m - 1)] + k_vec
             rolled.append(x.copy())
         stacked = pred.sx @ x0 + pred.su @ moves + pred.sk
         worst = max(worst, float(np.max(np.abs(stacked - np.concatenate(rolled)))))

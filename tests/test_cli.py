@@ -318,6 +318,19 @@ def test_trace_header_is_locked(tmp_path):
     assert TRACE_COLUMNS == ("t", "x", "y", "psi", "beta", "delta_f", "x_ref", "y_ref", "u")
 
 
+@pytest.mark.parametrize("rows,line", [
+    # a truncated last row would leave t and x one entry longer than the rest
+    ("0.0,0,0,0,0,0,0,0,0.1\n0.2,2\n", 3),
+    # an empty u before the last row would shift every later u by one sample
+    ("0.0,0,0,0,0,0,0,0,\n0.2,2,0,0,0,0,2,0,\n", 2),
+], ids=["truncated_last_row", "empty_u_before_last_row"])
+def test_trace_rows_are_checked(tmp_path, rows, line):
+    bad = tmp_path / "trace.csv"
+    bad.write_text(",".join(TRACE_COLUMNS) + "\n" + rows)
+    with pytest.raises(ValueError, match=f"line {line} of "):
+        read_trace(bad)
+
+
 def test_compare_orders_summary_by_ssd(tmp_path):
     cfg = apply_overrides(parse_config(SINE_DOC),
                           [f"output.directory={tmp_path / 'cmp'}"])

@@ -22,9 +22,20 @@ from trackmpc import (
 PARAMS = VehicleParams()
 
 
+def state_matrix(model) -> np.ndarray:
+    """A model's full (3, 3) state matrix A = I + c e3'."""
+    a = np.eye(3)
+    a[:2, 2] = model.c
+    return a
+
+
+def _pose(state: VehicleState) -> np.ndarray:
+    return np.array([state.x, state.y, state.psi])
+
+
 def test_initial_model_frozen_matrices():
     model = linearize_initial(PARAMS, 0.2)
-    assert np.array_equal(model.a, [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(state_matrix(model), [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(model.b, [0.0, 2.0, 1.1507479861910241], atol=1e-15)
     np.testing.assert_allclose(model.k, [2.0, 0.0, 0.0], atol=0)
 
@@ -33,13 +44,13 @@ def test_initial_model_frozen_matrices():
 def test_initial_model_scales_with_ts(ts, b_last):
     model = linearize_initial(PARAMS, ts)
     np.testing.assert_allclose(model.b, [0.0, ts * 10, b_last], atol=1e-15)
-    assert model.a[1, 2] == pytest.approx(ts * 10)
+    assert state_matrix(model)[1, 2] == pytest.approx(ts * 10)
 
 
 def test_position_model_frozen_at_operating_point():
     op = VehicleState(psi=0.3, beta=0.05)
     model = linearize_position(op, PARAMS, 0.05)
-    assert np.array_equal(model.a, np.eye(3))
+    assert np.array_equal(state_matrix(model), np.eye(3))
     np.testing.assert_allclose(
         model.b,
         [-0.17144890372772567, 0.46968635642368944, 0.2873274627143171],
@@ -63,7 +74,7 @@ def test_velocity_model_structure():
             [0.0, 0.0, 1.0],
         ]
     )
-    np.testing.assert_allclose(model.a, expected_a, atol=1e-15)
+    np.testing.assert_allclose(state_matrix(model), expected_a, atol=1e-15)
     # same forced response as the position model
     pos = linearize_position(op, PARAMS, 0.05)
     np.testing.assert_allclose(model.b, pos.b, atol=1e-15)
@@ -80,8 +91,8 @@ def test_position_b_is_exact_input_jacobian():
         beta = float(rng.uniform(-0.4, 0.4))
         ts = float(rng.uniform(0.02, 0.3))
         state = VehicleState(0.0, 0.0, psi, beta)
-        hi = step_nonlinear(state, eps, ts, PARAMS).as_array()[:3]
-        lo = step_nonlinear(state, -eps, ts, PARAMS).as_array()[:3]
+        hi = _pose(step_nonlinear(state, eps, ts, PARAMS))
+        lo = _pose(step_nonlinear(state, -eps, ts, PARAMS))
         fd = (hi - lo) / (2 * eps)
         model = linearize_position(VehicleState(psi=psi, beta=beta), PARAMS, ts)
         np.testing.assert_allclose(model.b, fd, rtol=1e-6, atol=1e-9)
@@ -96,7 +107,7 @@ def test_position_affine_term_is_zero_input_step():
     state = VehicleState(4.0, 2.0, op.psi, op.beta)
     nxt = step_nonlinear(state, 0.0, ts, PARAMS)
     np.testing.assert_allclose(
-        state.as_array()[:3] + model.k, nxt.as_array()[:3], atol=1e-12
+        _pose(state) + model.k, _pose(nxt), atol=1e-12
     )
 
 
@@ -113,7 +124,7 @@ def test_velocity_a_third_column_is_heading_jacobian():
         fd = (displacement(psi + eps) - displacement(psi - eps)) / (2 * eps)
         fd[2] += 1.0  # d(psi+)/d(psi) includes the carried heading itself
         model = linearize_velocity(VehicleState(psi=psi, beta=beta), PARAMS, ts)
-        np.testing.assert_allclose(model.a[:, 2], fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(state_matrix(model)[:, 2], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_initial_model_is_small_angle_limit():

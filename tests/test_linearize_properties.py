@@ -22,6 +22,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from test_linearize import _pose, state_matrix  # noqa: E402
 from trackmpc import (  # noqa: E402
     VehicleParams,
     VehicleState,
@@ -49,10 +50,6 @@ def operating_states(draw):
     return state, VehicleState(psi=psi, beta=beta), draw(_floats(0.01, 0.5))
 
 
-def _pose(state: VehicleState) -> np.ndarray:
-    return np.array([state.x, state.y, state.psi])
-
-
 def _central(plus: VehicleState, minus: VehicleState) -> np.ndarray:
     return (_pose(plus) - _pose(minus)) / (2.0 * EPS)
 
@@ -77,7 +74,7 @@ def test_velocity_heading_column_matches_finite_differences(case):
     state, op, ts = case
     fd = _central(step_nonlinear(replace(state, psi=state.psi + EPS), 0.0, ts, PARAMS),
                   step_nonlinear(replace(state, psi=state.psi - EPS), 0.0, ts, PARAMS))
-    _assert_close(linearize_velocity(op, PARAMS, ts).a[:, 2], fd)
+    _assert_close(state_matrix(linearize_velocity(op, PARAMS, ts))[:, 2], fd)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -89,7 +86,7 @@ def test_position_model_matches_the_step_in_x_y_and_drift(case):
         value = getattr(state, field)
         fd = _central(step_nonlinear(replace(state, **{field: value + EPS}), 0.0, ts, PARAMS),
                       step_nonlinear(replace(state, **{field: value - EPS}), 0.0, ts, PARAMS))
-        _assert_close(model.a[:, col], fd)
+        _assert_close(state_matrix(model)[:, col], fd)
     drift = _pose(step_nonlinear(state, 0.0, ts, PARAMS)) - _pose(state)
     np.testing.assert_allclose(model.k, drift, rtol=0, atol=1e-12 * (1.0 + np.abs(_pose(state)).max()))
 

@@ -17,12 +17,12 @@ import pytest
 
 import trackmpc.controllers as controllers_mod
 import trackmpc.qp as qp_mod
-from qp_reference import reference_solve_box_qp
+from qp_reference import box_qp, reference_solve_box_qp
+from test_linearize import state_matrix
 from trackmpc import (
     AffineLtiModel,
     HorizonWeights,
     PredictionMatrices,
-    QpProblem,
     TrackingQp,
     VehicleParams,
     VehicleState,
@@ -94,7 +94,7 @@ def test_horizon_weights_squares_scaled_weights():
 def test_prediction_single_step_is_model():
     model = linearize_initial(PARAMS, 0.2)
     pred = build_prediction(model, 1, 1)
-    np.testing.assert_allclose(pred.sx, model.a, atol=0)
+    np.testing.assert_allclose(pred.sx, state_matrix(model), atol=0)
     np.testing.assert_allclose(pred.su[:, 0], model.b, atol=0)
     np.testing.assert_allclose(pred.sk, model.k, atol=0)
 
@@ -161,7 +161,7 @@ def test_condensing_matches_iterated_rollout():
         rolled = []
         for stage in range(n):
             u = moves[min(stage, m - 1)]
-            x = model.a @ x + model.b * u + model.k
+            x = state_matrix(model) @ x + model.b * u + model.k
             rolled.append(x.copy())
         stacked = pred.sx @ x0 + pred.su @ moves + pred.sk
         assert np.max(np.abs(stacked - np.concatenate(rolled))) <= 1e-12
@@ -234,7 +234,7 @@ def test_alpha_rescale_without_input_target_keeps_argmin():
 # that solver inputs, pivot counts and traces cannot move.
 
 def _reference_prediction(model, n, m):
-    a, b, k = model.a, model.b, model.k
+    a, b, k = state_matrix(model), model.b, model.k
     a_pow = [np.eye(3)]
     for _ in range(n):
         a_pow.append(a_pow[-1] @ a)
@@ -360,18 +360,7 @@ def test_fixed_model_condensing_with_input_target_is_bit_identical(ts, n, m):
             assert np.array_equal(qp.f, f)
 
 
-def test_qp_problem_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        QpProblem(h=np.array([[1.0, 2.0], [0.0, 1.0]]), f=np.zeros(2),
-                  lb=-np.ones(2), ub=np.ones(2))
-    with pytest.raises(ValueError, match="positive definite"):
-        QpProblem(h=np.zeros((2, 2)), f=np.zeros(2), lb=-np.ones(2), ub=np.ones(2))
-    with pytest.raises(ValueError, match="lb <= ub"):
-        QpProblem(h=np.eye(2), f=np.zeros(2), lb=np.ones(2), ub=-np.ones(2))
-    with pytest.raises(ValueError, match="H must be 2x2"):
-        QpProblem(h=np.eye(3), f=np.zeros(2), lb=-np.ones(2), ub=np.ones(2))
-    with pytest.raises(ValueError, match="bound shapes must match"):
-        QpProblem(h=np.eye(2), f=np.zeros(2), lb=-np.ones(3), ub=np.ones(2))
+def test_tracking_qp_rejects_a_short_reference_stack_and_an_inverted_box():
     pred = build_prediction(linearize_initial(PARAMS, 0.1), 4, 2)
     cost = condense_cost(pred, _weights(w_y=1.0, w_u=0.0, w_du=1.0, alpha=1.0))
     with pytest.raises(ValueError, match="reference stack must have 12 entries, got 9"):
@@ -380,21 +369,9 @@ def test_qp_problem_validation():
         build_tracking_qp(pred, cost, np.zeros(3), np.zeros(12), move_box(2, (0.1, -0.1)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["h", "f"])
-def test_qp_problem_rejects_non_finite_data(where, bad):
-    h, f = np.eye(2), np.zeros(2)
-    if where == "h":
-        h[0, 1] = h[1, 0] = bad
-    else:
-        f[0] = bad
-    with pytest.raises(ValueError, match="finite"):
-        QpProblem(h=h, f=f, lb=-np.ones(2), ub=np.ones(2))
-
-
 def test_qp_problem_allows_infinite_bounds():
-    qp = QpProblem(h=2.0 * np.eye(2), f=np.array([-4.0, 1.0]),
-                   lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, np.inf]))
+    qp = box_qp(h=2.0 * np.eye(2), f=np.array([-4.0, 1.0]),
+                lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, np.inf]))
     sol = solve_box_qp(qp)
     assert sol.status == "converged" and sol.kkt_residual <= 1e-8
     np.testing.assert_array_equal(sol.u, [2.0, 0.0])
@@ -403,16 +380,16 @@ def test_qp_problem_allows_infinite_bounds():
 # --- box QP solver ---------------------------------------------------------
 
 def test_solver_interior_optimum():
-    qp = QpProblem(h=np.array([[2.0]]), f=np.array([-4.0]),
-                   lb=np.array([-10.0]), ub=np.array([10.0]))
+    qp = box_qp(h=np.array([[2.0]]), f=np.array([-4.0]),
+                lb=np.array([-10.0]), ub=np.array([10.0]))
     sol = solve_box_qp(qp)
     assert sol.status == "converged"
     assert sol.u[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_solver_clipped_at_bound():
-    qp = QpProblem(h=np.array([[2.0]]), f=np.array([-4.0]),
-                   lb=np.array([-1.0]), ub=np.array([1.0]))
+    qp = box_qp(h=np.array([[2.0]]), f=np.array([-4.0]),
+                lb=np.array([-1.0]), ub=np.array([1.0]))
     sol = solve_box_qp(qp)
     assert sol.u[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -438,7 +415,7 @@ def test_solver_matches_grid_oracle():
         f = rng.normal(size=n)
         lb = rng.uniform(-0.4, -0.05, size=n)
         ub = rng.uniform(0.05, 0.4, size=n)
-        qp = QpProblem(h=h, f=f, lb=lb, ub=ub)
+        qp = box_qp(h=h, f=f, lb=lb, ub=ub)
         sol = solve_box_qp(qp)
         grid = _grid_minimum(h, f, lb, ub)
         assert np.max(np.abs(sol.u - grid)) <= 2e-3
@@ -453,7 +430,7 @@ def test_solver_kkt_and_certificate_on_random_instances():
         f = rng.normal(size=n)
         lb = rng.uniform(-1.0, -0.01, size=n)
         ub = rng.uniform(0.01, 1.0, size=n)
-        qp = QpProblem(h=h, f=f, lb=lb, ub=ub)
+        qp = box_qp(h=h, f=f, lb=lb, ub=ub)
         sol = solve_box_qp(qp)
         assert sol.status == "converged"
         assert sol.kkt_residual <= 1e-8
@@ -474,15 +451,15 @@ def test_solver_unconstrained_agreement():
         h = m.T @ m + 0.5 * np.eye(n)
         x_opt = rng.uniform(-0.5, 0.5, size=n)
         f = -(h @ x_opt)
-        qp = QpProblem(h=h, f=f, lb=-np.ones(n), ub=np.ones(n))
+        qp = box_qp(h=h, f=f, lb=-np.ones(n), ub=np.ones(n))
         sol = solve_box_qp(qp)
         assert np.max(np.abs(sol.u - x_opt)) <= 1e-7
 
 
 def test_solver_pinned_variables():
     h = np.array([[3.0, 0.5], [0.5, 2.0]])
-    qp = QpProblem(h=h, f=np.array([1.0, -2.0]),
-                   lb=np.array([0.25, -1.0]), ub=np.array([0.25, 1.0]))
+    qp = box_qp(h=h, f=np.array([1.0, -2.0]),
+                lb=np.array([0.25, -1.0]), ub=np.array([0.25, 1.0]))
     sol = solve_box_qp(qp)
     assert sol.u[0] == 0.25
     # the free coordinate minimizes given the pinned one
@@ -493,8 +470,8 @@ def test_solver_scaling_invariance():
     h = np.array([[4.0, 1.0], [1.0, 3.0]])
     f = np.array([-1.0, 2.0])
     lb, ub = -np.ones(2) * 0.2, np.ones(2) * 0.2
-    u1 = solve_box_qp(QpProblem(h=h, f=f, lb=lb, ub=ub)).u
-    u2 = solve_box_qp(QpProblem(h=250 * h, f=250 * f, lb=lb, ub=ub)).u
+    u1 = solve_box_qp(box_qp(h=h, f=f, lb=lb, ub=ub)).u
+    u2 = solve_box_qp(box_qp(h=250 * h, f=250 * f, lb=lb, ub=ub)).u
     np.testing.assert_allclose(u1, u2, atol=1e-9)
 
 
@@ -503,7 +480,7 @@ def test_solver_deterministic():
     m = rng.normal(size=(6, 6))
     h = m.T @ m + 0.1 * np.eye(6)
     f = rng.normal(size=6)
-    qp = QpProblem(h=h, f=f, lb=-0.3 * np.ones(6), ub=0.3 * np.ones(6))
+    qp = box_qp(h=h, f=f, lb=-0.3 * np.ones(6), ub=0.3 * np.ones(6))
     a = solve_box_qp(qp)
     b = solve_box_qp(qp)
     assert np.array_equal(a.u, b.u)
@@ -511,7 +488,7 @@ def test_solver_deterministic():
 
 
 def test_solver_validates_budget_and_tolerance():
-    qp = QpProblem(h=np.eye(2), f=np.zeros(2), lb=-np.ones(2), ub=np.ones(2))
+    qp = box_qp(h=np.eye(2), f=np.zeros(2), lb=-np.ones(2), ub=np.ones(2))
     with pytest.raises(ValueError, match="max_iter"):
         solve_box_qp(qp, max_iter=0)
 
@@ -528,7 +505,7 @@ def test_solver_reports_exhausted_budget():
         f = rng.normal(size=n) * 2.0
         lb = rng.uniform(-0.5, -0.01, size=n)
         ub = rng.uniform(0.01, 0.5, size=n)
-        qp = QpProblem(h=h, f=f, lb=lb, ub=ub)
+        qp = box_qp(h=h, f=f, lb=lb, ub=ub)
         if solve_box_qp(qp).iterations < 3:
             continue
         starved = solve_box_qp(qp, max_iter=1)
@@ -541,8 +518,8 @@ def test_solver_reports_exhausted_budget():
 
 
 def test_status_follows_the_residual():
-    # a non-finite f only reaches the solver past QpProblem's checks, in a
-    # TrackingQp; its partition shows no violations, but it is no solution
+    # nothing checks a TrackingQp's f for finiteness; a non-finite one gives
+    # a partition with no violations, but it is no solution
     qp = TrackingQp(np.eye(2), np.array([np.nan, 0.0]), -np.ones(2), np.ones(2))
     sol = solve_box_qp(qp)
     assert sol.status == "inaccurate"
@@ -552,11 +529,11 @@ def test_status_follows_the_residual():
 def test_start_is_kept_only_when_the_guess_missed():
     # the guess (both on the upper bound) holds: one iteration, no start
     h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    held = solve_box_qp(QpProblem(h=h, f=np.array([-9.0, -9.0]), lb=-np.ones(2), ub=np.ones(2)))
+    held = solve_box_qp(box_qp(h=h, f=np.array([-9.0, -9.0]), lb=-np.ones(2), ub=np.ones(2)))
     assert held.iterations == 1 and held.start is None
     # the unconstrained minimizer (3, 0.5) guesses (upper, free), but pinning
     # coordinate 0 pushes coordinate 1 past its bound too
-    missed = solve_box_qp(QpProblem(h=h, f=np.array([-6.5, -4.0]), lb=-np.ones(2), ub=np.ones(2)))
+    missed = solve_box_qp(box_qp(h=h, f=np.array([-6.5, -4.0]), lb=-np.ones(2), ub=np.ones(2)))
     assert missed.iterations == 2
     assert missed.start.dtype == np.int8
     np.testing.assert_array_equal(missed.start, [1, 1])
@@ -570,8 +547,8 @@ def test_start_from_the_accepted_partition_returns_at_its_probe():
     for _ in range(300):
         n = int(rng.integers(4, 12))
         m = rng.normal(size=(n, n))
-        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
-                       lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
+        qp = box_qp(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
+                    lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
         cold = solve_box_qp(qp)
         if cold.iterations >= 4:
             break
@@ -597,7 +574,7 @@ def test_start_from_the_accepted_partition_returns_at_its_probe():
 def test_start_must_match_the_variable_count():
     # checked before the first partition; here the guess misses
     h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    qp = QpProblem(h=h, f=np.array([-6.5, -4.0]), lb=-np.ones(2), ub=np.ones(2))
+    qp = box_qp(h=h, f=np.array([-6.5, -4.0]), lb=-np.ones(2), ub=np.ones(2))
     with pytest.raises(ValueError, match="start"):
         solve_box_qp(qp, start=np.zeros(3, dtype=np.int8))
 
@@ -608,7 +585,7 @@ def test_solver_checks_the_start_whatever_the_path(start):
     # this QP's guess holds at once, so no partition search ever reads the
     # start; a start of the wrong shape or with an entry outside {-1, 0, 1}
     # is still rejected
-    qp = QpProblem(h=np.eye(3), f=np.array([0.1, -0.2, 0.0]), lb=-np.ones(3), ub=np.ones(3))
+    qp = box_qp(h=np.eye(3), f=np.array([0.1, -0.2, 0.0]), lb=-np.ones(3), ub=np.ones(3))
     assert solve_box_qp(qp).iterations == 1
     with pytest.raises(ValueError, match="start"):
         solve_box_qp(qp, start=start)
@@ -628,7 +605,7 @@ def test_start_pins_equality_pinned_coordinates_back(pinned_as):
         pinned = np.zeros(n, dtype=bool)
         pinned[rng.choice(n, size=2, replace=False)] = True
         lb[pinned] = ub[pinned] = rng.uniform(-0.3, 0.3, size=2)
-        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n), lb=lb, ub=ub)
+        qp = box_qp(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n), lb=lb, ub=ub)
         cold = solve_box_qp(qp)
         if cold.iterations >= 4:
             break
@@ -665,7 +642,7 @@ SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class Recorded(NamedTuple):
-    qp: QpProblem
+    qp: TrackingQp
     start: np.ndarray | None
     table: RegionTable | None
     variant: str
@@ -738,6 +715,22 @@ _NARROW_ITERATIONS = {
 }
 
 
+def _assert_normal_form(qp, where):
+    """qp is a TrackingQp in the normal form the solver relies on: H finite,
+    exactly symmetric, positive definite, C-ordered and read-only (the
+    all-free refine runs on H itself), f and lb <= ub flat float64 of H's size."""
+    assert type(qp) is TrackingQp, where
+    h = qp.h
+    n = h.shape[0]
+    assert h.dtype == np.float64 and h.shape == (n, n), where
+    assert h.flags.c_contiguous and not h.flags.writeable, where
+    assert np.isfinite(h).all() and np.array_equal(h, h.T), where
+    np.linalg.cholesky(h)  # raises unless H is positive definite
+    for vec in (qp.f, qp.lb, qp.ub):
+        assert vec.dtype == np.float64 and vec.shape == (n,), where
+    assert np.all(qp.lb <= qp.ub), where
+
+
 @pytest.mark.parametrize("scenario,fewer_solves", [
     ("complete.cfg", True), ("straight.cfg", False),
     ("sine_disturbed.cfg", True), ("step.cfg", False)])
@@ -749,6 +742,8 @@ def test_shipped_qps_match_the_reference_solver_bit_for_bit(scenario, fewer_solv
     # and position_sl needs far fewer where it seeds most, velocity_sl where
     # its searches stall
     recorded = _recorded_qps(scenario, tmp_path)
+    for i, r in enumerate(recorded):
+        _assert_normal_form(r.qp, (scenario, i))
     totals = dict.fromkeys(_UNSEEDED_ITERATIONS[scenario], 0)
     for r in recorded:
         totals[r.variant] += solve_box_qp(r.qp, start=r.start, table=r.table).iterations
@@ -851,8 +846,8 @@ def test_region_table_is_only_a_hint():
     for _ in range(200):
         n = int(rng.integers(2, MAX_TABLE_MOVES + 1))
         m = rng.normal(size=(n, n))
-        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
-                       lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
+        qp = box_qp(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
+                    lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
         other = rng.normal(size=(n, n))
         for table in (region_table(other.T @ other + np.eye(n), qp.lb, qp.ub),
                       region_table(qp.h, 0.1 * qp.lb, 3.0 * qp.ub)):
@@ -872,8 +867,8 @@ def test_region_table_locates_the_reference_partition():
     for _ in range(200):
         n = int(rng.integers(1, MAX_TABLE_MOVES + 1))
         m = rng.normal(size=(n, n))
-        qp = QpProblem(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
-                       lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
+        qp = box_qp(h=m.T @ m + 0.05 * np.eye(n), f=2.0 * rng.normal(size=n),
+                    lb=rng.uniform(-0.5, -0.01, size=n), ub=rng.uniform(0.01, 0.5, size=n))
         u = reference_solve_box_qp(qp).u
         expected = np.where(u <= qp.lb, -1, np.where(u >= qp.ub, 1, 0))
         np.testing.assert_array_equal(region_table(qp.h, qp.lb, qp.ub).locate(qp.f), expected)

@@ -29,11 +29,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, event, given, settings, strategies as st  # noqa: E402
 
 import trackmpc.qp as qp_mod  # noqa: E402
-from qp_reference import reference_solve_box_qp  # noqa: E402
+from qp_reference import box_qp, reference_solve_box_qp  # noqa: E402
 from test_qp import _reference_prediction  # noqa: E402
 from trackmpc import (  # noqa: E402
     PredictionMatrices,
-    QpProblem,
+    TrackingQp,
     VehicleParams,
     VehicleState,
     build_prediction,
@@ -69,10 +69,10 @@ def box_qps(draw, max_n: int = 8, kinds=("wide", "narrow", "pinned")):
                  "pinned": st.just(0.0)}[kind]
         lb[i] = center
         ub[i] = center + draw(width)
-    return QpProblem(h=h, f=f, lb=lb, ub=ub)
+    return box_qp(h=h, f=f, lb=lb, ub=ub)
 
 
-def _brute_force_minimizer(qp: QpProblem) -> np.ndarray:
+def _brute_force_minimizer(qp: TrackingQp) -> np.ndarray:
     h, f, lb, ub = qp.h, qp.f, qp.lb, qp.ub
     best, best_cost = None, np.inf
     for part in itertools.product((-1, 0, 1), repeat=f.size):
@@ -126,7 +126,7 @@ def move_qps(draw, max_n: int = 8):
     f = np.array(draw(st.lists(_floats(-5.0, 5.0), min_size=n, max_size=n)))
     center = np.array(draw(st.lists(_floats(-0.1, 0.1), min_size=n, max_size=n)))
     half = 10.0 ** np.array(draw(st.lists(_floats(-3.0, -1.0), min_size=n, max_size=n)))
-    return QpProblem(h=h, f=f, lb=center - half, ub=center + half)
+    return box_qp(h=h, f=f, lb=center - half, ub=center + half)
 
 
 def _random_move_qp(rng, n):
@@ -135,7 +135,7 @@ def _random_move_qp(rng, n):
     h = t_map.T @ (d[:, None] * t_map) + rng.uniform(1e-3, 0.1) * np.eye(n)
     center = rng.uniform(-0.1, 0.1, size=n)
     half = 10.0 ** rng.uniform(-3.0, -1.0, size=n)
-    return QpProblem(h=h, f=rng.uniform(-5.0, 5.0, size=n), lb=center - half, ub=center + half)
+    return box_qp(h=h, f=rng.uniform(-5.0, 5.0, size=n), lb=center - half, ub=center + half)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -319,8 +319,8 @@ def boundary_qps(draw, max_n: int = MAX_TABLE_MOVES, weak: bool = False):
     x = np.where(where < 0, lb, np.where(where > 0, ub, inside.clip(lb / 2, ub / 2)))
     if weak and draw(st.booleans()):
         lam = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
-        return QpProblem(h=h, f=where * -lam - h @ x, lb=lb, ub=ub)
-    return QpProblem(h=h, f=-(h @ x), lb=lb, ub=ub)
+        return box_qp(h=h, f=where * -lam - h @ x, lb=lb, ub=ub)
+    return box_qp(h=h, f=-(h @ x), lb=lb, ub=ub)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, phases=_UNSHRUNK)
@@ -369,7 +369,7 @@ def stalling_qps(draw, max_n: int = 20):
     x = w * np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
     for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)):
         x[i] = w * draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(_floats(0.1, 1.0))
-    return QpProblem(h=h, f=-(h @ x), lb=np.full(n, -w), ub=np.full(n, w))
+    return box_qp(h=h, f=-(h @ x), lb=np.full(n, -w), ub=np.full(n, w))
 
 
 def _random_stalling_qp(rng, n):
@@ -380,7 +380,7 @@ def _random_stalling_qp(rng, n):
     x = w * rng.uniform(-1.0, 1.0, size=n)
     out = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
     x[out] = w * rng.choice((-1.0, 1.0), size=out.size) * 10.0 ** rng.uniform(0.1, 1.0, out.size)
-    return QpProblem(h=h, f=-(h @ x), lb=np.full(n, -w), ub=np.full(n, w))
+    return box_qp(h=h, f=-(h @ x), lb=np.full(n, -w), ub=np.full(n, w))
 
 
 def _assert_oracles(qp, sols):
@@ -447,8 +447,8 @@ def _from_hex(text: str) -> np.ndarray:
 
 
 def test_recorded_course_qp_finishes_in_the_primal_phase():
-    qp = QpProblem(h=_from_hex(_COURSE_H).reshape(5, 5), f=_from_hex(_COURSE_F),
-                   lb=np.full(5, -0.025), ub=np.full(5, 0.025))
+    qp = box_qp(h=_from_hex(_COURSE_H).reshape(5, 5), f=_from_hex(_COURSE_F),
+                lb=np.full(5, -0.025), ub=np.full(5, 0.025))
     ref = reference_solve_box_qp(qp)
     sol = solve_box_qp(qp)
     assert ref.iterations == 48
@@ -467,7 +467,7 @@ def _recorded_qp(name: str) -> dict[str, np.ndarray]:
     return qp
 
 
-def _recorded_velocity_qp() -> tuple[QpProblem, dict[str, np.ndarray]]:
+def _recorded_velocity_qp() -> tuple[TrackingQp, dict[str, np.ndarray]]:
     """The velocity_sl QP of the shipped noisy sine whose search took longest
     (52 iterations from its run's start, 45 of them in the primal phase)."""
     rec = _recorded_qp("sine_disturbed_velocity_sl.txt")
@@ -475,7 +475,7 @@ def _recorded_velocity_qp() -> tuple[QpProblem, dict[str, np.ndarray]]:
     h = np.zeros((n, n))
     h[np.triu_indices(n)] = rec["h_upper"]
     h += np.triu(h, 1).T
-    return QpProblem(h=h, f=rec["f"], lb=rec["lb"], ub=rec["ub"]), rec
+    return box_qp(h=h, f=rec["f"], lb=rec["lb"], ub=rec["ub"]), rec
 
 
 def test_recorded_velocity_qp_finishes_in_the_dual_phase():

@@ -109,7 +109,7 @@ def test_forward_difference_matches_ct_derivative():
     exact = ct_derivative(state, params)
     for ts in (1e-2, 1e-3, 1e-4):
         nxt = step_nonlinear(state, 0.0, ts, params)
-        diff = (np.array([nxt.x, nxt.y, nxt.psi]) - state.as_array()[:3]) / ts
+        diff = (np.array([nxt.x, nxt.y, nxt.psi]) - np.array([state.x, state.y, state.psi])) / ts
         assert np.max(np.abs(diff - exact)) < 1e-9
 
 
