@@ -17,7 +17,6 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,6 @@ TRACE_COLUMNS = ("t", "x", "y", "psi", "beta", "delta_f", "x_ref", "y_ref", "u")
 SUMMARY_COLUMNS = ("model", "ssd", "time_per_iteration", "total_time")
 SWEEP_COLUMNS = ("alpha", "rise_time", "ssd")
 DEFAULT_ALPHAS = (0.7, 2.8, 11.2)
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    model: str
-    ssd: float  # [m^2]
-    time_per_iteration: float  # [s]
-    total_time: float  # [s]
 
 
 def _fmt(value: float) -> str:
@@ -97,14 +88,10 @@ def write_manifest(target: Path, cfg: ScenarioConfig) -> None:
         handle.write("\n")
 
 
-def _summarize(res: SimResult) -> SummaryRow:
-    per_iter = float(np.mean(res.iter_times)) if len(res.iter_times) else 0.0
-    return SummaryRow(res.variant, res.ssd, per_iter, res.total_time)
-
-
-def _summary_line(row: SummaryRow) -> str:
-    return (f"{row.model}: ssd={row.ssd:.6g} m^2, "
-            f"time/iter={row.time_per_iteration:.3e} s, total={row.total_time:.3f} s")
+def _summary_line(res: SimResult) -> str:
+    """One completed run; it made at least one step, since a path has 2 samples or more."""
+    return (f"{res.variant}: ssd={res.ssd:.6g} m^2, "
+            f"time/iter={np.mean(res.iter_times):.3e} s, total={np.sum(res.iter_times):.3f} s")
 
 
 def _run_variant(cfg: ScenarioConfig, variant: str) -> SimResult:
@@ -114,27 +101,24 @@ def _run_variant(cfg: ScenarioConfig, variant: str) -> SimResult:
 
 
 def run_compare(cfg: ScenarioConfig) -> tuple:
-    """Run every configured variant; returns (summary rows, failures).
+    """Run every configured variant; returns (ok, failed) lists of SimResult.
 
-    Rows cover completed runs only and are ordered by SSD ascending; each
-    failure is a (variant, status) pair.
+    ok holds the completed runs ordered by SSD ascending, and only they get
+    a summary row; failed holds the rest in run order.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows, failures = [], []
+    ok, failed = [], []
     for variant in cfg.variants:
         res = _run_variant(cfg, variant)
         write_trace(out / f"trace_{variant}.csv", res, cfg.vehicle)
-        if res.status == "ok":
-            rows.append(_summarize(res))
-        else:
-            failures.append((variant, res.status))
-    rows.sort(key=lambda row: row.ssd)
+        (ok if res.status == "ok" else failed).append(res)
+    ok.sort(key=lambda res: res.ssd)
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
-               [(row.model, _fmt(row.ssd), _fmt(row.time_per_iteration), _fmt(row.total_time))
-                for row in rows])
+               [(res.variant, _fmt(res.ssd), _fmt(np.mean(res.iter_times)),
+                 _fmt(np.sum(res.iter_times))) for res in ok])
     write_manifest(out / "manifest.json", cfg)
-    return rows, failures
+    return ok, failed
 
 
 def rise_time(t: np.ndarray, y: np.ndarray, target: float) -> float:
@@ -256,16 +240,16 @@ def main(argv=None) -> int:
         if res.status != "ok":
             print(f"{cfg.variant}: {res.status}", file=sys.stderr)
             return 2
-        print(_summary_line(_summarize(res)))
+        print(_summary_line(res))
         return 0
 
     if args.verb == "compare":
-        rows, failures = run_compare(cfg)
-        for row in rows:
-            print(_summary_line(row))
-        for variant, status in failures:
-            print(f"{variant}: {status}", file=sys.stderr)
-        return 2 if failures else 0
+        ok, failed = run_compare(cfg)
+        for res in ok:
+            print(_summary_line(res))
+        for res in failed:
+            print(f"{res.variant}: {res.status}", file=sys.stderr)
+        return 2 if failed else 0
 
     # sweep-alpha, the one verb left
     try:

@@ -226,6 +226,9 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
                 return lines[candidate]
         return 0
 
+    def section_line(section):
+        return line_of(*(item for item in _FIELDS if item[0] == section))
+
     fields = {"": {}, "vehicle": {}, "disturbance": {}}  # owner -> attribute -> value
     for (section, key), value in values.items():
         owner, _, attr = _FIELDS[(section, key)][1].rpartition(".")
@@ -255,18 +258,20 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
     try:
         top["vehicle"] = VehicleParams(**fields["vehicle"])
     except ValueError as exc:
-        raise ConfigError(line_of(("vehicle", "lf"), ("vehicle", "lr"), ("vehicle", "v")),
-                          str(exc)) from None
+        raise ConfigError(section_line("vehicle"), str(exc)) from None
 
     variant = top.get("variant", ScenarioConfig.variant)
     if variant not in VARIANTS:
         raise ConfigError(line_of(("controller", "variant")),
                           f"variant must be one of {VARIANTS}, got {variant!r}")
     variants = top.get("variants", ScenarioConfig.variants)
-    for name in variants:
+    for i, name in enumerate(variants):
         if name not in VARIANTS:
             raise ConfigError(line_of(("controller", "variants")),
                               f"unknown variant {name!r} in variants list")
+        if name in variants[:i]:  # a second run would overwrite the first's trace
+            raise ConfigError(line_of(("controller", "variants")),
+                              f"variant {name!r} is listed twice in variants")
 
     disturbance = fields["disturbance"]
     if disturbance.get("kind", DisturbanceSpec.kind) != "none":
@@ -274,18 +279,14 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
     try:
         top["disturbance"] = DisturbanceSpec(**disturbance)
     except ValueError as exc:
-        raise ConfigError(line_of(("disturbance", "kind"), ("disturbance", "amplitude"),
-                                  ("disturbance", "seed")), str(exc)) from None
+        raise ConfigError(section_line("disturbance"), str(exc)) from None
 
     cfg = ScenarioConfig(**top)
 
-    # controller-level validation, anchored to the most specific line set;
-    # every variant's run builds its path, so build each one here: its
-    # builder bounds its size and reach before any array
-    anchor = line_of(("controller", "ts"), ("controller", "horizon"),
-                     ("controller", "control_horizon"), ("controller", "rate_limit"),
-                     ("controller", "alpha"), ("controller", "w_y"),
-                     ("controller", "w_u"), ("controller", "w_du"))
+    # controller-level validation, anchored to the first [controller] setting
+    # set, in document order; every variant's run builds its path, so build
+    # each one here: its builder bounds its size and reach before any array
+    anchor = line_of(*(("controller", key) for key in _CONTROLLER_ARGS))
     path_anchor = line_of(("scenario", "amplitude"), ("scenario", "wavelength"),
                           ("scenario", "lead_in"), ("scenario", "tail"), ("scenario", "periods"),
                           ("scenario", "duration"), ("vehicle", "v"), ("controller", "ts"),
@@ -301,7 +302,7 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
                 paths[ctrl.ts] = cfg.build_path(ctrl.ts)
             except ValueError as exc:
                 raise ConfigError(path_anchor, f"variant {name!r}: {exc}") from None
-        span = paths[ctrl.ts].t[-1] if kind == "complete" else duration
+        span = (len(paths[ctrl.ts]) - 1) * ctrl.ts if kind == "complete" else duration
         horizon_span = ctrl.ts * ctrl.horizon
         if horizon_span > span + 1e-9:
             raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"),

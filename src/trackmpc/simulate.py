@@ -1,10 +1,10 @@
 """Reference paths, measurement disturbance, and the closed-loop harness.
 
-Paths are uniformly sampled point sequences (t_k, x_k, y_k); a controller is
-expected to run at the same sample time the path was generated with. The
-disturbance is applied to the measured output only, never to the true plant
-state, and is generated by a keyed counter hash so runs are bit-reproducible
-across platforms and independent of call order.
+Paths are uniformly sampled point sequences (x_k, y_k) at times k*ts; a
+controller is expected to run at the same sample time the path was generated
+with. The disturbance is applied to the measured output only, never to the
+true plant state, and is generated by a keyed counter hash so runs are
+bit-reproducible across platforms and independent of call order.
 """
 
 from __future__ import annotations
@@ -41,32 +41,30 @@ class ReferencePath:
 
     heading0 is the tangent direction at the first sample when the generator
     knows it exactly (step paths point along x regardless of the jump).
-    t, x and y are read-only float copies of the arrays given, so a path
-    cannot change after its checks, and the caller's arrays stay writeable.
+    Sample k lies at time k*ts. x and y are read-only float copies of the
+    arrays given, so a path cannot change after its checks, and the caller's
+    arrays stay writeable.
     """
 
-    t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     ts: float
     heading0: float | None = None
 
     def __post_init__(self):
-        t, x, y = (np.array(values, dtype=float) for values in (self.t, self.x, self.y))
-        if not (t.shape == x.shape == y.shape) or t.ndim != 1 or t.size < 2:
-            raise ValueError("path needs matching 1-d t/x/y arrays with at least 2 samples")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        x, y = np.array(self.x, dtype=float), np.array(self.y, dtype=float)
+        if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+            raise ValueError("path needs matching 1-d x/y arrays with at least 2 samples")
+        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("path samples must be finite")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("path times must be strictly increasing")
         if not self.ts > 0.0:
             raise ValueError(f"path sample time must be positive, got {self.ts}")
-        for name, values in (("t", t), ("x", x), ("y", y)):
+        for name, values in (("x", x), ("y", y)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
-        return self.t.size
+        return self.x.size
 
     def initial_heading(self) -> float:
         if self.heading0 is not None:
@@ -115,10 +113,9 @@ def make_step_path(amplitude: float, duration: float, ts: float,
     n = sample_count(duration, ts)
     _within_reach(amplitude, v, ts * (n - 1))
     k = np.arange(n)
-    t = k * ts
     x = v * ts * k
     y = np.where(k >= 1, float(amplitude), 0.0)
-    return ReferencePath(t=t, x=x, y=y, ts=ts, heading0=0.0)
+    return ReferencePath(x=x, y=y, ts=ts, heading0=0.0)
 
 
 def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: float,
@@ -136,7 +133,7 @@ def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: flo
     x = v * t
     y = amplitude * np.sin(2.0 * math.pi * x / wavelength)
     slope0 = amplitude * 2.0 * math.pi / wavelength
-    return ReferencePath(t=t, x=x, y=y, ts=ts, heading0=math.atan(slope0))
+    return ReferencePath(x=x, y=y, ts=ts, heading0=math.atan(slope0))
 
 
 def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
@@ -171,8 +168,7 @@ def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
     sk = np.arange(n) * step
     xs = np.interp(sk, s, xg)
     ys = _complete_profile(xs, lead_in, amplitude, wavelength, sine_len)
-    t = np.arange(n) * ts
-    return ReferencePath(t=t, x=xs, y=ys, ts=ts, heading0=0.0)
+    return ReferencePath(x=xs, y=ys, ts=ts, heading0=0.0)
 
 
 def _complete_profile(x: np.ndarray, lead_in: float, amplitude: float,
@@ -246,7 +242,7 @@ class SimResult:
     """
 
     variant: str
-    t: np.ndarray            # (K+1,)
+    t: np.ndarray            # (K+1,) k*ts
     states: np.ndarray       # (K+1, 4) true x, y, psi, beta
     inputs: np.ndarray       # (K,) applied slip changes
     measured: np.ndarray     # (K, 2) the (x, y) the controller saw
@@ -254,7 +250,6 @@ class SimResult:
     y_ref: np.ndarray        # (K+1,)
     ssd: float               # [m^2]
     iter_times: np.ndarray   # (K,) controller wall-clock per step [s]
-    total_time: float        # [s] sum of iter_times
     status: str              # "ok" or "failed: ..."
 
 
@@ -331,7 +326,7 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
     states = np.array(rows, dtype=float)
     return SimResult(
         variant=cfg.variant,
-        t=np.concatenate(([0.0], path.t[1:n_samples])),
+        t=np.arange(n_samples) * path.ts,
         states=states,
         inputs=np.array(inputs),
         measured=np.array(measured).reshape(len(measured), 2),
@@ -339,6 +334,5 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
         y_ref=path.y[:n_samples].copy(),
         ssd=ssd_from_traces(states, path.x[:n_samples], path.y[:n_samples]),
         iter_times=np.array(iter_times),
-        total_time=float(np.sum(iter_times)) if iter_times else 0.0,
         status=status,
     )

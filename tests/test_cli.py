@@ -150,6 +150,26 @@ def test_errors_carry_their_line(doc, lineno, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("kind,rejections", [("straight", 58), ("sine", 61), ("complete", 67)])
+def test_a_one_key_document_error_names_that_key_line(kind, rejections):
+    # line 0 belongs to --set errors: a document that sets one numeric key
+    # (after the kind, where it is not the default) and is rejected must
+    # name that key's line, whichever check rejects it
+    head = [] if kind == "straight" else ["[scenario]", f"kind = {kind}"]
+    rejected = 0
+    for section, key in (item for item, (coercion, _) in config_mod._FIELDS.items()
+                         if coercion in ("float", "int")):
+        for value in ("-1", "0", "5e-324", "1e300", "0.5", "3"):
+            lines = head + ([] if head and section == "scenario" else [f"[{section}]"])
+            lines.append(f"{key} = {value}")
+            try:
+                parse_config("\n".join(lines) + "\n")
+            except ConfigError as exc:
+                rejected += 1
+                assert exc.line == len(lines), (lines, str(exc))
+    assert rejected == rejections  # a change to what validation accepts moves this
+
+
 def test_prediction_window_must_fit_the_run():
     doc = "[scenario]\nkind = straight\nduration = 1.0\n"
     with pytest.raises(ConfigError, match="prediction window"):
@@ -162,7 +182,7 @@ def test_complete_window_is_measured_on_the_path_the_run_builds():
     cfg = parse_config("[scenario]\nkind = complete\n[vehicle]\nv = 1000\n"
                        "[controller]\nts = 0.001\nhorizon = 170\ncontrol_horizon = 5\n")
     path = cfg.build_path(0.001)
-    assert (len(path), path.t[-1]) == (181, pytest.approx(0.18))
+    assert (len(path), (len(path) - 1) * path.ts) == (181, pytest.approx(0.18))
 
 
 def test_straight_path_ignores_its_amplitude():
@@ -336,16 +356,16 @@ def test_compare_orders_summary_by_ssd(tmp_path):
                           [f"output.directory={tmp_path / 'cmp'}"])
     rows, failures = run_compare(cfg)
     assert failures == []
-    assert [r.model for r in rows] == sorted(
-        (r.model for r in rows), key=lambda m: [r.ssd for r in rows if r.model == m][0])
+    assert [r.variant for r in rows] == sorted(
+        (r.variant for r in rows), key=lambda m: [r.ssd for r in rows if r.variant == m][0])
     ssds = [r.ssd for r in rows]
     assert ssds == sorted(ssds)
-    assert {r.model for r in rows} == set(cfg.variants)
+    assert {r.variant for r in rows} == set(cfg.variants)
     # summary ssd must be a pure recompute of the written trace
     lines = (tmp_path / "cmp" / "summary.csv").read_text().splitlines()
     assert lines[0] == ",".join(SUMMARY_COLUMNS)
     for row in rows:
-        cols = read_trace(tmp_path / "cmp" / f"trace_{row.model}.csv")
+        cols = read_trace(tmp_path / "cmp" / f"trace_{row.variant}.csv")
         ssd = float(np.sum((cols["x"] - cols["x_ref"]) ** 2 + (cols["y"] - cols["y_ref"]) ** 2))
         assert ssd == pytest.approx(row.ssd, abs=1e-9)
 
@@ -389,17 +409,17 @@ def _assert_matches_reference(workload, tmp_path):
         states = {v: stored[f"{workload}.{v}"] for v in ssd}
     rows, failures = _compare_shipped(REFERENCE_RUNS[workload], tmp_path)
     assert failures == []
-    assert {row.model for row in rows} == set(ssd)
+    assert {row.variant for row in rows} == set(ssd)
 
     def close(actual, expected):
         return bool(np.all(np.abs(actual - expected) <= 1e-12 + 1e-9 * np.abs(expected)))
 
     for row in rows:
-        assert close(row.ssd, ssd[row.model]), (row.model, row.ssd, ssd[row.model])
-        cols = read_trace(tmp_path / f"trace_{row.model}.csv")
+        assert close(row.ssd, ssd[row.variant]), (row.variant, row.ssd, ssd[row.variant])
+        cols = read_trace(tmp_path / f"trace_{row.variant}.csv")
         got = np.column_stack([cols["x"], cols["y"], cols["psi"], cols["beta"]])
-        assert got.shape == states[row.model].shape, row.model
-        assert close(got, states[row.model]), row.model
+        assert got.shape == states[row.variant].shape, row.variant
+        assert close(got, states[row.variant]), row.variant
 
 
 def test_weights_too_large_for_the_qp_name_their_scale(tmp_path, capsys):
@@ -547,6 +567,25 @@ def test_overflowing_weight_in_a_file_is_a_line_anchored_error(tmp_path, capsys)
     assert len(err) == 2
     assert all(line.startswith("error: line ") and "square to finite" in line for line in err)
     assert err[0].startswith("error: line 5:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["document", "set"])
+def test_repeated_variant_is_a_config_error(source, tmp_path, capsys):
+    # a second run of a variant would overwrite the first's trace and give
+    # summary.csv two rows of it, so compare refuses before any run
+    if source == "document":
+        doc = tmp_path / "twice.cfg"
+        doc.write_text("[scenario]\nkind = straight\n\n[controller]\n"
+                       "variants = baseline, position_sl, baseline\n")
+        args, prefix = [str(doc)], "error: line 5: "
+    else:
+        args = ["--set", "controller.variants=baseline,baseline"]
+        prefix = "error: line 0: --set controller.variants=baseline,baseline "
+    assert main(["compare", *args, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+    assert err[0].endswith(": variant 'baseline' is listed twice in variants")
     assert not (tmp_path / "out").exists()
 
 

@@ -59,7 +59,8 @@ def scenario_configs(draw):
         vehicle=VehicleParams(lf=draw(_floats(0.5, 3.0)), lr=draw(_floats(0.5, 3.0)),
                               v=draw(_floats(1.0, 30.0))),
         variant=draw(st.sampled_from(VARIANTS)),
-        variants=tuple(draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=4))),
+        variants=tuple(draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=4,
+                                     unique=True))),
         alpha=draw(_floats(0.1, 20.0)),
         w_y=draw(_floats(0.0, 50.0)),
         w_u=draw(_floats(0.0, 50.0)),
@@ -145,7 +146,7 @@ def _path_holds_the_window(values):
         path = cfg.build_path(ts)
     except ValueError:
         return False
-    span = path.t[-1] if cfg.kind == "complete" else cfg.duration
+    span = (len(path) - 1) * ts if cfg.kind == "complete" else cfg.duration
     return ts * values["controller.horizon"] <= span + 1e-9
 
 

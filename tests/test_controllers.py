@@ -456,7 +456,7 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     assert result.iter_times.shape == (3,)
     assert result.measured.shape == (3, 2)
     assert result.states.shape == (4, 4)
-    np.testing.assert_array_equal(result.t, path.t[:4])
+    np.testing.assert_array_equal(result.t, np.arange(4) * path.ts)
     np.testing.assert_array_equal(result.measured, result.states[:3, :2])
     assert result.ssd == ssd_from_traces(result.states, path.x[:4], path.y[:4])
 
@@ -821,8 +821,7 @@ def test_delta_refs_vertical_travel():
     # path climbing straight up, vehicle pointing straight up: the estimate
     # lands on the next sample and the reference has no x component
     n = 20
-    path = ReferencePath(t=0.05 * np.arange(n), x=np.zeros(n),
-                         y=0.5 * np.arange(n), ts=0.05)
+    path = ReferencePath(x=np.zeros(n), y=0.5 * np.arange(n), ts=0.05)
     plant = VehicleState(x=0.0, y=0.0, psi=math.pi / 2, beta=0.0)
     dx, dy, cursor = generate_delta_refs(plant, path, 0, PARAMS, 0.05)
     assert dx == 0.0
@@ -861,8 +860,8 @@ def _circle_path(radius: float, duration: float, ts: float, v: float = 10.0) -> 
     """Left turn of constant radius, sampled every v*ts along the arc."""
     k = np.arange(int(round(duration / ts)) + 1)
     chi = v * ts * k / radius  # [rad] arc angle per sample
-    return ReferencePath(t=k * ts, x=radius * np.sin(chi),
-                         y=radius * (1.0 - np.cos(chi)), ts=ts, heading0=0.0)
+    return ReferencePath(x=radius * np.sin(chi), y=radius * (1.0 - np.cos(chi)),
+                         ts=ts, heading0=0.0)
 
 
 def test_constant_radius_turn_settles_at_geometric_slip():

@@ -347,6 +347,46 @@ def test_search_does_not_cycle_on_weakly_active_bounds(qp):
     assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
 
 
+# Degenerate velocity-structured QPs: H = S'DS + rI as velocity_sl poses it,
+# exact in binary (dyadic D and r, integer S), with the minimizer x on the box
+# at a drawn set of coordinates and small integer multipliers there, some of
+# them 0, against an H whose entries reach thousands, so the bounds are
+# nearly or exactly weakly active. On most draws the unconstrained minimizer
+# pins more than half the moves, so the search is seeded, and the slow ones
+# spend most of their iterations in the primal phase, which pins or releases
+# one bound per step. Every draw must meet the absolute KKT_TOL.
+
+# the most iterations any draw of test_degenerate_velocity_qps_converge takes;
+# a longer fuzz finds more (5000 numpy draws of this shape, seeds 1 to 5,
+# reach 43 to 46)
+_DEGENERATE_CEILING = 35
+
+
+@st.composite
+def degenerate_velocity_qps(draw, max_n: int = 20):
+    n = draw(st.integers(1, max_n))
+    s = np.linalg.matrix_power(np.tril(np.ones((n, n))), 2)
+    d = 2.0 ** np.array(draw(st.lists(st.integers(-6, 0), min_size=n, max_size=n)))
+    h = s.T @ (d[:, None] * s) + 2.0 ** -draw(st.integers(0, 7)) * np.eye(n)
+    # each coordinate on its lower bound, on its upper bound or at a dyadic
+    # point inside, at least one on a bound
+    where = np.array(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)))
+    where[draw(st.integers(0, n - 1))] = draw(st.sampled_from((-1, 1)))
+    inside = np.array(draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n))) / 64.0
+    lam = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+    x = np.where(where != 0, where / 8.0, inside)
+    return box_qp(h=h, f=where * -lam - h @ x, lb=np.full(n, -0.125), ub=np.full(n, 0.125))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(degenerate_velocity_qps())
+def test_degenerate_velocity_qps_converge(qp):
+    sol = solve_box_qp(qp)
+    event(f"more than 30 iterations: {sol.iterations > 30}")
+    assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
+    assert sol.iterations <= _DEGENERATE_CEILING
+
+
 # --- the dual active-set phase ----------------------------------------------
 #
 # velocity_sl's QPs stall the block swaps with several violations left: its

@@ -41,13 +41,13 @@ def test_step_path_shape():
     assert path.y[0] == 0.0
     np.testing.assert_allclose(path.y[1:], 1.5)
     np.testing.assert_allclose(path.x, 2.0 * np.arange(31))
-    np.testing.assert_allclose(path.t, 0.2 * np.arange(31))
+    assert path.ts == 0.2
     assert path.initial_heading() == 0.0  # travel direction, not the jump
 
 
 def test_sine_path_profile():
     path = make_sine_path(1.0, 40.0, 8.0, 0.05)
-    np.testing.assert_allclose(path.x, 10.0 * path.t, atol=1e-12)
+    np.testing.assert_allclose(path.x, 10.0 * path.ts * np.arange(len(path)), atol=1e-12)
     np.testing.assert_allclose(path.y, np.sin(2.0 * math.pi * path.x / 40.0), atol=1e-12)
     assert path.initial_heading() == pytest.approx(math.atan(2.0 * math.pi / 40.0))
 
@@ -131,20 +131,18 @@ def test_sample_count_and_sine_reject_nonpositive_sizes():
 def test_path_validation():
     t = np.arange(5) * 0.1
     with pytest.raises(ValueError, match="matching"):
-        ReferencePath(t=t, x=np.zeros(4), y=np.zeros(5), ts=0.1)
-    with pytest.raises(ValueError, match="increasing"):
-        ReferencePath(t=np.zeros(5), x=np.zeros(5), y=np.zeros(5), ts=0.1)
+        ReferencePath(x=np.zeros(4), y=np.zeros(5), ts=0.1)
     with pytest.raises(ValueError, match="finite"):
-        ReferencePath(t=t, x=np.full(5, np.nan), y=np.zeros(5), ts=0.1)
+        ReferencePath(x=np.full(5, np.nan), y=np.zeros(5), ts=0.1)
     with pytest.raises(ValueError, match="sample time"):
-        ReferencePath(t=t, x=t, y=np.zeros(5), ts=0.0)
+        ReferencePath(x=t, y=np.zeros(5), ts=0.0)
 
 
 def test_path_is_frozen_after_its_checks():
     # init_state copies the path into its reference stack while velocity_sl
     # reads it again every step, so a path must not change mid-run; the
     # caller's own arrays are copied, not frozen
-    given = {name: np.arange(5) * 0.1 for name in ("t", "x", "y")}
+    given = {name: np.arange(5) * 0.1 for name in ("x", "y")}
     path = ReferencePath(**given, ts=0.1)
     for name, values in given.items():
         with pytest.raises(ValueError, match="read-only"):
@@ -154,8 +152,7 @@ def test_path_is_frozen_after_its_checks():
 
 
 def test_initial_heading_falls_back_to_first_segment():
-    path = ReferencePath(t=np.array([0.0, 0.1]), x=np.array([0.0, 1.0]),
-                         y=np.array([0.0, 1.0]), ts=0.1)
+    path = ReferencePath(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]), ts=0.1)
     assert path.initial_heading() == pytest.approx(math.pi / 4)
 
 
@@ -251,8 +248,7 @@ def test_trace_shapes_and_timing():
     assert result.t.shape == (k + 1,)
     assert result.x_ref.shape == (k + 1,)
     assert result.iter_times.shape == (k,)
-    assert result.total_time == pytest.approx(float(np.sum(result.iter_times)))
-    np.testing.assert_array_equal(result.t, path.t)
+    np.testing.assert_array_equal(result.t, np.arange(len(path)) * path.ts)
 
 
 def test_disturbance_hits_measurement_not_plant():
