@@ -4,7 +4,6 @@ from .vehicle import (
     VehicleParams,
     VehicleState,
     ct_derivative,
-    slip_from_steer,
     steer_from_slip,
     step_nonlinear,
 )
@@ -32,7 +31,6 @@ from .controllers import (
     ControlError,
     ControllerConfig,
     ControllerState,
-    EndOfPath,
     config_for,
     generate_delta_refs,
     horizon_weights,

@@ -20,7 +20,7 @@ from .simulate import (
     make_step_path,
     make_straight_path,
 )
-from .vehicle import VehicleParams
+from .vehicle import ParameterError, VehicleParams
 
 PATH_KINDS = ("straight", "step", "sine", "complete")
 
@@ -132,6 +132,10 @@ _CONTROLLER_ARGS = tuple(path for (section, key), (_, path) in _FIELDS.items()
 # value -> document text per coercion kind; numbers use repr, which round-trips
 _FORMATS = {"str": str, "list": ", ".join, "bool": lambda flag: "true" if flag else "false"}
 
+# a checked parameter's document key, where not the key of its name in the record's section
+_PARAMETER_KEYS = {"ts": ("controller", "ts"), "v": ("vehicle", "v")}
+_COMPLETE_GEOMETRY = ("amplitude", "wavelength", "lead_in", "periods", "tail")
+
 # [m] noise standard deviation once a disturbance kind is set without one
 _NOISE_AMPLITUDE = 0.05
 
@@ -220,14 +224,12 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
     A key missing from `values` takes the default of the dataclass field its
     attribute path names; `lines` holds the line that set each key.
     """
-    def line_of(*candidates):
-        for candidate in candidates:
-            if candidate in lines:
-                return lines[candidate]
-        return 0
+    def line_of(*keys):  # the last line, in document order, that sets one of keys; 0 if none
+        return max((lines[key] for key in keys if key in lines), default=0)
 
-    def section_line(section):
-        return line_of(*(item for item in _FIELDS if item[0] == section))
+    def rejected(exc: ParameterError, section: str, prefix: str = "") -> ConfigError:
+        keys = (_PARAMETER_KEYS.get(name, (section, name)) for name in exc.names)
+        return ConfigError(line_of(*keys), prefix + str(exc))
 
     fields = {"": {}, "vehicle": {}, "disturbance": {}}  # owner -> attribute -> value
     for (section, key), value in values.items():
@@ -257,8 +259,8 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
 
     try:
         top["vehicle"] = VehicleParams(**fields["vehicle"])
-    except ValueError as exc:
-        raise ConfigError(section_line("vehicle"), str(exc)) from None
+    except ParameterError as exc:
+        raise rejected(exc, "vehicle") from None
 
     variant = top.get("variant", ScenarioConfig.variant)
     if variant not in VARIANTS:
@@ -278,35 +280,33 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
         disturbance.setdefault("amplitude", _NOISE_AMPLITUDE)
     try:
         top["disturbance"] = DisturbanceSpec(**disturbance)
-    except ValueError as exc:
-        raise ConfigError(section_line("disturbance"), str(exc)) from None
+    except ParameterError as exc:
+        raise rejected(exc, "disturbance") from None
 
     cfg = ScenarioConfig(**top)
 
-    # controller-level validation, anchored to the first [controller] setting
-    # set, in document order; every variant's run builds its path, so build
-    # each one here: its builder bounds its size and reach before any array
-    anchor = line_of(*(("controller", key) for key in _CONTROLLER_ARGS))
-    path_anchor = line_of(("scenario", "amplitude"), ("scenario", "wavelength"),
-                          ("scenario", "lead_in"), ("scenario", "tail"), ("scenario", "periods"),
-                          ("scenario", "duration"), ("vehicle", "v"), ("controller", "ts"),
-                          ("scenario", "kind"))
+    # every variant's run builds its path, so build each one here: its builder
+    # bounds its size and reach before any array. The run's span is the
+    # duration, which the kind sets unless the document does, or for a complete
+    # path its length, which its geometry and v set.
+    span_keys = [("scenario", "duration" if ("scenario", "duration") in lines else "kind")]
+    if kind == "complete":
+        span_keys += [("scenario", key) for key in _COMPLETE_GEOMETRY] + [("vehicle", "v")]
     paths = {}  # ts -> the path every variant at that sample time runs on
     for name in dict.fromkeys(tuple(variants) + (variant,)):
         try:
             ctrl = cfg.controller_config(name)
-        except ValueError as exc:
-            raise ConfigError(anchor, f"variant {name!r}: {exc}") from None
+        except ParameterError as exc:
+            raise rejected(exc, "controller", f"variant {name!r}: ") from None
         if ctrl.ts not in paths:
             try:
                 paths[ctrl.ts] = cfg.build_path(ctrl.ts)
-            except ValueError as exc:
-                raise ConfigError(path_anchor, f"variant {name!r}: {exc}") from None
+            except ParameterError as exc:
+                raise rejected(exc, "scenario", f"variant {name!r}: ") from None
         span = (len(paths[ctrl.ts]) - 1) * ctrl.ts if kind == "complete" else duration
         horizon_span = ctrl.ts * ctrl.horizon
         if horizon_span > span + 1e-9:
-            raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"),
-                                      ("scenario", "duration"), ("scenario", "kind")),
+            raise ConfigError(line_of(("controller", "ts"), ("controller", "horizon"), *span_keys),
                               f"variant {name!r}: prediction window {horizon_span:g} s "
                               f"exceeds the scenario duration {span:g} s")
     if kind == "complete" and ("scenario", "duration") in values:

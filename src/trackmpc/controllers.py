@@ -40,7 +40,7 @@ from .qp import (
     region_table,
     solve_box_qp,
 )
-from .vehicle import VehicleParams, VehicleState, ct_derivative
+from .vehicle import ParameterError, VehicleParams, VehicleState, ct_derivative
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import ReferencePath
@@ -81,28 +81,35 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+            raise ParameterError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}",
+                                 "variant")
         if not self.ts > 0.0:
-            raise ValueError(f"sample time must be positive, got {self.ts}")
+            raise ParameterError(f"sample time must be positive, got {self.ts}", "ts")
         if not 1 <= self.control_horizon <= self.horizon <= MAX_HORIZON:
-            raise ValueError(f"need 1 <= M <= N <= {MAX_HORIZON}, "
-                             f"got N={self.horizon}, M={self.control_horizon}")
+            raise ParameterError(f"need 1 <= M <= N <= {MAX_HORIZON}, got N={self.horizon}, "
+                                 f"M={self.control_horizon}", "horizon", "control_horizon")
         if not self.rate_limit > 0.0:
-            raise ValueError(f"rate limit must be positive, got {self.rate_limit}")
-        if min(self.w_y, self.w_u, self.w_du, self.q_heading) < 0.0:
-            raise ValueError(f"weights must be nonnegative, got w_y={self.w_y}, w_u={self.w_u}, "
-                             f"w_du={self.w_du}, q_heading={self.q_heading}")
+            raise ParameterError(f"rate limit must be positive, got {self.rate_limit}",
+                                 "rate_limit")
+        negative = [name for name in ("w_y", "w_u", "w_du", "q_heading")
+                    if getattr(self, name) < 0.0]
+        if negative:
+            raise ParameterError(f"weights must be nonnegative, got w_y={self.w_y}, w_u="
+                                 f"{self.w_u}, w_du={self.w_du}, q_heading={self.q_heading}",
+                                 *negative)
         if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise ParameterError(f"alpha must be positive, got {self.alpha}", "alpha")
         # The QP squares the alpha-scaled weights: no square may overflow, and
         # the move weight r = (w_du * alpha)^2 must not underflow.
-        scaled = _scaled_weights(self)
-        if not all(math.isfinite(w * w) for w in scaled):
-            raise ValueError(f"alpha-scaled weights must square to finite numbers, got w_y="
-                             f"{self.w_y}, w_u={self.w_u}, w_du={self.w_du}, alpha={self.alpha}")
-        if not scaled[2] ** 2 > 0.0:
-            raise ValueError(f"move weight w_du must be positive with (w_du * alpha)^2 > 0, "
-                             f"got w_du={self.w_du}, alpha={self.alpha}")
+        scaled = dict(zip(("w_y", "w_u", "w_du"), _scaled_weights(self)))
+        overflowing = [name for name, w in scaled.items() if not math.isfinite(w * w)]
+        if overflowing:
+            raise ParameterError(f"alpha-scaled weights must square to finite numbers, got "
+                                 f"w_y={self.w_y}, w_u={self.w_u}, w_du={self.w_du}, "
+                                 f"alpha={self.alpha}", "alpha", *overflowing)
+        if not scaled["w_du"] ** 2 > 0.0:
+            raise ParameterError(f"move weight w_du must be positive with (w_du * alpha)^2 > 0, "
+                                 f"got w_du={self.w_du}, alpha={self.alpha}", "w_du", "alpha")
 
 
 def _scaled_weights(cfg: ControllerConfig) -> tuple[float, float, float]:
@@ -124,7 +131,7 @@ def config_for(variant: str, ts: float | None = None, horizon: int | None = None
                control_horizon: int | None = None, **settings) -> ControllerConfig:
     """A ControllerConfig with the variant's default ts, N and M unless given."""
     if variant not in VARIANT_DEFAULTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        raise ParameterError(f"unknown variant {variant!r}, expected one of {VARIANTS}", "variant")
     d_ts, d_n, d_m = VARIANT_DEFAULTS[variant]
     return ControllerConfig(variant, d_ts if ts is None else ts,
                             d_n if horizon is None else horizon,
@@ -257,10 +264,6 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, path: "ReferencePath"
                            model=model_qp)
 
 
-class EndOfPath(ControlError):
-    """The reference cursor has no sample left to aim for."""
-
-
 def generate_delta_refs(plant: VehicleState, path: "ReferencePath", cursor: int,
                         params: VehicleParams, ts: float) -> tuple[float, float, int]:
     """Per-sample displacement reference for the velocity controller.
@@ -273,7 +276,7 @@ def generate_delta_refs(plant: VehicleState, path: "ReferencePath", cursor: int,
     """
     last = len(path) - 1
     if cursor >= last:
-        raise EndOfPath(f"reference cursor {cursor} is at the final sample {last}")
+        raise ControlError(f"reference cursor {cursor} is at the final sample {last}")
     if cursor < 0:
         raise ValueError(f"cursor must be nonnegative, got {cursor}")
     heading = plant.psi + plant.beta

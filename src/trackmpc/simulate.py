@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vehicle import VehicleParams, VehicleState, step_nonlinear
+from .vehicle import ParameterError, VehicleParams, VehicleState, step_nonlinear
 from . import controllers as _controllers
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -39,8 +39,8 @@ MAX_PATH_COORDINATE = 1e9
 class ReferencePath:
     """Uniformly sampled planar reference with its sample time.
 
-    heading0 is the tangent direction at the first sample when the generator
-    knows it exactly (step paths point along x regardless of the jump).
+    heading0 is the travel direction at the first sample, which every
+    builder knows exactly (step paths point along x regardless of the jump).
     Sample k lies at time k*ts. x and y are read-only float copies of the
     arrays given, so a path cannot change after its checks, and the caller's
     arrays stay writeable.
@@ -49,7 +49,7 @@ class ReferencePath:
     x: np.ndarray
     y: np.ndarray
     ts: float
-    heading0: float | None = None
+    heading0: float
 
     def __post_init__(self):
         x, y = np.array(self.x, dtype=float), np.array(self.y, dtype=float)
@@ -66,40 +66,37 @@ class ReferencePath:
     def __len__(self) -> int:
         return self.x.size
 
-    def initial_heading(self) -> float:
-        if self.heading0 is not None:
-            return float(self.heading0)
-        return math.atan2(self.y[1] - self.y[0], self.x[1] - self.x[0])
 
-
-def _counted(steps: float, rounding, what: str) -> int:
+def _counted(steps: float, rounding, what: str, *names: str) -> int:
     """rounding(steps) + 1 path samples, checked to be 2 to MAX_PATH_SAMPLES (NaN and inf fail)."""
     if not steps <= MAX_PATH_SAMPLES - 1:
-        raise ValueError(f"{what} needs more than {MAX_PATH_SAMPLES} path samples")
+        raise ParameterError(f"{what} needs more than {MAX_PATH_SAMPLES} path samples", *names)
     n = rounding(steps) + 1
     if n < 2:
-        raise ValueError(f"{what} gives fewer than 2 path samples")
+        raise ParameterError(f"{what} gives fewer than 2 path samples", *names)
     return n
 
 
 def sample_count(duration: float, ts: float) -> int:
     """Samples of a path over duration [s] at sample time ts, bounded."""
     if not duration > 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
+        raise ParameterError(f"duration must be positive, got {duration}", "duration")
     if not ts > 0.0:
-        raise ValueError(f"sample time must be positive, got {ts}")
-    return _counted(duration / ts, math.ceil, f"{duration:g} s at sample time {ts:g} s")
+        raise ParameterError(f"sample time must be positive, got {ts}", "ts")
+    return _counted(duration / ts, math.ceil, f"{duration:g} s at sample time {ts:g} s",
+                    "duration", "ts")
 
 
 def _within_reach(amplitude: float, v: float = 0.0, t_last: float = 0.0) -> float:
     """The last x, v*t_last, of a path whose x advances at v; it and the amplitude bounded."""
     if not abs(amplitude) <= MAX_PATH_COORDINATE:
-        raise ValueError(f"amplitude {amplitude:g} m exceeds the path coordinate bound of "
-                         f"{MAX_PATH_COORDINATE:g} m")
+        raise ParameterError(f"amplitude {amplitude:g} m exceeds the path coordinate bound of "
+                             f"{MAX_PATH_COORDINATE:g} m", "amplitude")
     x_last = v * t_last  # a Python float product overflows to inf without numpy's warning
     if not abs(x_last) <= MAX_PATH_COORDINATE:
-        raise ValueError(f"v = {v:g} m/s over {t_last:g} s carries the path past the path "
-                         f"coordinate bound of {MAX_PATH_COORDINATE:g} m")
+        raise ParameterError(f"v = {v:g} m/s over {t_last:g} s carries the path past the path "
+                             f"coordinate bound of {MAX_PATH_COORDINATE:g} m",
+                             "v", "duration", "ts")  # t_last is sample_count(duration, ts)'s
     return x_last
 
 
@@ -122,13 +119,14 @@ def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: flo
                    v: float = 10.0) -> ReferencePath:
     """Sine profile y(x) = amplitude*sin(2 pi x / wavelength) sampled along x = v*t."""
     if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+        raise ParameterError(f"wavelength must be positive, got {wavelength}", "wavelength")
     n = sample_count(duration, ts)
     x_last = _within_reach(amplitude, v, ts * (n - 1))
     # the phase is largest at the last x, where a subnormal wavelength overflows it
     if not math.isfinite(2.0 * math.pi * x_last / wavelength):
-        raise ValueError(f"wavelength {wavelength:g} m makes the sine's phase 2 pi x / "
-                         f"wavelength overflow by x = {x_last:g} m")
+        raise ParameterError(f"wavelength {wavelength:g} m makes the sine's phase 2 pi x / "
+                             f"wavelength overflow by x = {x_last:g} m",
+                             "wavelength", "v", "duration", "ts")
     t = np.arange(n) * ts
     x = v * t
     y = amplitude * np.sin(2.0 * math.pi * x / wavelength)
@@ -147,15 +145,19 @@ def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
     integrated on is bounded before it is built, and x is bounded by it.
     """
     _within_reach(amplitude)
-    if not (lead_in > 0.0 and tail > 0.0 and wavelength > 0.0 and periods >= 1):
-        raise ValueError("complete path needs positive segment lengths and at least one period")
+    geometry = {"lead_in": lead_in > 0.0, "tail": tail > 0.0, "wavelength": wavelength > 0.0,
+                "periods": periods >= 1}
+    if not all(geometry.values()):
+        raise ParameterError("complete path needs positive segment lengths and at least one "
+                             "period", *(name for name, ok in geometry.items() if not ok))
     # a period spans 2000 grid steps or more: a larger count fails unmultiplied
     sine_len = periods * wavelength if periods <= MAX_GRID_POINTS else math.inf
     x_end = lead_in + sine_len + tail
     dx = min(0.01, wavelength / 2000.0)  # 0 where a subnormal wavelength underflows
     if not (dx > 0.0 and (x_end + dx) / dx <= MAX_GRID_POINTS):
-        raise ValueError(f"a complete path over {x_end:g} m needs more than {MAX_GRID_POINTS} "
-                         f"arc-length grid points at a step of {dx:g} m")
+        raise ParameterError(f"a complete path over {x_end:g} m needs more than "
+                             f"{MAX_GRID_POINTS} arc-length grid points at a step of {dx:g} m",
+                             *geometry)
     xg = np.arange(0.0, x_end + dx, dx)
     yg = _complete_profile(xg, lead_in, amplitude, wavelength, sine_len)
     s = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(xg), np.diff(yg)))])
@@ -164,7 +166,7 @@ def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
     step = v * ts
     arc = float(s[-1])
     n = _counted(arc / step if step > 0.0 else math.inf, math.floor,
-                 f"a {arc:g} m path at v*ts = {step:g} m")
+                 f"a {arc:g} m path at v*ts = {step:g} m", "amplitude", *geometry, "v", "ts")
     sk = np.arange(n) * step
     xs = np.interp(sk, s, xg)
     ys = _complete_profile(xs, lead_in, amplitude, wavelength, sine_len)
@@ -195,9 +197,10 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian_output"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise ParameterError(f"unknown disturbance kind {self.kind!r}", "kind")
         if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+            raise ParameterError(f"amplitude must be finite and nonnegative, got "
+                                 f"{self.amplitude}", "amplitude")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -245,7 +248,6 @@ class SimResult:
     t: np.ndarray            # (K+1,) k*ts
     states: np.ndarray       # (K+1, 4) true x, y, psi, beta
     inputs: np.ndarray       # (K,) applied slip changes
-    measured: np.ndarray     # (K, 2) the (x, y) the controller saw
     x_ref: np.ndarray        # (K+1,)
     y_ref: np.ndarray        # (K+1,)
     ssd: float               # [m^2]
@@ -263,7 +265,7 @@ def ssd_from_traces(states: np.ndarray, x_ref: np.ndarray, y_ref: np.ndarray) ->
 def default_initial_state(path: ReferencePath) -> VehicleState:
     """First reference point, heading along the path tangent, zero slip."""
     return VehicleState(x=float(path.x[0]), y=float(path.y[0]),
-                        psi=path.initial_heading(), beta=0.0)
+                        psi=path.heading0, beta=0.0)
 
 
 def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
@@ -296,7 +298,6 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
     # One (x, y, psi, beta) row per sample, stacked once after the loop.
     rows = [(state.x, state.y, state.psi, state.beta)]
     inputs: list[float] = []
-    measured: list[tuple[float, float]] = []
     iter_times: list[float] = []
     status = "ok"
     rate_cap = cfg.rate_limit * cfg.ts + 1e-9
@@ -317,7 +318,6 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
         except (_controllers.ControlError, ValueError) as exc:
             status = f"failed: {exc}"
             break
-        measured.append((meas.x, meas.y))
         iter_times.append(elapsed)
         inputs.append(u)
         rows.append((state.x, state.y, state.psi, state.beta))
@@ -329,7 +329,6 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
         t=np.arange(n_samples) * path.ts,
         states=states,
         inputs=np.array(inputs),
-        measured=np.array(measured).reshape(len(measured), 2),
         x_ref=path.x[:n_samples].copy(),
         y_ref=path.y[:n_samples].copy(),
         ssd=ssd_from_traces(states, path.x[:n_samples], path.y[:n_samples]),

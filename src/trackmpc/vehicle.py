@@ -1,4 +1,4 @@
-"""Kinematic bicycle model: geometry, slip/steer maps, continuous rates, discrete step.
+"""Kinematic bicycle model: geometry, steer-from-slip map, continuous rates, discrete step.
 
 The vehicle is reduced to its center of mass moving at constant speed v. The
 pose is (x, y, psi) and the velocity vector is rotated off the heading by the
@@ -29,6 +29,14 @@ DEFAULT_SPEED = 10.0  # [m/s]
 _HALF_PI = math.pi / 2.0
 
 
+class ParameterError(ValueError):
+    """A check rejected a parameter value; names are the parameters the check read."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Fixed vehicle geometry and the held longitudinal speed."""
@@ -39,11 +47,13 @@ class VehicleParams:
 
     def __post_init__(self):
         if not (self.lf > 0.0 and self.lr > 0.0):
-            raise ValueError(f"axle distances must be positive, got lf={self.lf}, lr={self.lr}")
+            raise ParameterError(f"axle distances must be positive, got lf={self.lf}, lr={self.lr}",
+                                 *(name for name in ("lf", "lr") if not getattr(self, name) > 0.0))
         if not self.v > 0.0:
-            raise ValueError(f"speed must be positive, got v={self.v}")
+            raise ParameterError(f"speed must be positive, got v={self.v}", "v")
         if not math.isfinite(self.v / self.lr):
-            raise ValueError(f"yaw rate scale v/lr must be finite, got v={self.v}, lr={self.lr}")
+            raise ParameterError(f"yaw rate scale v/lr must be finite, got v={self.v}, "
+                                 f"lr={self.lr}", "v", "lr")
 
 
 @dataclass(frozen=True)
@@ -63,20 +73,8 @@ class VehicleState:
             raise ValueError(f"slip angle must stay inside (-pi/2, pi/2), got {self.beta}")
 
 
-def slip_from_steer(delta_f: float, params: VehicleParams) -> float:
-    """Slip angle produced by a front steering angle.
-
-    beta = atan(lr / (lf + lr) * tan(delta_f)). Odd, strictly increasing, and
-    |beta| <= |delta_f| because the rear axle does not steer.
-    """
-    if abs(delta_f) >= _HALF_PI:
-        raise ValueError(f"steering angle must stay inside (-pi/2, pi/2), got {delta_f}")
-    ratio = params.lr / (params.lf + params.lr)
-    return math.atan(ratio * math.tan(delta_f))
-
-
 def steer_from_slip(beta: float, params: VehicleParams) -> float:
-    """Front steering angle realizing a slip angle (inverse of slip_from_steer)."""
+    """Front steering angle delta_f realizing slip beta = atan(lr / (lf + lr) * tan(delta_f))."""
     if abs(beta) >= _HALF_PI:
         raise ValueError(f"slip angle must stay inside (-pi/2, pi/2), got {beta}")
     ratio = (params.lf + params.lr) / params.lr

@@ -141,6 +141,20 @@ def test_full_document_with_comments():
     ("[vehicle]\nv = 1e9\n", 2, "path coordinate bound of 1e+09 m"),
     ("[scenario]\nkind = sine\nwavelength = 5e-324\n", 3,
      "variant 'baseline': wavelength 4.94066e-324 m makes the sine's phase"),
+    # each names the failing key's line, not the first line of its section
+    ("[controller]\nalpha = 2\nq_heading = -1\n", 3, "weights must be nonnegative"),
+    ("[vehicle]\nlf = 1\nv = -5\n", 3, "speed must be positive"),
+    ("[disturbance]\nkind = gaussian_output\namplitude = -1\n", 3,
+     "amplitude must be finite and nonnegative"),
+    # the sample count reads the duration, not the amplitude
+    ("[scenario]\namplitude = 0\nduration = 1e300\n", 3, "more than 100000 path samples"),
+    # a check of several keys names those that fail it, so a valid key set
+    # after the one at fault does not take the error
+    ("[vehicle]\nlr = 0\nlf = 1\n", 2, "axle distances must be positive"),
+    ("[controller]\nq_heading = -1\nw_y = 5\n", 2, "weights must be nonnegative"),
+    ("[controller]\nw_y = 1e200\nw_du = 0.2\n", 2, "must square to finite numbers"),
+    ("[scenario]\nkind = complete\nlead_in = 0\ntail = 5\n", 3, "positive segment lengths"),
+    ("[scenario]\nduration = 1\nkind = sine\n", 2, "prediction window 2 s exceeds"),
 ])
 def test_errors_carry_their_line(doc, lineno, needle):
     with pytest.raises(ConfigError) as err:
@@ -150,21 +164,70 @@ def test_errors_carry_their_line(doc, lineno, needle):
     assert needle in str(err.value)
 
 
+# the numeric keys, and the values the one-key and two-key sweeps set them to
+_SWEPT_KEYS = tuple(item for item, (coercion, _) in config_mod._FIELDS.items()
+                    if coercion in ("float", "int"))
+_SWEPT_VALUES = ("-1", "0", "5e-324", "1e300", "0.5", "3")
+
+
+def _sweep_head(kind: str) -> list:
+    return [] if kind == "straight" else ["[scenario]", f"kind = {kind}"]
+
+
+def _document(head: list, *settings) -> list:
+    """The lines of a document: head, then each ((section, key), value) under its header."""
+    lines, section = list(head), "scenario" if head else None
+    for (key_section, key), value in settings:
+        if key_section != section:
+            lines.append(f"[{key_section}]")
+            section = key_section
+        lines.append(f"{key} = {value}")
+    return lines
+
+
+def _rejection(lines: list):
+    """The ConfigError that the document of lines raises, or None where it validates."""
+    try:
+        parse_config("\n".join(lines) + "\n")
+    except ConfigError as exc:
+        return exc
+    return None
+
+
 @pytest.mark.parametrize("kind,rejections", [("straight", 58), ("sine", 61), ("complete", 67)])
 def test_a_one_key_document_error_names_that_key_line(kind, rejections):
     # line 0 belongs to --set errors: a document that sets one numeric key
     # (after the kind, where it is not the default) and is rejected must
     # name that key's line, whichever check rejects it
-    head = [] if kind == "straight" else ["[scenario]", f"kind = {kind}"]
     rejected = 0
-    for section, key in (item for item, (coercion, _) in config_mod._FIELDS.items()
-                         if coercion in ("float", "int")):
-        for value in ("-1", "0", "5e-324", "1e300", "0.5", "3"):
-            lines = head + ([] if head and section == "scenario" else [f"[{section}]"])
-            lines.append(f"{key} = {value}")
-            try:
-                parse_config("\n".join(lines) + "\n")
-            except ConfigError as exc:
+    for item, value in itertools.product(_SWEPT_KEYS, _SWEPT_VALUES):
+        lines = _document(_sweep_head(kind), (item, value))
+        exc = _rejection(lines)
+        if exc is not None:
+            rejected += 1
+            assert exc.line == len(lines), (lines, str(exc))
+    assert rejected == rejections  # a change to what validation accepts moves this
+
+
+@pytest.mark.parametrize("kind,rejections", [("straight", 1106), ("sine", 1107),
+                                             ("complete", 1216)])
+def test_a_two_key_document_error_names_the_second_key_line(kind, rejections):
+    # the first key takes a value that validates on its own, the second each
+    # value rejected on its own: a check that reads only the first key and
+    # defaults passes as in the first key's own document, so whichever check
+    # rejects the pair reads the second key, which sets the document's last line
+    head = _sweep_head(kind)
+    valid = {item: [_rejection(_document(head, (item, value))) is None
+                    for value in _SWEPT_VALUES] for item in _SWEPT_KEYS}
+    rejected = 0
+    for first, second in itertools.permutations(_SWEPT_KEYS, 2):
+        if True not in valid[first]:
+            continue  # a complete document rejects every duration
+        setting = (first, _SWEPT_VALUES[valid[first].index(True)])
+        for value in itertools.compress(_SWEPT_VALUES, [not ok for ok in valid[second]]):
+            lines = _document(head, setting, (second, value))
+            exc = _rejection(lines)
+            if exc is not None:
                 rejected += 1
                 assert exc.line == len(lines), (lines, str(exc))
     assert rejected == rejections  # a change to what validation accepts moves this

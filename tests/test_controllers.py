@@ -23,7 +23,6 @@ from trackmpc import (
     DEFAULT_ALPHA,
     DEFAULT_RATE_LIMIT,
     DisturbanceSpec,
-    EndOfPath,
     ReferencePath,
     VARIANTS,
     VehicleParams,
@@ -449,15 +448,22 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", starved)
     cfg = config_for(variant)
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
+    seen = []  # the plant argument of every step the run calls
+    real_step = CONTROLLER_STEPS[variant]
 
+    def recorder(ctrl, plant, path, cfg, params):
+        seen.append(plant)
+        return real_step(ctrl, plant, path, cfg, params)
+
+    monkeypatch.setitem(CONTROLLER_STEPS, variant, recorder)
     result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
     assert result.status == f"failed: {expected()}"
     assert result.inputs.shape == (3,)
     assert result.iter_times.shape == (3,)
-    assert result.measured.shape == (3, 2)
     assert result.states.shape == (4, 4)
     np.testing.assert_array_equal(result.t, np.arange(4) * path.ts)
-    np.testing.assert_array_equal(result.measured, result.states[:3, :2])
+    # without noise, each step saw the true state, the failing fourth too
+    np.testing.assert_array_equal([(p.x, p.y, p.psi, p.beta) for p in seen], result.states)
     assert result.ssd == ssd_from_traces(result.states, path.x[:4], path.y[:4])
 
     plant = default_initial_state(path)
@@ -821,7 +827,7 @@ def test_delta_refs_vertical_travel():
     # path climbing straight up, vehicle pointing straight up: the estimate
     # lands on the next sample and the reference has no x component
     n = 20
-    path = ReferencePath(x=np.zeros(n), y=0.5 * np.arange(n), ts=0.05)
+    path = ReferencePath(x=np.zeros(n), y=0.5 * np.arange(n), ts=0.05, heading0=math.pi / 2)
     plant = VehicleState(x=0.0, y=0.0, psi=math.pi / 2, beta=0.0)
     dx, dy, cursor = generate_delta_refs(plant, path, 0, PARAMS, 0.05)
     assert dx == 0.0
@@ -847,9 +853,8 @@ def test_delta_refs_cursor_never_retreats():
 def test_delta_refs_end_of_path():
     path = make_straight_path(2.0, 0.1)
     plant = default_initial_state(path)
-    with pytest.raises(EndOfPath):
+    with pytest.raises(ControlError, match="reference cursor 20 is at the final sample 20"):
         generate_delta_refs(plant, path, len(path) - 1, PARAMS, 0.1)
-    assert issubclass(EndOfPath, ControlError)
     with pytest.raises(ValueError, match="cursor"):
         generate_delta_refs(plant, path, -1, PARAMS, 0.1)
 

@@ -42,14 +42,14 @@ def test_step_path_shape():
     np.testing.assert_allclose(path.y[1:], 1.5)
     np.testing.assert_allclose(path.x, 2.0 * np.arange(31))
     assert path.ts == 0.2
-    assert path.initial_heading() == 0.0  # travel direction, not the jump
+    assert path.heading0 == 0.0  # travel direction, not the jump
 
 
 def test_sine_path_profile():
     path = make_sine_path(1.0, 40.0, 8.0, 0.05)
     np.testing.assert_allclose(path.x, 10.0 * path.ts * np.arange(len(path)), atol=1e-12)
     np.testing.assert_allclose(path.y, np.sin(2.0 * math.pi * path.x / 40.0), atol=1e-12)
-    assert path.initial_heading() == pytest.approx(math.atan(2.0 * math.pi / 40.0))
+    assert path.heading0 == pytest.approx(math.atan(2.0 * math.pi / 40.0))
 
 
 def test_straight_path_is_flat():
@@ -131,11 +131,11 @@ def test_sample_count_and_sine_reject_nonpositive_sizes():
 def test_path_validation():
     t = np.arange(5) * 0.1
     with pytest.raises(ValueError, match="matching"):
-        ReferencePath(x=np.zeros(4), y=np.zeros(5), ts=0.1)
+        ReferencePath(x=np.zeros(4), y=np.zeros(5), ts=0.1, heading0=0.0)
     with pytest.raises(ValueError, match="finite"):
-        ReferencePath(x=np.full(5, np.nan), y=np.zeros(5), ts=0.1)
+        ReferencePath(x=np.full(5, np.nan), y=np.zeros(5), ts=0.1, heading0=0.0)
     with pytest.raises(ValueError, match="sample time"):
-        ReferencePath(x=t, y=np.zeros(5), ts=0.0)
+        ReferencePath(x=t, y=np.zeros(5), ts=0.0, heading0=0.0)
 
 
 def test_path_is_frozen_after_its_checks():
@@ -143,17 +143,12 @@ def test_path_is_frozen_after_its_checks():
     # reads it again every step, so a path must not change mid-run; the
     # caller's own arrays are copied, not frozen
     given = {name: np.arange(5) * 0.1 for name in ("x", "y")}
-    path = ReferencePath(**given, ts=0.1)
+    path = ReferencePath(**given, ts=0.1, heading0=0.0)
     for name, values in given.items():
         with pytest.raises(ValueError, match="read-only"):
             getattr(path, name)[0] = 1.0
         values[0] = 1.0
         assert getattr(path, name)[0] == 0.0
-
-
-def test_initial_heading_falls_back_to_first_segment():
-    path = ReferencePath(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]), ts=0.1)
-    assert path.initial_heading() == pytest.approx(math.pi / 4)
 
 
 # --- disturbance stream --------------------------------------------------------
@@ -244,24 +239,38 @@ def test_trace_shapes_and_timing():
     k = len(path) - 1
     assert result.states.shape == (k + 1, 4)
     assert result.inputs.shape == (k,)
-    assert result.measured.shape == (k, 2)
     assert result.t.shape == (k + 1,)
     assert result.x_ref.shape == (k + 1,)
     assert result.iter_times.shape == (k,)
     np.testing.assert_array_equal(result.t, np.arange(len(path)) * path.ts)
 
 
-def test_disturbance_hits_measurement_not_plant():
+def _seen_positions(monkeypatch, variant):
+    """The (x, y) of the plant argument of every step of variant, as the run calls it."""
+    seen = []
+    real = controllers_mod.CONTROLLER_STEPS[variant]
+
+    def recorder(ctrl, plant, path, cfg, params):
+        seen.append((plant.x, plant.y))
+        return real(ctrl, plant, path, cfg, params)
+
+    monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, variant, recorder)
+    return seen
+
+
+def test_disturbance_hits_measurement_not_plant(monkeypatch):
     cfg = config_for("baseline")
     path = make_sine_path(1.0, 40.0, 6.0, cfg.ts)
     spec = DisturbanceSpec(kind="gaussian_output", amplitude=0.05, seed=42)
+    seen = _seen_positions(monkeypatch, "baseline")
     result = run_closed_loop(cfg, path, spec, PARAMS)
     assert result.status == "ok"
     # measured y = true y + the exact keyed draw; measured x untouched
+    measured = np.array(seen)
     draws = gaussian_noise(spec, np.arange(len(result.inputs)))
-    np.testing.assert_allclose(result.measured[:, 1],
-                               result.states[:-1, 1] + draws, atol=1e-15)
-    np.testing.assert_array_equal(result.measured[:, 0], result.states[:-1, 0])
+    assert measured.shape == (len(result.inputs), 2)
+    np.testing.assert_allclose(measured[:, 1], result.states[:-1, 1] + draws, atol=1e-15)
+    np.testing.assert_array_equal(measured[:, 0], result.states[:-1, 0])
     # the true trajectory is the noiseless integration of the applied inputs
     state = VehicleState(x=result.states[0, 0], y=result.states[0, 1],
                          psi=result.states[0, 2], beta=result.states[0, 3])
@@ -272,18 +281,20 @@ def test_disturbance_hits_measurement_not_plant():
                                    atol=1e-12)
 
 
-def test_disturbance_on_x_uses_its_own_stream():
+def test_disturbance_on_x_uses_its_own_stream(monkeypatch):
     cfg = config_for("baseline")
     path = make_sine_path(1.0, 40.0, 6.0, cfg.ts)
     spec = DisturbanceSpec(kind="gaussian_output", amplitude=0.05, seed=42, apply_to_x=True)
+    seen = _seen_positions(monkeypatch, "baseline")
     result = run_closed_loop(cfg, path, spec, PARAMS)
     assert result.status == "ok"
+    measured = np.array(seen)
     k = np.arange(len(result.inputs))
+    assert measured.shape == (k.size, 2)
     # x draws sit 2**48 counters above the y stream, which is unchanged
-    np.testing.assert_array_equal(result.measured[:, 0],
+    np.testing.assert_array_equal(measured[:, 0],
                                   result.states[:-1, 0] + gaussian_noise(spec, k + 2**48))
-    np.testing.assert_array_equal(result.measured[:, 1],
-                                  result.states[:-1, 1] + gaussian_noise(spec, k))
+    np.testing.assert_array_equal(measured[:, 1], result.states[:-1, 1] + gaussian_noise(spec, k))
 
 
 def test_run_is_bit_reproducible():
@@ -335,7 +346,6 @@ def test_harness_rejects_rate_breaking_controller(monkeypatch):
     assert "rate limit" in result.status
     assert result.inputs.size == 0
     assert result.states.shape == (1, 4)
-    assert result.measured.shape == (0, 2)
 
 
 def test_failed_run_keeps_consistent_partial_trace(monkeypatch):
@@ -355,7 +365,6 @@ def test_failed_run_keeps_consistent_partial_trace(monkeypatch):
     assert result.status == "failed: deliberate mid-run failure"
     assert result.inputs.size == 5
     assert result.states.shape == (6, 4)
-    assert result.measured.shape == (5, 2)
     assert result.t.size == 6
     assert result.x_ref.size == 6
     # the recorded ssd covers exactly the surviving samples
