@@ -8,7 +8,7 @@ Verbs:
 
 Outputs are CSV files plus a JSON manifest (config echo, seed, versions)
 so that any figure can be regenerated from the artifacts alone.  Exit
-codes: 0 success, 1 configuration error, 2 run failure.
+codes: 0 success, 1 configuration error or unwritable output, 2 run failure.
 """
 
 import argparse
@@ -37,8 +37,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _open_fresh(target: Path):
+    """Open target as a new file; an existing one is unlinked, never truncated in place."""
+    target.unlink(missing_ok=True)
+    return open(target, "x", newline="")
+
+
 def _write_csv(target: Path, header, rows) -> None:
-    with open(target, "w", newline="") as handle:
+    with _open_fresh(target) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -83,7 +89,7 @@ def write_manifest(target: Path, cfg: ScenarioConfig) -> None:
             "trackmpc": __version__,
         },
     }
-    with open(target, "w") as handle:
+    with _open_fresh(target) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -233,36 +239,42 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    if args.verb == "run":
-        res = _run_variant(cfg, cfg.variant)
-        write_trace(out / f"trace_{cfg.variant}.csv", res, cfg.vehicle)
-        write_manifest(out / "manifest.json", cfg)
-        if res.status != "ok":
-            print(f"{cfg.variant}: {res.status}", file=sys.stderr)
-            return 2
-        print(_summary_line(res))
-        return 0
-
-    if args.verb == "compare":
-        ok, failed = run_compare(cfg)
-        for res in ok:
-            print(_summary_line(res))
-        for res in failed:
-            print(f"{res.variant}: {res.status}", file=sys.stderr)
-        return 2 if failed else 0
-
-    # sweep-alpha, the one verb left
+    # an output that cannot be written ends the verb there
     try:
-        records = sweep_alpha(cfg, alphas)
-    except ConfigError as exc:
-        print(f"error: --alphas: {exc.message}", file=sys.stderr)
+        if args.verb == "run":
+            res = _run_variant(cfg, cfg.variant)
+            write_trace(out / f"trace_{cfg.variant}.csv", res, cfg.vehicle)
+            write_manifest(out / "manifest.json", cfg)
+            if res.status != "ok":
+                print(f"{cfg.variant}: {res.status}", file=sys.stderr)
+                return 2
+            print(_summary_line(res))
+            return 0
+
+        if args.verb == "compare":
+            ok, failed = run_compare(cfg)
+            for res in ok:
+                print(_summary_line(res))
+            for res in failed:
+                print(f"{res.variant}: {res.status}", file=sys.stderr)
+            return 2 if failed else 0
+
+        # sweep-alpha, the one verb left
+        try:
+            records = sweep_alpha(cfg, alphas)
+        except ConfigError as exc:
+            print(f"error: --alphas: {exc.message}", file=sys.stderr)
+            return 1
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for alpha, rt, ssd in records:
+            print(f"alpha={alpha:g}: rise_time={rt:.4f} s, ssd={ssd:.6g} m^2")
+        return 0
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for alpha, rt, ssd in records:
-        print(f"alpha={alpha:g}: rise_time={rt:.4f} s, ssd={ssd:.6g} m^2")
-    return 0
 
 
 if __name__ == "__main__":

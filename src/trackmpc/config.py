@@ -22,7 +22,14 @@ from .simulate import (
 )
 from .vehicle import ParameterError, VehicleParams
 
-PATH_KINDS = ("straight", "step", "sine", "complete")
+# path kind -> (its builder, the ScenarioConfig fields it takes besides ts and v)
+_BUILDERS = {
+    "straight": (make_straight_path, ("duration",)),
+    "step": (make_step_path, ("amplitude", "duration")),
+    "sine": (make_sine_path, ("amplitude", "wavelength", "duration")),
+    "complete": (make_complete_path, ("lead_in", "amplitude", "wavelength", "periods", "tail")),
+}
+PATH_KINDS = tuple(_BUILDERS)
 
 # default simulated duration per path kind [s]; the complete path derives
 # its duration from the geometry and speed instead
@@ -72,24 +79,10 @@ class ScenarioConfig:
 
     def build_path(self, ts: float) -> ReferencePath:
         """Construct the reference path for this scenario at sample time ts."""
-        v = self.vehicle.v
-        if self.kind == "straight":
-            return make_straight_path(self.duration, ts, v)
-        if self.kind == "step":
-            return make_step_path(self.amplitude, self.duration, ts, v)
-        if self.kind == "sine":
-            return make_sine_path(self.amplitude, self.wavelength, self.duration, ts, v)
-        if self.kind == "complete":
-            return make_complete_path(
-                ts,
-                v,
-                lead_in=self.lead_in,
-                amplitude=self.amplitude,
-                wavelength=self.wavelength,
-                periods=self.periods,
-                tail=self.tail,
-            )
-        raise ValueError(f"unknown path kind {self.kind!r}")
+        if self.kind not in _BUILDERS:
+            raise ValueError(f"unknown path kind {self.kind!r}")
+        builder, keys = _BUILDERS[self.kind]
+        return builder(ts=ts, v=self.vehicle.v, **{key: getattr(self, key) for key in keys})
 
 
 # Every document key in serialization order: (section, key) -> (coercion
@@ -134,7 +127,6 @@ _FORMATS = {"str": str, "list": ", ".join, "bool": lambda flag: "true" if flag e
 
 # a checked parameter's document key, where not the key of its name in the record's section
 _PARAMETER_KEYS = {"ts": ("controller", "ts"), "v": ("vehicle", "v")}
-_COMPLETE_GEOMETRY = ("amplitude", "wavelength", "lead_in", "periods", "tail")
 
 # [m] noise standard deviation once a disturbance kind is set without one
 _NOISE_AMPLITUDE = 0.05
@@ -291,7 +283,7 @@ def _build(values: dict, lines: dict) -> ScenarioConfig:
     # path its length, which its geometry and v set.
     span_keys = [("scenario", "duration" if ("scenario", "duration") in lines else "kind")]
     if kind == "complete":
-        span_keys += [("scenario", key) for key in _COMPLETE_GEOMETRY] + [("vehicle", "v")]
+        span_keys += [("scenario", key) for key in _BUILDERS["complete"][1]] + [("vehicle", "v")]
     paths = {}  # ts -> the path every variant at that sample time runs on
     for name in dict.fromkeys(tuple(variants) + (variant,)):
         try:

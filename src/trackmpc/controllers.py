@@ -166,16 +166,15 @@ class LastSolve(NamedTuple):
     """The last QP solve, keyed by what it is a pure function of.
 
     h is the QP's Hessian object, the read-only cost.h shared while a model
-    is reused, f the bytes of its gradient, box its (lb, ub) object, the
-    run's ControllerState.box, and start the partition it was handed.
-    solution.start is the next step's start, so a step whose QP has the same
-    h object, f bytes and box object, and whose start has the bytes of
-    start, is handed solution as it stands.
+    is reused, f the bytes of its gradient, and start the partition it was
+    handed. The bounds are the run's ControllerState.box, the same for
+    every QP, so they are no part of the key. solution.start is the next
+    step's start, so a step whose QP has the same h object and f bytes, and
+    whose start has the bytes of start, is handed solution as it stands.
     """
 
     h: np.ndarray
     f: bytes
-    box: tuple[np.ndarray, np.ndarray]
     start: np.ndarray | None
     solution: QpSolution
 
@@ -185,21 +184,21 @@ def _same_start(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 
 class ControllerState(NamedTuple):
-    """What a controller carries between steps."""
+    """What a controller carries between steps; init_state builds the first."""
 
-    ref_cursor: int = 0
-    prev_state: VehicleState | None = None  # previous measured state (velocity variant)
+    ref_cursor: int
+    prev_state: VehicleState | None  # previous measured state (velocity variant)
     # Per-run constants, built once by init_state from (cfg, path, params), all
     # read-only: the horizon weights, the flat reference stack the variant
     # slices its stage references from (see _reference_stack), and the slew
     # box (lb, ub) that every QP of the run takes as its bounds.
-    weights: HorizonWeights | None = None
-    refs: np.ndarray | None = None
-    box: tuple[np.ndarray, np.ndarray] | None = None
+    weights: HorizonWeights
+    refs: np.ndarray
+    box: tuple[np.ndarray, np.ndarray]
     # The model's QP data: the fixed model's from init_state, else the last step's.
-    model: ModelQp | None = None
+    model: ModelQp | None
     # The last solve; its solution's start is the next solve's start.
-    last_solve: LastSolve | None = None
+    last_solve: LastSolve | None
 
 
 def _reference_stack(path: "ReferencePath", n: int, displacements: bool) -> np.ndarray:
@@ -260,8 +259,7 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, path: "ReferencePath"
     if difference_state:
         dx, dy, dpsi = (cfg.ts * ct_derivative(plant, params)).tolist()
         prev = VehicleState(plant.x - dx, plant.y - dy, plant.psi - dpsi, plant.beta)
-    return ControllerState(ref_cursor=0, prev_state=prev, weights=hw, refs=refs, box=box,
-                           model=model_qp)
+    return ControllerState(0, prev, hw, refs, box, model_qp, None)
 
 
 def generate_delta_refs(plant: VehicleState, path: "ReferencePath", cursor: int,
@@ -337,19 +335,15 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     Each step hands the solver the partition the previous solve accepted
     after its guess missed (a solve finished from the table takes one
     iteration and hands on none). solve_box_qp is a pure function of (H, f, the
-    bounds, start, table), and the table goes with the H object, so a step
-    whose QP is the previous one bit for bit (the same H object, f bytes and
-    box object, with the same start handed in) reuses
+    bounds, start, table); the table goes with the H object and the bounds
+    are the run's box, so a step whose QP is the previous one bit for bit
+    (the same H object and f bytes, with the same start handed in) reuses
     ControllerState.last_solve's solution without calling it; every field,
     start included, is what the call would return. On straight.cfg that is
     1946 of 1950 solves, on complete.cfg 30 of 559.
     """
     fixed_model = cfg.variant in FIXED_MODEL_VARIANTS
     difference_state = cfg.variant == "velocity_sl"
-    if difference_state and ctrl.prev_state is None:
-        raise ControlError("velocity controller state has no previous sample; use init_state")
-    if ctrl.refs is None or (fixed_model and ctrl.model is None):
-        raise ControlError(f"{cfg.variant} controller state has no run constants; use init_state")
     n, m = cfg.horizon, cfg.control_horizon
     model_qp = ctrl.model
     if not fixed_model:
@@ -385,7 +379,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     start = None if last_solve is None else last_solve.solution.start
     f_bytes = qp.f.tobytes()
     repeat = (last_solve is not None and last_solve.h is qp.h and last_solve.f == f_bytes
-              and last_solve.box is box and _same_start(last_solve.start, start))
+              and _same_start(last_solve.start, start))
     sol = last_solve.solution if repeat else solve_box_qp(qp, start=start, table=table)
     if sol.status != "converged":
         if not np.isfinite(qp.f).all():
@@ -403,7 +397,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
             f"at weight scale max|H| = {float(np.abs(qp.h).max()):.3e} "
             f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     if not repeat:
-        last_solve = LastSolve(qp.h, f_bytes, box, start, sol)
+        last_solve = LastSolve(qp.h, f_bytes, start, sol)
     return float(sol.u[0]), ControllerState(cursor, plant, ctrl.weights, refs, box, model_qp,
                                             last_solve)
 

@@ -433,7 +433,9 @@ def test_compare_orders_summary_by_ssd(tmp_path):
         assert ssd == pytest.approx(row.ssd, abs=1e-9)
 
 
-def test_compare_is_reproducible(tmp_path):
+def test_compare_is_reproducible(tmp_path, monkeypatch):
+    # the second compare into one directory replaces each output by a new
+    # file, never truncating one in place (no "w" mode), and leaves no other
     cfg_file = tmp_path / "scen.cfg"
     cfg_file.write_text(SINE_DOC)
     out = tmp_path / "out"
@@ -441,7 +443,15 @@ def test_compare_is_reproducible(tmp_path):
     first = {p.name: p.read_bytes() for p in out.iterdir()
              if p.name.startswith("trace_") or p.name == "manifest.json"}
     assert len(first) == 5
+    real_open = open
+
+    def no_truncation(file, mode="r", *args, **kwargs):
+        assert "w" not in mode, f"{file} opened with mode {mode!r}"
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_truncation)
     assert main(["compare", str(cfg_file), "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*first, "summary.csv"])
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob, f"{name} changed between identical runs"
 
@@ -822,6 +832,24 @@ def test_unusable_output_directory_exits_one(verb, target, tmp_path, capsys, mon
     assert err.startswith(f"error: cannot create output directory {tmp_path / target}: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("verb, blocked", [
+    ("run", "trace_baseline.csv"), ("compare", "trace_baseline.csv"),
+    ("sweep-alpha", "sweep_alpha.csv")])
+def test_unwritable_output_exits_one(verb, blocked, tmp_path, capsys):
+    # a directory where an output goes is one error line naming it, not a
+    # traceback, and it stays as it was
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    doc = tmp_path / "step.cfg"
+    doc.write_text("[scenario]\nkind = step\nduration = 3\n")
+    assert main([verb, str(doc), "--output-dir", str(out), "--set",
+                 "controller.variants=baseline"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / blocked}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert (out / blocked).is_dir()
 
 
 def test_sweep_alpha_verb_prints_one_line_per_alpha(tmp_path, capsys):
