@@ -35,6 +35,7 @@ from .controllers import (
     generate_delta_refs,
     horizon_weights,
     init_state,
+    scan_table,
 )
 from .simulate import (
     DisturbanceSpec,

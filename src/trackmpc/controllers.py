@@ -183,6 +183,33 @@ def _same_start(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     return a is b or (a is not None and b is not None and a.tobytes() == b.tobytes())
 
 
+class ScanTable(NamedTuple):
+    """The path as generate_delta_refs scans it, one tuple of Python floats each.
+
+    x and y are the path samples; x_min[j], x_max[j], y_min[j] and y_max[j]
+    bound the samples from j on, x[j:] and y[j:], so the box they span holds
+    every sample the scan has yet to read.
+    """
+
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    x_min: tuple[float, ...]
+    x_max: tuple[float, ...]
+    y_min: tuple[float, ...]
+    y_max: tuple[float, ...]
+
+
+def scan_table(path: "ReferencePath") -> ScanTable:
+    """The ScanTable of path: its samples and the bounding box of every suffix."""
+
+    def suffix(bound: np.ufunc, a: np.ndarray) -> tuple[float, ...]:
+        return tuple(bound.accumulate(a[::-1])[::-1].tolist())
+
+    x, y = path.x, path.y
+    return ScanTable(tuple(x.tolist()), tuple(y.tolist()), suffix(np.minimum, x),
+                     suffix(np.maximum, x), suffix(np.minimum, y), suffix(np.maximum, y))
+
+
 class ControllerState(NamedTuple):
     """What a controller carries between steps; init_state builds the first."""
 
@@ -190,11 +217,14 @@ class ControllerState(NamedTuple):
     prev_state: VehicleState | None  # previous measured state (velocity variant)
     # Per-run constants, built once by init_state from (cfg, path, params), all
     # read-only: the horizon weights, the flat reference stack the variant
-    # slices its stage references from (see _reference_stack), and the slew
-    # box (lb, ub) that every QP of the run takes as its bounds.
+    # slices its stage references from (see _reference_stack), the slew box
+    # (lb, ub) that every QP of the run takes as its bounds, and velocity_sl's
+    # ScanTable of the path, which its cursor scans (None for the other
+    # variants). No step reads the path itself.
     weights: HorizonWeights
     refs: np.ndarray
     box: tuple[np.ndarray, np.ndarray]
+    scan: ScanTable | None
     # The model's QP data: the fixed model's from init_state, else the last step's.
     model: ModelQp | None
     # The last solve; its solution's start is the next solve's start.
@@ -231,9 +261,9 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, path: "ReferencePath"
     Builds what depends only on (cfg, path, params) once, all read-only: the
     horizon weights, the variant's reference stack over path (positions, or
     per-sample displacements for velocity_sl; see _reference_stack), the slew
-    box +-rate_limit*ts of every move, and for the fixed absolute-slip model
-    its ModelQp, region table included, so that each step forms only the QP
-    gradient.
+    box +-rate_limit*ts of every move, velocity_sl's ScanTable of path, and
+    for the fixed absolute-slip model its ModelQp, region table included, so
+    that each step forms only the QP gradient.
 
     The velocity variant needs a previous sample to difference against; the
     plant is assumed to have been cruising, so the initial state is
@@ -255,39 +285,56 @@ def init_state(cfg: ControllerConfig, plant: VehicleState, path: "ReferencePath"
         moves = PredictionMatrices(pred.sx, pred.su @ t_low, pred.sk)
         cost = condense_cost(moves, hw, input_weight)
         model_qp = ModelQp(None, pred, cost, input_weight, region_table(cost.h, *box))
-    prev = None
+    prev = scan = None
     if difference_state:
         dx, dy, dpsi = (cfg.ts * ct_derivative(plant, params)).tolist()
         prev = VehicleState(plant.x - dx, plant.y - dy, plant.psi - dpsi, plant.beta)
-    return ControllerState(0, prev, hw, refs, box, model_qp, None)
+        scan = scan_table(path)
+    return ControllerState(0, prev, hw, refs, box, scan, model_qp, None)
 
 
-def generate_delta_refs(plant: VehicleState, path: "ReferencePath", cursor: int,
+def generate_delta_refs(plant: VehicleState, table: ScanTable, cursor: int,
                         params: VehicleParams, ts: float) -> tuple[float, float, int]:
     """Per-sample displacement reference for the velocity controller.
 
     Estimates where the vehicle would be after one sample if it kept its
     current velocity direction, starting from the current reference point;
     picks the path sample nearest to that estimate (never behind the
-    cursor); and returns the displacement from the current reference point
-    to the picked sample together with the new cursor.
+    cursor), the first of equal squared distances (ex*ex + ey*ey in floats);
+    and returns the displacement from the current reference point to the
+    picked sample together with the new cursor.
+
+    The path is the run's ScanTable (see scan_table). The scan walks forward
+    from the cursor and stops at the first sample j whose suffix box, the
+    box around samples j onward, lies no nearer to the estimate than the
+    best sample so far. Rounding is monotone, so no later sample's distance
+    falls below the box's, and none could win: the pick is the full scan's.
+    On a path that doubles back on both axes the box can stay loose, and
+    the scan read on to the end, as a full scan does.
     """
-    last = len(path) - 1
+    xs, ys, x_min, x_max, y_min, y_max = table
+    last = len(xs) - 1
     if cursor >= last:
         raise ControlError(f"reference cursor {cursor} is at the final sample {last}")
     if cursor < 0:
         raise ValueError(f"cursor must be nonnegative, got {cursor}")
     heading = plant.psi + plant.beta
-    x_est = path.x[cursor] + params.v * math.cos(heading) * ts
-    y_est = path.y[cursor] + params.v * math.sin(heading) * ts
-    dx = path.x[cursor:] - x_est
-    dy = path.y[cursor:] - y_est
-    j = cursor + int(np.argmin(dx * dx + dy * dy))
-    return (
-        float(path.x[j] - path.x[cursor]),
-        float(path.y[j] - path.y[cursor]),
-        j,
-    )
+    x0, y0 = xs[cursor], ys[cursor]
+    x_est = x0 + params.v * math.cos(heading) * ts
+    y_est = y0 + params.v * math.sin(heading) * ts
+    best, best_d = cursor, math.inf
+    for j in range(cursor, last + 1):
+        lo, hi = x_min[j], x_max[j]
+        gx = lo - x_est if x_est < lo else x_est - hi if x_est > hi else 0.0
+        lo, hi = y_min[j], y_max[j]
+        gy = lo - y_est if y_est < lo else y_est - hi if y_est > hi else 0.0
+        if gx * gx + gy * gy >= best_d:
+            break
+        ex, ey = xs[j] - x_est, ys[j] - y_est
+        d = ex * ex + ey * ey
+        if d < best_d:  # strict: the first of equal distances wins
+            best, best_d = j, d
+    return xs[best] - x0, ys[best] - y0, best
 
 
 def controller_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
@@ -322,11 +369,13 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     (psi, beta) and tracks the indexed position stack with slip changes
     bounded directly by the rate limit.
 
-    The reference stack, the slew box and the weights are init_state's run
-    constants: a position variant's stage references are a view of the
-    run's position stack from sample ref_cursor + 1 on (clamped at the
-    final sample), and every QP takes the run's box objects as its bounds.
-    The path is read only by generate_delta_refs.
+    The reference stack, the slew box, the weights and velocity_sl's scan
+    table are init_state's run constants: a position variant's stage
+    references are a view of the run's position stack from sample
+    ref_cursor + 1 on (clamped at the final sample), every QP takes the
+    run's box objects as its bounds, and generate_delta_refs scans the
+    table. No step reads path; the parameter keeps the call that the
+    harness makes to every entry of CONTROLLER_STEPS.
 
     A re-linearizing variant linearizes and builds a new ModelQp only when
     the measured (psi, beta) differs in a byte from the previous step's (a
@@ -365,7 +414,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     if difference_state:
         prev = ctrl.prev_state
         x0 = np.array([plant.x - prev.x, plant.y - prev.y, plant.psi - prev.psi])
-        dx_ref, dy_ref, cursor = generate_delta_refs(plant, path, ctrl.ref_cursor, params, cfg.ts)
+        dx_ref, dy_ref, cursor = generate_delta_refs(plant, ctrl.scan, ctrl.ref_cursor, params,
+                                                     cfg.ts)
         x_ref = refs[3 * cursor:3 * (cursor + n)].copy()
         x_ref[0], x_ref[1] = dx_ref, dy_ref
     else:
@@ -398,8 +448,8 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
             f"((w_y*alpha)^2 = {hw.q[0]:.3e}, (w_du*alpha)^2 = {hw.r:.3e})")
     if not repeat:
         last_solve = LastSolve(qp.h, f_bytes, start, sol)
-    return float(sol.u[0]), ControllerState(cursor, plant, ctrl.weights, refs, box, model_qp,
-                                            last_solve)
+    return float(sol.u[0]), ControllerState(cursor, plant, ctrl.weights, refs, box, ctrl.scan,
+                                            model_qp, last_solve)
 
 
 CONTROLLER_STEPS = dict.fromkeys(VARIANTS, controller_step)

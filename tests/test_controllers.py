@@ -31,11 +31,13 @@ from trackmpc import (
     default_initial_state,
     generate_delta_refs,
     init_state,
+    make_complete_path,
     make_sine_path,
     make_step_path,
     make_straight_path,
     parse_config,
     run_closed_loop,
+    scan_table,
     ssd_from_traces,
     step_nonlinear,
 )
@@ -216,7 +218,7 @@ def test_run_reference_stacks_give_the_per_step_references(scenario, monkeypatch
     first_stage = (0.25, -0.5)
     picked = {}
 
-    def pick(plant, path, cursor, params, ts):
+    def pick(plant, table, cursor, params, ts):
         return (*first_stage, picked["cursor"])
 
     monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", capture)
@@ -791,14 +793,14 @@ def test_input_target_is_ignored_by_relinearizing_variants(variant):
 def test_delta_refs_straight_line():
     path = make_straight_path(5.0, 0.05)  # samples 0.5 m apart
     plant = default_initial_state(path)
-    dx, dy, cursor = generate_delta_refs(plant, path, 0, PARAMS, 0.05)
+    dx, dy, cursor = generate_delta_refs(plant, scan_table(path), 0, PARAMS, 0.05)
     assert (dx, dy, cursor) == (0.5, 0.0, 1)
 
 
 def test_delta_refs_zero_ts_stays_put():
     path = make_straight_path(5.0, 0.05)
     plant = default_initial_state(path)
-    dx, dy, cursor = generate_delta_refs(plant, path, 3, PARAMS, 0.0)
+    dx, dy, cursor = generate_delta_refs(plant, scan_table(path), 3, PARAMS, 0.0)
     assert (dx, dy, cursor) == (0.0, 0.0, 3)
 
 
@@ -808,7 +810,7 @@ def test_delta_refs_vertical_travel():
     n = 20
     path = ReferencePath(x=np.zeros(n), y=0.5 * np.arange(n), ts=0.05, heading0=math.pi / 2)
     plant = VehicleState(x=0.0, y=0.0, psi=math.pi / 2, beta=0.0)
-    dx, dy, cursor = generate_delta_refs(plant, path, 0, PARAMS, 0.05)
+    dx, dy, cursor = generate_delta_refs(plant, scan_table(path), 0, PARAMS, 0.05)
     assert dx == 0.0
     assert dy == pytest.approx(0.5)
     assert cursor == 1
@@ -825,7 +827,7 @@ def test_delta_refs_cursor_never_retreats():
             psi=float(rng.normal(scale=0.3)),
             beta=float(rng.uniform(-0.2, 0.2)),
         )
-        _, _, j = generate_delta_refs(plant, path, cursor, PARAMS, 0.05)
+        _, _, j = generate_delta_refs(plant, scan_table(path), cursor, PARAMS, 0.05)
         assert j >= cursor
 
 
@@ -833,9 +835,51 @@ def test_delta_refs_end_of_path():
     path = make_straight_path(2.0, 0.1)
     plant = default_initial_state(path)
     with pytest.raises(ControlError, match="reference cursor 20 is at the final sample 20"):
-        generate_delta_refs(plant, path, len(path) - 1, PARAMS, 0.1)
+        generate_delta_refs(plant, scan_table(path), len(path) - 1, PARAMS, 0.1)
     with pytest.raises(ValueError, match="cursor"):
-        generate_delta_refs(plant, path, -1, PARAMS, 0.1)
+        generate_delta_refs(plant, scan_table(path), -1, PARAMS, 0.1)
+
+
+class _CountingSequence:
+    """A sequence that counts the reads of its items."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return self.items[j]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_straight_path(4999.0, 0.05),
+    lambda: make_step_path(1.0, 4999.0, 0.05),
+    lambda: make_sine_path(1.0, 40.0, 4999.0, 0.05),
+    lambda: make_complete_path(0.01, periods=185),
+], ids=["straight", "step", "sine", "complete"])
+def test_delta_refs_read_a_few_samples_of_a_long_path(build):
+    # on a path near MAX_PATH_SAMPLES long, the cursor scan reads at most 8
+    # items of each column of the scan table per call, wherever the cursor
+    # sits and with the plant heading along the path, and it picks what an
+    # argmin over the whole rest of the path picks
+    path = build()
+    assert 98_000 <= len(path) <= 100_000
+    table = scan_table(path)
+    for cursor in np.linspace(0, len(path) - 2, 50).astype(int).tolist():
+        psi = math.atan2(path.y[cursor + 1] - path.y[cursor],
+                         path.x[cursor + 1] - path.x[cursor])
+        plant = VehicleState(x=float(path.x[cursor]), y=float(path.y[cursor]), psi=psi, beta=0.0)
+        counted = table._make(map(_CountingSequence, table))
+        _, _, j = generate_delta_refs(plant, counted, cursor, PARAMS, path.ts)
+        reads = {name: column.reads for name, column in zip(table._fields, counted)}
+        assert max(reads.values()) <= 8, (cursor, reads)
+        x_est = path.x[cursor] + PARAMS.v * math.cos(psi) * path.ts
+        y_est = path.y[cursor] + PARAMS.v * math.sin(psi) * path.ts
+        dx, dy = path.x[cursor:] - x_est, path.y[cursor:] - y_est
+        assert j == cursor + int(np.argmin(dx * dx + dy * dy))
 
 
 # --- steady-state geometry ---------------------------------------------------

@@ -3,9 +3,13 @@
 generate_delta_refs estimates where the vehicle is one sample on from the
 reference point at the cursor and picks the first sample, from the cursor
 on, nearest to that estimate. The oracle below computes the same pick one
-sample at a time in Python floats; the vectorized scan must return the very
-same (dx, dy, j), bit for bit, on paths with repeated samples (ties) and
-with x that doubles back.
+sample at a time in Python floats over the whole rest of the path; the
+bounded scan, which stops once the box around the samples still ahead lies
+no nearer than its best, must return the very same (dx, dy, j), bit for
+bit. Short paths with repeated samples (ties) and with x that doubles back
+cover the arithmetic; longer paths that are monotone in x, or constant in
+x and monotone in y, are where the scan stops early, and on paths that
+double back on both axes the box it stops by stays loose.
 """
 
 import math
@@ -22,6 +26,7 @@ from trackmpc import (  # noqa: E402
     VehicleParams,
     VehicleState,
     generate_delta_refs,
+    scan_table,
 )
 
 
@@ -64,11 +69,45 @@ def _oracle(path: ReferencePath, cursor: int, plant: VehicleState, v: float, ts:
     return xs[best] - xs[cursor], ys[best] - ys[cursor], best
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(cursor_cases())
-def test_cursor_picks_the_first_nearest_sample(case):
-    path, cursor, plant, params, ts = case
-    got = generate_delta_refs(plant, path, cursor, params, ts)
+@st.composite
+def long_cursor_cases(draw):
+    """As cursor_cases, on a path of up to 300 samples of one of four shapes.
+
+    x rises or falls steadily, or stays constant while y rises or falls, or
+    both walk back and forth. On the lattice steps of 0, 0.5 and 1 m,
+    samples coincide and distances tie.
+    """
+    n = draw(st.integers(2, 300))
+    shape = draw(st.sampled_from(("rising x", "falling x", "constant x", "doubling back")))
+    lattice = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def steps(signed: bool) -> np.ndarray:
+        size = 0.5 * rng.integers(0, 3, n - 1) if lattice else rng.uniform(0.0, 1.0, n - 1)
+        return size * rng.choice((-1.0, 1.0), n - 1) if signed else size
+
+    def walk(start: float, signed: bool, sign: float = 1.0) -> np.ndarray:
+        return start + np.concatenate(([0.0], np.cumsum(sign * steps(signed))))
+
+    x0, y0 = draw(_COORDS), draw(_COORDS)
+    if shape == "constant x":
+        x = np.full(n, x0)
+        y = walk(y0, False, draw(st.sampled_from((-1.0, 1.0))))
+    else:
+        x = walk(x0, shape == "doubling back", -1.0 if shape == "falling x" else 1.0)
+        y = walk(y0, True)
+    path = ReferencePath(x=x, y=y, ts=0.05, heading0=0.0)
+    cursor = draw(st.integers(0, n - 2))
+    # the estimate starts from the cursor's sample, so only the heading counts
+    plant = VehicleState(x=0.0, y=0.0, psi=draw(_floats(-4.0, 4.0)),
+                         beta=draw(_floats(-1.4, 1.4)))
+    ts = draw(st.one_of(st.just(0.0), _floats(0.0, 0.5)))
+    return path, cursor, plant, VehicleParams(v=draw(_floats(0.5, 30.0))), ts
+
+
+def _assert_oracle_pick(path, cursor, plant, params, ts):
+    table = scan_table(path)
+    got = generate_delta_refs(plant, table, cursor, params, ts)
     want = _oracle(path, cursor, plant, params.v, ts)
     assert type(got[2]) is int and got[2] == want[2]
     # equal as floats, and in the sign of a zero
@@ -76,4 +115,16 @@ def test_cursor_picks_the_first_nearest_sample(case):
         [np.float64(value).tobytes() for value in want[:2]]
     last = len(path) - 1
     with pytest.raises(ControlError, match=f"reference cursor {last} is at the final sample"):
-        generate_delta_refs(plant, path, last, params, ts)
+        generate_delta_refs(plant, table, last, params, ts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cursor_cases())
+def test_cursor_picks_the_first_nearest_sample(case):
+    _assert_oracle_pick(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(long_cursor_cases())
+def test_cursor_picks_the_first_nearest_sample_on_long_paths(case):
+    _assert_oracle_pick(*case)
