@@ -64,7 +64,7 @@ def read_trace(source: Path) -> dict:
     """Read a trace CSV back as column arrays; only the final u cell may be empty."""
     with open(source, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header row
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace columns {header} in {source}")
         rows = list(reader)

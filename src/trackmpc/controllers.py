@@ -220,7 +220,7 @@ class ControllerState(NamedTuple):
     # slices its stage references from (see _reference_stack), the slew box
     # (lb, ub) that every QP of the run takes as its bounds, and velocity_sl's
     # ScanTable of the path, which its cursor scans (None for the other
-    # variants). No step reads the path itself.
+    # variants).
     weights: HorizonWeights
     refs: np.ndarray
     box: tuple[np.ndarray, np.ndarray]
@@ -337,8 +337,8 @@ def generate_delta_refs(plant: VehicleState, table: ScanTable, cursor: int,
     return xs[best] - x0, ys[best] - y0, best
 
 
-def controller_step(ctrl: ControllerState, plant: VehicleState, path: "ReferencePath",
-                    cfg: ControllerConfig, params: VehicleParams) -> tuple[float, ControllerState]:
+def controller_step(ctrl: ControllerState, plant: VehicleState, cfg: ControllerConfig,
+                    params: VehicleParams) -> tuple[float, ControllerState]:
     """One receding-horizon step of any variant.
 
     Every variant predicts with a linear model, condenses the tracking cost
@@ -374,8 +374,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     references are a view of the run's position stack from sample
     ref_cursor + 1 on (clamped at the final sample), every QP takes the
     run's box objects as its bounds, and generate_delta_refs scans the
-    table. No step reads path; the parameter keeps the call that the
-    harness makes to every entry of CONTROLLER_STEPS.
+    table.
 
     A re-linearizing variant linearizes and builds a new ModelQp only when
     the measured (psi, beta) differs in a byte from the previous step's (a
@@ -388,8 +387,7 @@ def controller_step(ctrl: ControllerState, plant: VehicleState, path: "Reference
     are the run's box, so a step whose QP is the previous one bit for bit
     (the same H object and f bytes, with the same start handed in) reuses
     ControllerState.last_solve's solution without calling it; every field,
-    start included, is what the call would return. On straight.cfg that is
-    1946 of 1950 solves, on complete.cfg 30 of 559.
+    start included, is what the call would return.
     """
     fixed_model = cfg.variant in FIXED_MODEL_VARIANTS
     difference_state = cfg.variant == "velocity_sl"

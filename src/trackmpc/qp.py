@@ -47,10 +47,9 @@ from .linearize import AffineLtiModel
 
 _POSITIVE_ZERO3 = bytes(3 * 8)  # the bytes of (+0.0, +0.0, +0.0)
 _EPS = float(np.finfo(float).eps)
-# A region table has 3^M regions, so its size triples per move (99 kB at
-# M = 6). A lookup costs about 10 us at M = 5, 12 us at 6, 39 us at 7 and
-# 108 us at 8 (minimum of timeit repeats, shared 2-vCPU x86-64 host), against
-# about 47 us for one solver iteration.
+# A region table has 3^M regions, so its size and the cost of a lookup
+# triple per move (99 kB at M = 6); README's solver section gives lookup
+# times against that of one solver iteration.
 MAX_TABLE_MOVES = 6
 # A region table names a partition only where f lies farther than this,
 # relative, from the boundary of its region (see RegionTable); the search's
@@ -62,6 +61,8 @@ _SEED_STEPS = 8
 # The KKT residual a converged solve meets, relative to the gradient's scale
 # (see _meets).
 KKT_TOL = 1e-8
+# One solve's budget of iterations, one reduced solve each (see solve_box_qp).
+MAX_ITERATIONS = 10000
 
 
 class HorizonWeights(NamedTuple):
@@ -520,7 +521,7 @@ def _finish(h, f, lb, ub, test, movable, part, free, cheap, it, primal_its, dual
                       resid, primal_its, part if it > 1 else None, dual_its), viol
 
 
-def solve_box_qp(qp: TrackingQp, max_iter: int = 10000, start: np.ndarray | None = None,
+def solve_box_qp(qp: TrackingQp, start: np.ndarray | None = None,
                  table: RegionTable | None = None) -> QpSolution:
     """Deterministic box-QP solve to the KKT tolerance KKT_TOL.
 
@@ -620,12 +621,10 @@ def solve_box_qp(qp: TrackingQp, max_iter: int = 10000, start: np.ndarray | None
     and the absolute KKT_TOL holds.
     An accepted partition whose point does not meet it (say a NaN gradient,
     which no violation test catches) is "inaccurate". If the budget
-    max_iter runs out first, returns the last partition's point clipped to
-    the box, with status "max_iter" unless it happens to meet the tolerance
-    anyway.
+    MAX_ITERATIONS runs out first, returns the last partition's point
+    clipped to the box, with status "max_iter" unless it happens to meet the
+    tolerance anyway.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     h, f, lb, ub = qp.h, qp.f, qp.lb, qp.ub
     nv = f.size
     if start is not None:
@@ -662,7 +661,7 @@ def solve_box_qp(qp: TrackingQp, max_iter: int = 10000, start: np.ndarray | None
     point = None  # the primal phase's feasible point, once it has one
     primal = False
     primal_its = dual_its = 0
-    while it < max_iter:
+    while it < MAX_ITERATIONS:
         it += 1
         if primal:
             primal_its += 1
@@ -707,7 +706,7 @@ def solve_box_qp(qp: TrackingQp, max_iter: int = 10000, start: np.ndarray | None
             test = _margins(h, lb, ub)
             if not seeded and n_viol >= 3:
                 cheap, dual_its = _dual(h, f, lb, ub, x_unc, test, movable, part, cheap,
-                                        blocks, max_iter - it)
+                                        blocks, MAX_ITERATIONS - it)
                 it += dual_its
                 if cheap is None:
                     break

@@ -134,9 +134,8 @@ def make_sine_path(amplitude: float, wavelength: float, duration: float, ts: flo
     return ReferencePath(x=x, y=y, ts=ts, heading0=math.atan(slope0))
 
 
-def make_complete_path(ts: float, v: float = 10.0, lead_in: float = 50.0,
-                       amplitude: float = 4.0, wavelength: float = 50.0,
-                       periods: int = 2, tail: float = 50.0) -> ReferencePath:
+def make_complete_path(lead_in: float, amplitude: float, wavelength: float, periods: int,
+                       tail: float, ts: float, v: float = 10.0) -> ReferencePath:
     """Straight lead-in, sine section, straight tail, sampled by arc length.
 
     Samples advance v*ts along the curve, so a constant-speed vehicle can sit
@@ -216,11 +215,11 @@ def gaussian_noise(spec: DisturbanceSpec, k):
     Two 64-bit words are hashed out of the counter and folded through the
     Box-Muller cosine branch, so sample k is a pure function of the spec:
     bit-identical across platforms and independent of evaluation order.
-    Accepts a scalar or an array of counters.
+    The draws have the shape of the counters k.
     """
     if spec.kind != "gaussian_output":
         raise ValueError(f"noise requested from a {spec.kind!r} disturbance")
-    kk = np.atleast_1d(np.asarray(k, dtype=np.uint64))
+    kk = np.asarray(k, dtype=np.uint64)
     with np.errstate(over="ignore"):
         seed_h = _mix64(np.uint64(spec.seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
         c = kk * np.uint64(2)
@@ -229,10 +228,7 @@ def gaussian_noise(spec: DisturbanceSpec, k):
     u1 = (w1 >> np.uint64(11)).astype(np.float64) / _TWO53
     u2 = (w2 >> np.uint64(11)).astype(np.float64) / _TWO53
     z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
-    out = spec.amplitude * z
-    if np.isscalar(k) or np.asarray(k).ndim == 0:
-        return float(out[0])
-    return out
+    return spec.amplitude * z
 
 
 @dataclass
@@ -269,27 +265,27 @@ def default_initial_state(path: ReferencePath) -> VehicleState:
 
 
 def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
-                    params: VehicleParams,
-                    initial_state: VehicleState | None = None) -> SimResult:
+                    params: VehicleParams) -> SimResult:
     """Run one controller variant against the plant along a reference path.
 
-    The controller only ever sees the measured state (true state plus output
-    disturbance on the measured position); the plant integrates the true
-    state. Each applied move is checked against the rate limit here in the
-    harness, independent of the controller's own constraint handling. A
-    controller failure ends the run early with a truncated trace and a
-    "failed" status rather than raising.
+    The run starts at default_initial_state(path): on the first sample,
+    heading along the path, at zero slip. The controller only ever sees the
+    measured state (true state plus output disturbance on the measured
+    position); the plant integrates the true state. Each applied move is
+    checked against the rate limit here in the harness, independent of the
+    controller's own constraint handling. A controller failure ends the run
+    early with a truncated trace and a "failed" status rather than raising.
     """
     if abs(cfg.ts - path.ts) > 1e-12:
         raise ValueError(f"controller ts {cfg.ts} does not match path sample time {path.ts}")
     steps = len(path) - 1
-    state = initial_state if initial_state is not None else default_initial_state(path)
+    state = default_initial_state(path)
     ctrl = _controllers.init_state(cfg, state, path, params)
     step_fn = _controllers.CONTROLLER_STEPS[cfg.variant]
     noisy = disturbance.kind == "gaussian_output"
     if noisy:
-        # Each stream's draws for the whole run at once, the same bytes as
-        # one scalar call per step.
+        # Each stream's draws for the whole run at once: draw k is a pure
+        # function of (seed, k), so one array call gives every step's.
         counters = np.arange(steps, dtype=np.uint64)
         noise_y = gaussian_noise(disturbance, counters).tolist()
         if disturbance.apply_to_x:
@@ -309,7 +305,7 @@ def run_closed_loop(cfg, path: ReferencePath, disturbance: DisturbanceSpec,
             meas = VehicleState(x_m, state.y + noise_y[k], state.psi, state.beta)
         try:
             tic = time.perf_counter()
-            u, ctrl = step_fn(ctrl, meas, path, cfg, params)
+            u, ctrl = step_fn(ctrl, meas, cfg, params)
             elapsed = time.perf_counter() - tic
             if abs(u) > rate_cap:
                 raise _controllers.ControlError(

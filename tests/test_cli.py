@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import textwrap
 import types
 from pathlib import Path
@@ -399,6 +400,13 @@ def test_trace_header_is_locked(tmp_path):
     with pytest.raises(ValueError, match="columns"):
         read_trace(bad)
     assert TRACE_COLUMNS == ("t", "x", "y", "psi", "beta", "delta_f", "x_ref", "y_ref", "u")
+
+
+def test_empty_trace_is_a_value_error_naming_the_file(tmp_path):
+    empty = tmp_path / "trace.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match=f"columns .* in {re.escape(str(empty))}$"):
+        read_trace(empty)
 
 
 @pytest.mark.parametrize("rows,line", [
@@ -911,7 +919,7 @@ def test_readme_documents_every_key():
 
 
 def test_failed_run_exits_two(tmp_path, capsys, monkeypatch):
-    def doomed(ctrl, plant, path, cfg, params):
+    def doomed(ctrl, plant, cfg, params):
         raise ControlError("deliberate failure")
 
     monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, "baseline", doomed)
@@ -927,7 +935,7 @@ def test_failed_run_exits_two(tmp_path, capsys, monkeypatch):
 def test_failed_sweep_run_exits_two(tmp_path, capsys, monkeypatch):
     # a sweep stops at its first failed run and names its alpha; it writes
     # no table, which would read as a finished sweep
-    def doomed(ctrl, plant, path, cfg, params):
+    def doomed(ctrl, plant, cfg, params):
         raise ControlError("deliberate failure")
 
     monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, "baseline", doomed)
@@ -940,7 +948,7 @@ def test_failed_sweep_run_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_compare_reports_partial_failure(tmp_path, capsys, monkeypatch):
-    def doomed(ctrl, plant, path, cfg, params):
+    def doomed(ctrl, plant, cfg, params):
         raise ControlError("deliberate failure")
 
     monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, "velocity_sl", doomed)

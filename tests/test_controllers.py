@@ -42,6 +42,7 @@ from trackmpc import (
     step_nonlinear,
 )
 from trackmpc.cli import run_compare
+from trackmpc.controllers import controller_step
 
 PARAMS = VehicleParams()
 NO_NOISE = DisturbanceSpec()
@@ -166,7 +167,7 @@ def test_step_dispatches_through_module_globals(variant, monkeypatch):
     calls.clear()
     plants = (plant, plant, plant, replace(plant, psi=plant.psi + 0.1))
     for measured in plants:
-        _, ctrl = CONTROLLER_STEPS[variant](ctrl, measured, path, cfg, PARAMS)
+        _, ctrl = controller_step(ctrl, measured, cfg, PARAMS)
     steps = len(plants)
     per_step = {"build_tracking_qp": steps, "solve_box_qp": steps}
     if not fixed_model:
@@ -240,8 +241,7 @@ def test_run_reference_stacks_give_the_per_step_references(scenario, monkeypatch
             seen.clear()
             picked["cursor"] = cursor
             with pytest.raises(_Captured):
-                CONTROLLER_STEPS[variant](ctrl._replace(ref_cursor=cursor), plant, path, cfg,
-                                          PARAMS)
+                controller_step(ctrl._replace(ref_cursor=cursor), plant, cfg, PARAMS)
             (x_ref,) = seen
             expected = _stage_refs_built_per_step(
                 path, cursor, cfg.horizon, first_stage if difference_state else None)
@@ -303,7 +303,7 @@ def test_fixed_model_record_carries_the_region_table_of_its_qps(variant, monkeyp
         ctrl = init_state(cfg, plant, path, PARAMS)
         handed.clear()
         for _ in range(3):
-            _, ctrl = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+            _, ctrl = controller_step(ctrl, plant, cfg, PARAMS)
         table = ctrl.model.table
         assert all(t is table for _, t in handed)
         if not fixed_model or m > trackmpc.qp.MAX_TABLE_MOVES:
@@ -330,23 +330,22 @@ def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
 
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
     cfg = config_for(variant)
-    step = CONTROLLER_STEPS[variant]
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = VehicleState(x=0.1, y=0.2, psi=0.05, beta=0.01)
     ctrl = init_state(cfg, plant, path, PARAMS)
     fixed_model = variant in ("baseline", "weight_tuned")
     built = ctrl.model
     assert (built is not None) == fixed_model
-    _, ctrl = step(ctrl, plant, path, cfg, PARAMS)
+    _, ctrl = controller_step(ctrl, plant, cfg, PARAMS)
     first = ctrl.model
-    _, hit = step(ctrl, plant, path, cfg, PARAMS)
+    _, hit = controller_step(ctrl, plant, cfg, PARAMS)
     assert hit.model is first
     if fixed_model:
         assert first is built
         fresh_record = init_state(cfg, plant, path, PARAMS).model
-        _, miss = step(ctrl._replace(model=fresh_record), plant, path, cfg, PARAMS)
+        _, miss = controller_step(ctrl._replace(model=fresh_record), plant, cfg, PARAMS)
     else:
-        _, miss = step(ctrl._replace(model=None), plant, path, cfg, PARAMS)
+        _, miss = controller_step(ctrl._replace(model=None), plant, cfg, PARAMS)
     assert miss.model is not first
 
     linearize = getattr(trackmpc.controllers, _LINEARIZE[variant])
@@ -368,7 +367,7 @@ def test_repeated_model_reuses_a_bit_identical_prediction(variant, monkeypatch):
 
     if fixed_model:
         for measured in (replace(plant, psi=-0.1), replace(plant, beta=0.2), plant):
-            _, hit = step(hit, measured, path, cfg, PARAMS)
+            _, hit = controller_step(hit, measured, cfg, PARAMS)
         assert hit.model is built
 
 
@@ -387,7 +386,6 @@ def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypa
 
     monkeypatch.setattr(trackmpc.controllers, "build_prediction", counting)
     cfg = config_for(variant)
-    step = CONTROLLER_STEPS[variant]
     linearize = getattr(trackmpc.controllers, _LINEARIZE[variant])
     path = make_straight_path(4.0, cfg.ts)
     start = default_initial_state(path)
@@ -396,17 +394,17 @@ def test_model_differing_in_any_byte_gets_its_own_build(variant, nudge, monkeypa
         assert _same_bytes(np.array(getattr(start, field)), np.array(0.0))
         plant = replace(start, **{field: nudged})
         builds.clear()
-        _, ctrl = step(init_state(cfg, start, path, PARAMS), start, path, cfg, PARAMS)
+        _, ctrl = controller_step(init_state(cfg, start, path, PARAMS), start, cfg, PARAMS)
         first = ctrl.model
-        _, ctrl = step(ctrl, plant, path, cfg, PARAMS)
+        _, ctrl = controller_step(ctrl, plant, cfg, PARAMS)
         assert builds["n"] == 2, field
         assert ctrl.model is not first and ctrl.model.key != first.key
         fresh = real_build(linearize(plant, PARAMS, cfg.ts), cfg.horizon, cfg.control_horizon)
         for name in ("sx", "su", "sk"):
             assert _same_bytes(getattr(ctrl.model.pred, name), getattr(fresh, name)), name
         built = ctrl.model
-        _, ctrl = step(ctrl, replace(plant, x=plant.x + 0.5, y=plant.y - 0.25), path, cfg,
-                       PARAMS)
+        _, ctrl = controller_step(ctrl, replace(plant, x=plant.x + 0.5, y=plant.y - 0.25), cfg,
+                                  PARAMS)
         assert builds["n"] == 2 and ctrl.model is built, field
 
 
@@ -442,9 +440,9 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
     seen = []  # the plant argument of every step the run calls
     real_step = CONTROLLER_STEPS[variant]
 
-    def recorder(ctrl, plant, path, cfg, params):
+    def recorder(ctrl, plant, cfg, params):
         seen.append(plant)
-        return real_step(ctrl, plant, path, cfg, params)
+        return real_step(ctrl, plant, cfg, params)
 
     monkeypatch.setitem(CONTROLLER_STEPS, variant, recorder)
     result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
@@ -459,7 +457,7 @@ def test_unconverged_solve_is_a_control_error(variant, monkeypatch):
 
     plant = default_initial_state(path)
     with pytest.raises(ControlError) as err:
-        CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
+        controller_step(init_state(cfg, plant, path, PARAMS), plant, cfg, PARAMS)
     assert str(err.value) == expected()
 
 
@@ -478,7 +476,7 @@ def test_non_finite_qp_is_a_control_error(variant, monkeypatch):
     path = make_sine_path(1.0, 40.0, 4.0, cfg.ts)
     plant = default_initial_state(path)
     with pytest.raises(ControlError, match=f"{variant} QP stopped at .* KKT residual nan"):
-        CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
+        controller_step(init_state(cfg, plant, path, PARAMS), plant, cfg, PARAMS)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -493,7 +491,7 @@ def test_non_finite_reference_names_the_gradient(variant):
     path.y[1:] = np.nan
     ctrl = init_state(cfg, plant, path, PARAMS)
     with pytest.raises(ControlError) as err:
-        CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+        controller_step(ctrl, plant, cfg, PARAMS)
     message = str(err.value)
     assert message.startswith(f"{variant} QP stopped at inaccurate with KKT residual nan")
     assert "non-finite gradient f" in message and "weight scale" not in message
@@ -519,7 +517,7 @@ def test_step_carries_the_start_outside_equality(monkeypatch):
 
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", recording)
     for _ in range(5):
-        u, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
+        u, ctrl = controller_step(ctrl, plant, cfg, PARAMS)
         assert ctrl.last_solve.solution.start is returned[-1]
         assert ctrl.last_solve.start is handed[-1]
         plant = step_nonlinear(plant, u, cfg.ts, PARAMS)
@@ -595,7 +593,7 @@ def test_only_a_bit_identical_qp_reuses_the_last_solve(variant, change, monkeypa
     cfg = config_for(variant)
     path = make_straight_path(4.0, cfg.ts)
     plant = default_initial_state(path)
-    _, ctrl = CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
+    _, ctrl = controller_step(init_state(cfg, plant, path, PARAMS), plant, cfg, PARAMS)
     stored = ctrl.last_solve
     assert stored.solution.start is None and not np.frombuffer(stored.f).any()
 
@@ -625,7 +623,7 @@ def test_only_a_bit_identical_qp_reuses_the_last_solve(variant, change, monkeypa
         handed = np.zeros(cfg.control_horizon, dtype=np.int8)
         ctrl = ctrl._replace(last_solve=stored._replace(
             solution=stored.solution._replace(start=handed)))
-    u, after = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    u, after = controller_step(ctrl, plant, cfg, PARAMS)
     if change is None:
         assert solved == [] and after.last_solve is ctrl.last_solve
         return
@@ -655,7 +653,7 @@ def test_a_repeat_whose_guess_missed_is_reused_once_its_start_repeats(monkeypatc
     monkeypatch.setattr(trackmpc.controllers, "build_tracking_qp", building)
     ctrl = init_state(cfg, plant, path, PARAMS)
     while ctrl.last_solve is None or ctrl.last_solve.solution.start is None:
-        u, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
+        u, ctrl = controller_step(ctrl, plant, cfg, PARAMS)
         plant = step_nonlinear(plant, u, cfg.ts, PARAMS)
     missed = built[-1]
 
@@ -668,7 +666,7 @@ def test_a_repeat_whose_guess_missed_is_reused_once_its_start_repeats(monkeypatc
     ctrl = init_state(cfg, plant, path, PARAMS)
     states = []
     for _ in range(4):
-        _, ctrl = CONTROLLER_STEPS["velocity_sl"](ctrl, plant, path, cfg, PARAMS)
+        _, ctrl = controller_step(ctrl, plant, cfg, PARAMS)
         states.append(ctrl.last_solve)
     assert len(handed) == 2 and handed[0] is None
     first, second = states[:2]
@@ -685,8 +683,7 @@ def test_a_step_that_raises_stores_no_solve(monkeypatch):
     cfg = config_for("baseline")
     path = make_straight_path(4.0, cfg.ts)
     plant = default_initial_state(path)
-    _, ctrl = CONTROLLER_STEPS["baseline"](init_state(cfg, plant, path, PARAMS), plant, path, cfg,
-                                           PARAMS)
+    _, ctrl = controller_step(init_state(cfg, plant, path, PARAMS), plant, cfg, PARAMS)
     stored = ctrl.last_solve
     real_build = trackmpc.controllers.build_tracking_qp
     real_solve = trackmpc.controllers.solve_box_qp
@@ -706,7 +703,7 @@ def test_a_step_that_raises_stores_no_solve(monkeypatch):
     monkeypatch.setattr(trackmpc.controllers, "solve_box_qp", starved)
     for attempt in (1, 2):
         with pytest.raises(ControlError, match="baseline QP stopped at max_iter"):
-            CONTROLLER_STEPS["baseline"](ctrl, plant, path, cfg, PARAMS)
+            controller_step(ctrl, plant, cfg, PARAMS)
         assert solves["n"] == attempt
         assert ctrl.last_solve is stored
 
@@ -725,7 +722,7 @@ def test_on_path_start_commands_zero(variant):
     path = make_straight_path(10.0, cfg.ts)
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, path, PARAMS)
-    u, _ = CONTROLLER_STEPS[variant](ctrl, plant, path, cfg, PARAMS)
+    u, _ = controller_step(ctrl, plant, cfg, PARAMS)
     assert abs(u) < 1e-12
 
 
@@ -751,7 +748,7 @@ def test_step_reference_saturates_first_move():
     path = make_step_path(1.0, 6.0, cfg.ts)
     plant = default_initial_state(path)
     ctrl = init_state(cfg, plant, path, PARAMS)
-    u, after = CONTROLLER_STEPS["baseline"](ctrl, plant, path, cfg, PARAMS)
+    u, after = controller_step(ctrl, plant, cfg, PARAMS)
     assert u == pytest.approx(cfg.rate_limit * cfg.ts, abs=1e-12)
     assert after.ref_cursor == 1
 
@@ -763,9 +760,9 @@ def test_input_target_pulls_slip():
     # so u* = wu^2 c / ((v*ts)^2 wy^2 + wdu^2 + wu^2)
     path = make_straight_path(10.0, 0.2)
     plant = default_initial_state(path)
-    step = CONTROLLER_STEPS["baseline"]
     cfg_plain = config_for("baseline", alpha=1.0)
-    u_plain, _ = step(init_state(cfg_plain, plant, path, PARAMS), plant, path, cfg_plain, PARAMS)
+    u_plain, _ = controller_step(init_state(cfg_plain, plant, path, PARAMS), plant, cfg_plain,
+                                 PARAMS)
     assert abs(u_plain) < 1e-12
 
     wy, wdu, wu, c = 10.0, 0.1, 50.0, 0.02
@@ -773,7 +770,7 @@ def test_input_target_pulls_slip():
     for sign in (1.0, -1.0):
         cfg = config_for("baseline", alpha=1.0, w_u=wu, u_target=sign * c,
                          horizon=1, control_horizon=1)
-        u, _ = step(init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
+        u, _ = controller_step(init_state(cfg, plant, path, PARAMS), plant, cfg, PARAMS)
         assert u == pytest.approx(sign * expected, abs=1e-9)
 
 
@@ -784,7 +781,7 @@ def test_input_target_is_ignored_by_relinearizing_variants(variant):
     cfg = config_for(variant, alpha=1.0, w_u=50.0, u_target=0.02)
     path = make_straight_path(10.0, cfg.ts)
     plant = default_initial_state(path)
-    u, _ = CONTROLLER_STEPS[variant](init_state(cfg, plant, path, PARAMS), plant, path, cfg, PARAMS)
+    u, _ = controller_step(init_state(cfg, plant, path, PARAMS), plant, cfg, PARAMS)
     assert abs(u) < 1e-12
 
 
@@ -858,7 +855,8 @@ class _CountingSequence:
     lambda: make_straight_path(4999.0, 0.05),
     lambda: make_step_path(1.0, 4999.0, 0.05),
     lambda: make_sine_path(1.0, 40.0, 4999.0, 0.05),
-    lambda: make_complete_path(0.01, periods=185),
+    lambda: make_complete_path(lead_in=50.0, amplitude=4.0, wavelength=50.0, periods=185,
+                               tail=50.0, ts=0.01),
 ], ids=["straight", "step", "sine", "complete"])
 def test_delta_refs_read_a_few_samples_of_a_long_path(build):
     # on a path near MAX_PATH_SAMPLES long, the cursor scan reads at most 8

@@ -518,7 +518,7 @@ def _recorded_velocity_qp() -> tuple[TrackingQp, dict[str, np.ndarray]]:
     return box_qp(h=h, f=rec["f"], lb=rec["lb"], ub=rec["ub"]), rec
 
 
-def test_recorded_velocity_qp_finishes_in_the_dual_phase():
+def test_recorded_velocity_qp_finishes_in_the_dual_phase(monkeypatch):
     qp, rec = _recorded_velocity_qp()
     ref = reference_solve_box_qp(qp)
     for sol in (solve_box_qp(qp, start=rec["start"]), solve_box_qp(qp)):
@@ -530,11 +530,12 @@ def test_recorded_velocity_qp_finishes_in_the_dual_phase():
     # cold, its block swaps stall at iteration 8: a budget of 8 runs out in
     # the dual phase's release loop, one of 9 to 12 in its pinning loop, and
     # the solve returns the last partition's point clipped to the box
-    for max_iter in (8, 9, 12):
-        sol = solve_box_qp(qp, max_iter=max_iter)
-        assert sol.status == "max_iter" and sol.iterations == max_iter, max_iter
-        assert sol.dual_iterations == max_iter - 8 and sol.primal_iterations == 0, max_iter
-        assert ((qp.lb <= sol.u) & (sol.u <= qp.ub)).all(), max_iter
+    for budget in (8, 9, 12):
+        monkeypatch.setattr(qp_mod, "MAX_ITERATIONS", budget)
+        sol = solve_box_qp(qp)
+        assert sol.status == "max_iter" and sol.iterations == budget, budget
+        assert sol.dual_iterations == budget - 8 and sol.primal_iterations == 0, budget
+        assert ((qp.lb <= sol.u) & (sol.u <= qp.ub)).all(), budget
 
 
 def test_failed_dual_finish_restarts_the_primal_phase():

@@ -31,6 +31,8 @@ from trackmpc import (
 
 PARAMS = VehicleParams()
 NO_NOISE = DisturbanceSpec()
+# a complete path's geometry (lengths in m), every builder argument besides ts and v
+COURSE = {"lead_in": 50.0, "amplitude": 4.0, "wavelength": 50.0, "periods": 2, "tail": 50.0}
 
 
 # --- path generators ---------------------------------------------------------
@@ -59,7 +61,7 @@ def test_straight_path_is_flat():
 
 
 def test_complete_path_geometry():
-    path = make_complete_path(0.05)
+    path = make_complete_path(**COURSE, ts=0.05)
     # straight in, two full sine periods, straight out: flat at both ends
     assert path.y[0] == 0.0
     assert abs(path.y[-1]) < 1e-9
@@ -74,21 +76,21 @@ def test_complete_path_geometry():
 
 
 def test_complete_path_zero_amplitude_is_straight():
-    path = make_complete_path(0.05, amplitude=0.0)
+    path = make_complete_path(**dict(COURSE, amplitude=0.0), ts=0.05)
     np.testing.assert_allclose(path.y, 0.0)
     np.testing.assert_allclose(np.diff(path.x), 0.5, atol=1e-9)
 
 
 def test_complete_path_validation():
     with pytest.raises(ValueError):
-        make_complete_path(0.05, periods=0)
+        make_complete_path(**dict(COURSE, periods=0), ts=0.05)
     with pytest.raises(ValueError):
-        make_complete_path(0.05, lead_in=0.0)
+        make_complete_path(**dict(COURSE, lead_in=0.0), ts=0.05)
     # sizes are checked before anything is built
     with pytest.raises(ValueError, match="more than 1000000 arc-length grid points"):
-        make_complete_path(0.05, wavelength=1e-6)
+        make_complete_path(**dict(COURSE, wavelength=1e-6), ts=0.05)
     with pytest.raises(ValueError, match="more than 100000 path samples"):
-        make_complete_path(1e-9)
+        make_complete_path(**COURSE, ts=1e-9)
 
 
 def test_path_sample_count_is_bounded():
@@ -102,9 +104,10 @@ def test_path_sample_count_is_bounded():
 @pytest.mark.parametrize("build,bound", [
     (lambda: make_step_path(1.0, 30.0, 0.05, v=1e307), "path coordinate bound of 1e+09 m"),
     (lambda: make_sine_path(1.0, 5e-324, 8.0, 0.05), "phase 2 pi x / wavelength overflow"),
-    (lambda: make_complete_path(0.05, amplitude=1e308), "path coordinate bound of 1e+09 m"),
+    (lambda: make_complete_path(**dict(COURSE, amplitude=1e308), ts=0.05),
+     "path coordinate bound of 1e+09 m"),
     (lambda: make_step_path(1e300, 6.0, 0.05), "path coordinate bound of 1e+09 m"),
-    (lambda: make_complete_path(10.0, v=1e308), "fewer than 2 path samples"),
+    (lambda: make_complete_path(**COURSE, ts=10.0, v=1e308), "fewer than 2 path samples"),
     (lambda: make_step_path(1.0, 5e-324, 10.0, v=1e308), "fewer than 2 path samples"),
 ], ids=["step-speed", "sine-phase", "complete-amplitude", "step-amplitude", "complete-samples",
         "step-samples"])
@@ -250,9 +253,9 @@ def _seen_positions(monkeypatch, variant):
     seen = []
     real = controllers_mod.CONTROLLER_STEPS[variant]
 
-    def recorder(ctrl, plant, path, cfg, params):
+    def recorder(ctrl, plant, cfg, params):
         seen.append((plant.x, plant.y))
-        return real(ctrl, plant, path, cfg, params)
+        return real(ctrl, plant, cfg, params)
 
     monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, variant, recorder)
     return seen
@@ -323,19 +326,26 @@ def test_ssd_hand_values():
     assert ssd_from_traces(states, np.array([0.0, 1.0]), np.array([0.0, 2.0])) == 0.0
 
 
-def test_initial_state_override():
+@pytest.mark.parametrize("build", [
+    lambda ts: make_straight_path(4.0, ts),
+    lambda ts: make_step_path(1.5, 4.0, ts),
+    lambda ts: make_sine_path(1.0, 40.0, 4.0, ts),
+    lambda ts: make_complete_path(**COURSE, ts=ts),
+], ids=["straight", "step", "sine", "complete"])
+def test_run_starts_on_the_first_sample_heading_along_the_path(build):
+    # every run starts at the path's first sample, heading along it at zero
+    # slip, bit for bit (the sine's heading0 is not zero)
     cfg = config_for("baseline")
-    path = make_straight_path(4.0, cfg.ts)
-    start = VehicleState(x=0.0, y=0.5, psi=0.0, beta=0.0)
-    result = run_closed_loop(cfg, path, NO_NOISE, PARAMS, initial_state=start)
-    np.testing.assert_array_equal(result.states[0], [start.x, start.y, start.psi, start.beta])
-    assert result.ssd > 0.0  # starts half a meter off the line
+    path = build(cfg.ts)
+    result = run_closed_loop(cfg, path, NO_NOISE, PARAMS)
+    start = np.array([path.x[0], path.y[0], path.heading0, 0.0])
+    assert result.states[0].tobytes() == start.tobytes()
 
 
 def test_harness_rejects_rate_breaking_controller(monkeypatch):
     # the harness re-checks every applied move against the rate limit,
     # independent of the controller's own constraint handling
-    def rogue(ctrl, plant, path, cfg, params):
+    def rogue(ctrl, plant, cfg, params):
         return 1.0, ctrl
 
     monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, "baseline", rogue)
@@ -352,11 +362,11 @@ def test_failed_run_keeps_consistent_partial_trace(monkeypatch):
     calls = {"n": 0}
     real = controllers_mod.CONTROLLER_STEPS["baseline"]
 
-    def flaky(ctrl, plant, path, cfg, params):
+    def flaky(ctrl, plant, cfg, params):
         calls["n"] += 1
         if calls["n"] > 5:
             raise ControlError("deliberate mid-run failure")
-        return real(ctrl, plant, path, cfg, params)
+        return real(ctrl, plant, cfg, params)
 
     monkeypatch.setitem(controllers_mod.CONTROLLER_STEPS, "baseline", flaky)
     cfg = config_for("baseline")
