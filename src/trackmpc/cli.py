@@ -61,13 +61,18 @@ def write_trace(target: Path, res: SimResult, params) -> None:
 
 
 def read_trace(source: Path) -> dict:
-    """Read a trace CSV back as column arrays; only the final u cell may be empty."""
+    """Read a trace CSV back as column arrays; only the final u cell may be empty.
+
+    Every trace write_trace writes holds at least one sample row, the run's
+    first state, so a file with the header alone is rejected as truncated."""
     with open(source, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])  # an empty file has no header row
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace columns {header} in {source}")
         rows = list(reader)
+    if not rows:
+        raise ValueError(f"no sample rows after the header in {source}")
     cols = {name: [] for name in TRACE_COLUMNS}
     for line, row in enumerate(rows, start=2):
         cells = row[:-1] if row is rows[-1] else row  # no move after the last sample

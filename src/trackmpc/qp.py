@@ -31,9 +31,11 @@ For a fixed (H, lb, ub) the optimal partition is a piecewise-constant
 function of f whose regions are polyhedra (Bemporad, Morari, Dua and
 Pistikopoulos, "The explicit linear quadratic regulator for constrained
 systems", Automatica 38(1), 2002). region_table enumerates them once for
-QPs of at most MAX_TABLE_MOVES variables. A solver handed the table takes
-the partition it locates for f as its first partition and the search does
-the rest, so a finish that fails is never discarded uncounted.
+QPs of at most MAX_TABLE_MOVES variables. A solver handed the table asks
+it for the first partition before any linear solve, the all-free region
+first, and forms the unconstrained minimizer only where the table names
+none or the search reaches the all-free partition; the search does the
+rest, so a finish that fails is never discarded uncounted.
 """
 
 from __future__ import annotations
@@ -248,15 +250,17 @@ def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
 
     Pinned coordinates sit on their bound and free ones solve the reduced
     normal equations without refinement; rows, h_free and f_free are what
-    _refine needs, h_free None when nothing is free. The all-free partition
-    reuses the unconstrained solve x_unc and refines on H itself, which
-    rounds like a copy of all its rows because every QP's H is C-ordered
+    _refine needs, h_free None when nothing is free. The all-free
+    partition's reduced solve is the unconstrained one, H z = -(f + 0.0):
+    it reuses x_unc where the solve formed it for its guess and solves H
+    here where it did not (None), and it refines on H itself, which rounds
+    like a copy of all its rows because every QP's H is C-ordered
     (condense_cost builds it so). blocks maps a free set's bytes to its
     _blocks of this H, built ahead; where it is None they are gathered here.
     """
     n_free = np.count_nonzero(free)
     if n_free == free.size:
-        return x_unc.copy(), h, h, f
+        return (np.linalg.solve(h, -(f + 0.0)) if x_unc is None else x_unc.copy()), h, h, f
     z = np.where(part < 0, lb, ub)
     if not n_free:
         return z, None, None, None
@@ -273,9 +277,14 @@ def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
 def _refine(z, free, rows, h_free, f_free) -> None:
     """One step of iterative refinement of a cheap iterate, in place; it keeps
     the free gradient at solver precision even for badly scaled H. rows is
-    H's free rows (H itself when all are free) and h_free their free block."""
-    if h_free is not None:
-        z[free] -= np.linalg.solve(h_free, rows @ z + f_free)
+    H's free rows and h_free their free block, both H itself when all are free."""
+    if h_free is None:
+        return
+    step = np.linalg.solve(h_free, rows @ z + f_free)
+    if rows is h_free:  # all free: the whole of z
+        z -= step
+    else:
+        z[free] -= step
 
 
 def _violations(h, f, test, movable, part, z):
@@ -444,6 +453,11 @@ class RegionTable(NamedTuple):
     h is the H object the table was built from and blocks the _blocks of
     each free set of it, keyed by the free mask's bytes, so that solving a
     QP of that H object gathers none.
+
+    free_region repeats the all-free partition's gain rows (-H^-1) and its
+    lo and hi as one contiguous (M + 2, M) block, which first_partition
+    reads on every solve; as slices of gains, lo and hi the same values lie
+    strided over up to 3M cache lines.
     """
 
     parts: np.ndarray     # (3^M, M) int8, -1/0/+1 per coordinate as solve_box_qp's start
@@ -453,15 +467,28 @@ class RegionTable(NamedTuple):
     hi: np.ndarray        # (M, 3^M) and upper ones, both narrowed by the margin
     h: np.ndarray
     blocks: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    free_region: np.ndarray  # (M + 2, M) the all-free gain rows, then its lo and hi
 
     def locate(self, f: np.ndarray) -> np.ndarray | None:
         """The partition whose region holds f with the margin, a row of parts
         (copy it to change it); None if f lies in no region or within the
         margin of a region's boundary."""
-        w = (self.gains @ f).reshape(self.lo.shape[0], -1).take(self.free_set, axis=1)
+        w = self.gains.dot(f).reshape(self.lo.shape[0], -1).take(self.free_set, axis=1)
         inside = ((w >= self.lo) & (w <= self.hi)).all(0)
         r = int(inside.argmax())
         return self.parts[r] if inside[r] else None
+
+    def first_partition(self, f: np.ndarray) -> np.ndarray | None:
+        """locate(f), with the all-free region tested first on its own: one
+        M x M product with its gain rows and locate's test against its limits.
+        Where that holds, the all-free row of parts, without the full lookup."""
+        m = self.free_region.shape[1]
+        lo, hi = self.free_region[m:].tolist()
+        # at most MAX_TABLE_MOVES values: compared as floats, a miss returns at once
+        for low, value, high in zip(lo, self.free_region[:m].dot(f).tolist(), hi):
+            if not low <= value <= high:
+                return self.locate(f)
+        return self.parts[self.parts.shape[0] // 2]  # all free, the middle row of parts
 
 
 def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable | None:
@@ -494,9 +521,11 @@ def region_table(h: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> RegionTable |
     margin = _BOUNDARY * np.where(free, ub - lb, float(np.abs(h).max()) * bound)
     lo = np.where(free, lb, np.where(parts < 0, 0.0, -np.inf)) - offset + margin
     hi = np.where(free, ub, np.where(parts > 0, 0.0, np.inf)) - offset - margin
+    r = parts.shape[0] // 2  # all free, the middle row of parts
     return RegionTable(parts, gains.transpose(1, 0, 2).reshape(m << m, m), free_set,
                        np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T), h,
-                       {s.tobytes(): _blocks(h, s, ~s) for s in sets})
+                       {s.tobytes(): _blocks(h, s, ~s) for s in sets},
+                       np.concatenate((gains[-1], lo[r:r + 1], hi[r:r + 1])))
 
 
 def _finish(h, f, lb, ub, test, movable, part, free, cheap, it, primal_its, dual_its):
@@ -539,22 +568,22 @@ def solve_box_qp(qp: TrackingQp, start: np.ndarray | None = None,
     optimal one (unique unless a bound is weakly active), however the
     search reached it.
 
-    The search runs on cheap iterates, the reduced solve without
-    refinement; the first is finished at once, and the all-free partition
-    reuses the unconstrained solve. The first partition is the region
+    The search runs on cheap iterates, the reduced solve without refinement;
+    the first is finished at once, and the all-free partition's reduced
+    solve is the unconstrained one. The first partition is the region
     table's (see table below) or else the guess, that of the unconstrained
     minimizer, unless the guess pins more than half the coordinates: the
     minimizer then lies far outside the box, and _SEED_STEPS
     projected-gradient steps from its projection, x <- clip(x - (H x + f) /
     L) with L the largest row sum of |H|, name the first partition in place
     of the guess (the seed; More and Toraldo 1991). The seed reads only (H,
-    f, lb, ub), so it changes the path and never the answer. Every
-    violating coordinate swaps sides at once while the violation count
-    keeps dropping (primal-dual active set; Hintermueller, Ito and Kunisch
-    2002). When these block swaps stall the search turns into an
-    active-set method: a dual one where the QP took no seed and at least 3
-    violations remain at the stall, a primal one otherwise (on seeded QPs
-    and short stalls the dual phase would cost iterations).
+    f, lb, ub), so it changes the path and never the answer. Every violating
+    coordinate swaps sides at once while the violation count keeps dropping
+    (primal-dual active set; Hintermueller, Ito and Kunisch 2002). When
+    these block swaps stall the search turns into an active-set method: a
+    dual one where the QP took no seed and at least 3 violations remain at
+    the stall, a primal one otherwise (on seeded QPs and short stalls the
+    dual phase would cost iterations).
 
     The dual phase (Goldfarb and Idnani 1983) first releases every pinned
     coordinate whose multiplier has the wrong sign, re-solving until none
@@ -599,14 +628,17 @@ def solve_box_qp(qp: TrackingQp, start: np.ndarray | None = None,
     a first partition that missed.
 
     table is the RegionTable of the QP's (H, lb, ub), as region_table builds
-    it. Where the unconstrained minimizer leaves the box, the solver looks f
-    up in the table, and the partition found is the first partition, in
-    place of the guess and the seed; where it holds, the solve takes one
-    iteration. The search does the rest: where its finish fails, it goes on
-    from there with that reduced solve counted. Where f lies in no region or
-    on a region's boundary (within the table's margin, where roundoff would
-    pick between two partitions that both hold), the first partition is the
-    one without a table. A table built from this H object also holds H's
+    it. It names the first partition before any linear solve
+    (RegionTable.first_partition: the all-free region on its own first,
+    then the full lookup), in place of the guess and the seed, and the
+    unconstrained minimizer is formed only if the search later reaches the
+    all-free partition; where the named partition holds, the solve takes
+    one iteration and at most two linear solves. The search does the rest:
+    where its finish fails, it goes on from there with that reduced solve
+    counted. Where f lies in no region or on a region's boundary (within
+    the table's margin, where roundoff would pick between two partitions
+    that both hold), the first partition is the one without a table, the
+    guess or the seed's. A table built from this H object also holds H's
     blocks for every free set, which every reduced solve uses in place of
     gathering them (so H must not change in place after the table is
     built). The table is read as a hint: one built from another H, or other
@@ -633,24 +665,27 @@ def solve_box_qp(qp: TrackingQp, start: np.ndarray | None = None,
             raise ValueError(f"start must hold {nv} entries of -1, 0 or 1, got {start!r}")
     fixed = lb == ub  # equality-pinned coordinates never pivot
     movable = ~fixed
-    # The all-free partition's right-hand side is -(f + H[free, pinned] z) with
-    # nothing pinned, i.e. -(f + 0.0) down to the sign of zero, so this solve
-    # is its reduced solve as well as the partition guess.
-    x_unc = np.linalg.solve(h, -(f + 0.0))
-    # Partition per coordinate: -1 at lower bound, +1 at upper, 0 free.
-    part = _partition(x_unc, lb, ub, fixed)
     test = lb, ub, 0.0  # the violation test, widened in the primal phase
-
-    pinned = np.count_nonzero(part)
-    # Where the guess pins a coordinate the table's partition for f comes
-    # first, else the seed's where the guess pins more than half of them.
-    found = table.locate(f) if table is not None and pinned else None
+    # The table's partition for f comes first where it names one; the
+    # unconstrained solve is then formed only if the search reaches the
+    # all-free partition (see _reduced).
+    found = None if table is None else table.first_partition(f)
+    x_unc = None
+    seeded = False
     if found is not None:
         part = found.copy()
         part[fixed] = -1
-    seeded = found is None and 2 * pinned > nv
-    if seeded:
-        part = _partition(_seed(h, f, lb, ub, x_unc), lb, ub, fixed)
+    else:
+        # The all-free partition's right-hand side is -(f + H[free, pinned] z)
+        # with nothing pinned, i.e. -(f + 0.0) down to the sign of zero, so
+        # this solve is its reduced solve as well as the partition guess.
+        x_unc = np.linalg.solve(h, -(f + 0.0))
+        # Partition per coordinate: -1 at lower bound, +1 at upper, 0 free.
+        part = _partition(x_unc, lb, ub, fixed)
+        # The seed's partition comes first where the guess pins more than half.
+        seeded = 2 * np.count_nonzero(part) > nv
+        if seeded:
+            part = _partition(_seed(h, f, lb, ub, x_unc), lb, ub, fixed)
     blocks = table.blocks if table is not None and table.h is h else None
     # A start is tried only where it differs from the first partition, i.e.
     # where the search it came from did not accept its own first partition.

@@ -409,6 +409,15 @@ def test_empty_trace_is_a_value_error_naming_the_file(tmp_path):
         read_trace(empty)
 
 
+def test_header_only_trace_is_a_value_error_naming_the_file(tmp_path):
+    # a trace holds at least the run's first state, so a file cut after its
+    # header row is truncated, not an empty run
+    header_only = tmp_path / "trace.csv"
+    header_only.write_text(",".join(TRACE_COLUMNS) + "\n")
+    with pytest.raises(ValueError, match=f"no sample rows .* in {re.escape(str(header_only))}$"):
+        read_trace(header_only)
+
+
 @pytest.mark.parametrize("rows,line", [
     # a truncated last row would leave t and x one entry longer than the rest
     ("0.0,0,0,0,0,0,0,0,0.1\n0.2,2\n", 3),

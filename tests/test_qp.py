@@ -789,10 +789,11 @@ def test_warm_start_keeps_every_shipped_qp_bit_for_bit(scenario, fewer_solves, t
                                       "step.cfg"])
 def test_region_table_finds_every_fixed_model_partition(scenario, tmp_path):
     # each fixed-model run builds one table and hands it to every solve; the
-    # solver finishes the all-free partition or the table's partition at
-    # once, so every solve takes 1 iteration and at most 3 linear solves
-    # (the unconstrained one, the reduced one and the refinement), and the
-    # answer keeps the reference bits
+    # table names the first partition before any linear solve and the solver
+    # finishes it at once, so every solve takes 1 iteration and exactly 2
+    # linear solves (that partition's reduced solve, the unconstrained one
+    # where it is all free, and the refinement), and the answer keeps the
+    # reference bits
     recorded = _recorded_qps(scenario, tmp_path)
     tables = {id(r.table) for r in recorded if r.table is not None}
     assert len(tables) == 2  # baseline and weight_tuned
@@ -802,7 +803,7 @@ def test_region_table_finds_every_fixed_model_partition(scenario, tmp_path):
         [sol], calls = _counting_solves(partial(solve_box_qp, table=table), [qp], [start])
         assert np.array_equal(sol.u, reference_solve_box_qp(qp).u), (scenario, i)
         assert sol.status == "converged" and sol.kkt_residual <= 1e-8, (scenario, i)
-        assert sol.iterations == 1 and calls <= 3, (scenario, i)
+        assert sol.iterations == 1 and calls == 2, (scenario, i)
 
 
 @pytest.mark.parametrize("scenario,rate_limit", [("step.cfg", 0.05), ("complete.cfg", 0.1)])

@@ -334,6 +334,88 @@ def test_table_keeps_the_search_bits_on_region_boundaries(qp):
     assert sol.status == "converged" and sol.kkt_residual <= KKT_TOL
 
 
+# The table names the first partition before any linear solve: the all-free
+# region is tested on its own first, then the full lookup runs, and the
+# unconstrained solve is formed only where neither names a partition or the
+# search reaches the all-free one. Drawn with H's condition number up to 1e8
+# and f within a few of the table's margins of a region boundary (the
+# all-free region's on half the draws), where roundoff in the table's gains
+# and in the solves decides which side f falls on, the answer must keep the
+# reference bits, every iteration must be one reduced solve, and a QP the
+# table's partition holds must cost 2 linear solves at most (a QP it names
+# none for takes the guess path, unconstrained solve first). A table is only a
+# hint: a QP of the same H object with another box, a zero-width coordinate
+# among its moves on some draws, keeps the reference bits against it.
+
+@st.composite
+def near_boundary_qps(draw, max_n: int = MAX_TABLE_MOVES):
+    """(qp, other box): H = Q diag(lam) Q' with cond(H) = 10^k, k <= 8, and
+    f = -H x + g - H dx + dg, with x on a region boundary of its box
+    (every multiplier g of the right sign, a bound with g = 0 among them)
+    and dx, dg a few margins (_BOUNDARY times the box's width, and times
+    max|H| times the largest bound) long."""
+    n = draw(st.integers(1, max_n))
+    basis = np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    q = np.linalg.qr(basis.reshape(n, n) + 2.0 * np.eye(n))[0]
+    spread = np.array(draw(st.lists(_floats(0.0, 1.0), min_size=n, max_size=n)))
+    spread[0], spread[-1] = 0.0, 1.0
+    lam = 10.0 ** (draw(_floats(-1.0, 3.0)) - draw(_floats(0.0, 8.0)) * spread)
+    h = (q * lam) @ q.T
+    lb = -np.array(draw(st.lists(_floats(0.01, 1.0), min_size=n, max_size=n)))
+    ub = np.array(draw(st.lists(_floats(0.01, 1.0), min_size=n, max_size=n)))
+    # the all-free region's boundary: inside the box but for a bound with a
+    # zero multiplier; else any partition, one of its bounds weakly active
+    all_free = draw(st.booleans())
+    kinds = (0,) if all_free else (-1, 0, 1)
+    where = np.array(draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n)))
+    weak = draw(st.integers(0, n - 1))
+    where[weak] = draw(st.sampled_from((-1, 1)))
+    inside = np.array(draw(st.lists(_floats(0.05, 0.95), min_size=n, max_size=n)))
+    x = np.where(where < 0, lb, np.where(where > 0, ub, lb + inside * (ub - lb)))
+    scale = float(np.abs(h).max()) * float(np.abs(np.concatenate((lb, ub))).max())
+    mu = scale * np.array(draw(st.lists(_floats(0.0, 1.0), min_size=n, max_size=n)))
+    mu[weak] = 0.0
+    margins = np.array(draw(st.lists(_floats(-5.0, 5.0), min_size=2 * n, max_size=2 * n)))
+    dx = qp_mod._BOUNDARY * (ub - lb) * margins[:n]
+    dg = qp_mod._BOUNDARY * scale * margins[n:]
+    qp = box_qp(h=h, f=-where * mu - h @ (x + dx) + dg, lb=lb, ub=ub)
+    # another box for the same H object: each lower bound moved by up to half
+    # the width, and on half the draws one move pinned (lb == ub)
+    shift = np.array(draw(st.lists(_floats(-0.5, 0.5), min_size=n, max_size=n)))
+    other_lb, other_ub = qp.lb + shift * (qp.ub - qp.lb), qp.ub.copy()
+    if draw(st.booleans()):
+        pin = draw(st.integers(0, n - 1))
+        other_ub[pin] = other_lb[pin]
+    return qp, (other_lb, other_ub)
+
+
+def _counted_solve(qp, table):
+    """solve_box_qp(qp, table) with its _reduced and np.linalg.solve calls."""
+    with mock.patch.object(qp_mod, "_reduced", wraps=qp_mod._reduced) as reduced, \
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as lapack:
+        sol = solve_box_qp(qp, table=table)
+    return sol, reduced.call_count, lapack.call_count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_UNSHRUNK)
+@given(near_boundary_qps())
+def test_table_first_partition_keeps_the_reference_bits_near_boundaries(case):
+    qp, (other_lb, other_ub) = case
+    table = region_table(qp.h, qp.lb, qp.ub)
+    assert table is not None
+    other = qp._replace(lb=other_lb, ub=other_ub)  # the same H object, another box
+    for posed in (qp, other):
+        named = table.first_partition(posed.f) is not None
+        sol, reduced, lapack = _counted_solve(posed, table)
+        event(f"table named a partition: {named}, first partition held: {sol.iterations == 1}")
+        assert np.array_equal(sol.u, reference_solve_box_qp(posed).u)
+        assert reduced == sol.iterations
+        if sol.iterations == 1:
+            # where the table names none, the guess's unconstrained solve comes first
+            assert lapack <= (2 if named else 3)
+        assert np.all(sol.u >= posed.lb) and np.all(sol.u <= posed.ub)
+
+
 # On such a boundary, a zero multiplier's sign is roundoff, which can flip
 # from one partition to the next; the search's primal phase, which pins and
 # releases one bound per step, must not cycle there.
