@@ -91,41 +91,49 @@ def build_prediction(model: AffineLtiModel, n: int, m: int) -> PredictionMatrice
     """Unroll a one-step model over the horizon with last-move hold.
 
     Block (i, j) of Su is the Markov parameter G_(i-j) = A^(i-j) B for
-    i >= j (1-indexed stages/moves), so the N parameters are computed once
-    and copied into the block-Toeplitz Su as shifted slices. The final move
-    column instead holds sum_p G_p over its held stages, summed from
-    G_(i-M) down to G_0. Sk accumulates the drift, Sx stacks A^i.
+    i >= j (1-indexed stages/moves), so the N parameters are computed once,
+    after M-1 zero rows of one buffer, and the block-Toeplitz Su is one
+    C-ordered copy of a strided view of it (move j reads the buffer j rows
+    further back). The final move column instead holds sum_p G_p over its
+    held stages, summed from G_(i-M) down to G_0. Sk accumulates the drift,
+    Sx stacks A^i. Su, Sx and Sk are C-ordered and share no memory.
 
     With A = I + c e3' the powers are A^p = I + p c e3', a cumsum of c, and
     while the drift stays off the heading (K[2] = 0) or A = I, Sk is the
     running sum of K. Both round exactly like the recursions A^(p-1) A and
-    A d + K they replace. A model whose drift moves the heading through a
-    coupling c != 0 is rejected; linearize builds none.
+    A d + K they replace; with c = 0 every G_p is B + 0.0, the bits of I B.
+    A model whose drift moves the heading through a coupling c != 0 is
+    rejected; linearize builds none.
     """
     if n < 1 or not (1 <= m <= n):
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
     c, b, k = model.c, model.b, model.k
-    if k[2] != 0.0 and c.any():
+    coupled = np.count_nonzero(c)
+    if k[2] != 0.0 and coupled:
         raise ValueError("a drift K[2] != 0 through the heading coupling c != 0 is not supported")
 
-    # Each product A^(p-1) A adds c to the heading column with one rounding,
-    # which a cumsum repeats (+ 0.0 turns -0.0 into the +0.0 the products give).
-    a_pow = np.zeros((n + 1, 9))
-    a_pow[:, ::4] = 1.0
-    a_pow[1:, 2:6:3] = np.full((n, 2), c).cumsum(0) + 0.0  # entries (0,2), (1,2)
-    a_pow = a_pow.reshape(n + 1, 3, 3)
-    markov = a_pow[:n] @ b  # markov[p] = A^p B
-    su = np.zeros((n, 3, m))
-    for j in range(m - 1):
-        su[j:, :, j] = markov[:n - j]
+    sx = np.zeros((n, 9))
+    sx[:, ::4] = 1.0
+    padded = np.zeros((m - 1 + n, 3))  # M-1 zero rows, then markov[p] = A^p B
+    padded[m - 1:] = b + 0.0  # I B: G_0, and every G_p where A = I
+    if coupled:
+        # Each product A^(p-1) A adds c to the heading column with one rounding,
+        # which a cumsum repeats (+ 0.0 turns -0.0 into the +0.0 the products give).
+        sx[:, 2:6:3] = np.full((n, 2), c).cumsum(0) + 0.0  # entries (0,2), (1,2)
+        np.matmul(sx[:n - 1].reshape(n - 1, 3, 3), b, out=padded[m:])
+    markov = padded[m - 1:]
+    row = padded.strides[0]
+    su = np.ndarray((n, 3, m), buffer=padded, offset=(m - 1) * row,
+                    strides=(row, padded.strides[1], -row)).copy()
     # The held column at stage i sums G_(i-M) .. G_0 in that order, one
     # term per pass for every stage at once.
     held = su[m - 1:, :, m - 1]  # a view: the sums land in Su
+    held[:] = 0.0
     for t in range(n - m + 1):
         held[t:] += markov[:n - m + 1 - t]
     su = su.reshape(3 * n, m)
 
-    sx = a_pow[1:].reshape(3 * n, 3)
+    sx = sx.reshape(3 * n, 3)
     if k.tobytes() == _POSITIVE_ZERO3:
         sk = np.zeros(3 * n)  # A 0 + (+0) is +0 for any A
     else:
@@ -165,13 +173,18 @@ def condense_cost(pred: PredictionMatrices, weights: HorizonWeights,
     Qbar is block diagonal with diagonal blocks Q, so Su' Qbar is each
     stage's rows of Su scaled by diag(Q); + 0.0 gives every zero the sign
     the dense product Su' kron(I, Q) gives it, so both round alike, and so
-    does the C-ordered product with Su. input_weight = (w, T) adds w T'T.
+    does the product with Su, whose bits need Su' Qbar C-ordered. Rbar goes
+    onto H's diagonal in place: adding r I would add +0 off it, which moves
+    no entry of the product, since none is -0. input_weight = (w, T) adds w T'T.
     """
     n3, m = pred.su.shape
-    stages = pred.su.reshape(n3 // 3, 3, m).transpose(0, 2, 1) * weights.q + 0.0  # (N, M, 3)
-    suq = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(m, n3)
-    h = suq @ pred.su + weights.r * np.eye(m)
-    h = 0.5 * (h + h.T)
+    suq = pred.su.reshape(n3 // 3, 3, m) * weights.q[:, None]
+    suq += 0.0
+    suq = suq.reshape(n3, m).T.copy()  # C-ordered
+    h = suq @ pred.su
+    h.reshape(-1)[::m + 1] += weights.r  # Rbar on the diagonal
+    h = h + h.T
+    h *= 0.5
     if input_weight is not None:
         w, t_map = input_weight
         h = h + w * (t_map.T @ t_map)
@@ -217,7 +230,7 @@ def build_tracking_qp(
     if x_ref.shape != (n3,):
         raise ValueError(f"reference stack must have {n3} entries, got {x_ref.size} "
                          f"in shape {x_ref.shape}")
-    f = cost.suq @ (pred.sx @ x0 + pred.sk - x_ref)
+    f = cost.suq.dot(pred.sx.dot(x0) + pred.sk - x_ref)
     if input_target is not None:
         w, t_map, offset = input_target
         f = f + w * (t_map.T @ offset)
@@ -237,12 +250,13 @@ class QpSolution(NamedTuple):
 def _blocks(h, free, pinned):
     """(rows, h_free, h_pinned): H's free rows and their free and pinned blocks.
 
-    The blocks are sliced from the free rows by column masks, which leaves
-    the pinned block F-ordered: its product with z rounds by that layout, so
-    a C-ordered copy of the same values would change the bits.
+    The pinned block is sliced from the free rows by a column mask, which
+    leaves it F-ordered: its product with z rounds by that layout, so a
+    C-ordered copy of the same values would change the bits. The free block
+    goes only to LAPACK, which copies it whatever its layout.
     """
-    rows = h[free]
-    return rows, rows[:, free], rows[:, pinned]
+    rows = h.compress(free, 0)
+    return rows, rows.compress(free, 1), rows[:, pinned]
 
 
 def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
@@ -270,7 +284,7 @@ def _reduced(h, f, lb, ub, x_unc, part, free, blocks):
     else:
         rows, h_free, h_pinned = blocks[free.tobytes()]
     f_free = f[free]
-    z[free] = np.linalg.solve(h_free, -(f_free + h_pinned @ z[pinned]))
+    z[free] = np.linalg.solve(h_free, -(f_free + h_pinned.dot(z[pinned])))
     return z, rows, h_free, f_free
 
 
@@ -280,7 +294,7 @@ def _refine(z, free, rows, h_free, f_free) -> None:
     H's free rows and h_free their free block, both H itself when all are free."""
     if h_free is None:
         return
-    step = np.linalg.solve(h_free, rows @ z + f_free)
+    step = np.linalg.solve(h_free, rows.dot(z) + f_free)
     if rows is h_free:  # all free: the whole of z
         z -= step
     else:
@@ -294,11 +308,14 @@ def _violations(h, f, test, movable, part, z):
     pinned multiplier when part * g exceeds g_tol; it is (lb, ub, 0.0)
     outside the primal phase (see _margins). Pinned coordinates sit exactly on a
     bound, so only free ones can be out of the box; part * g > 0 is g < 0 at
-    a lower and g > 0 at an upper bound.
+    a lower and g > 0 at an upper bound. movable masks the multipliers that
+    may leave, None where every coordinate may.
     """
     lo, hi, g_tol = test
-    g = h @ z + f
-    too_low, too_high, leave = z < lo, z > hi, (part * g > g_tol) & movable
+    g = h.dot(z) + f
+    too_low, too_high, leave = z < lo, z > hi, part * g > g_tol
+    if movable is not None:
+        leave &= movable
     return too_low, too_high, leave, g, np.count_nonzero(too_low | too_high | leave)
 
 
@@ -376,7 +393,7 @@ def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, blocks, budget):
     z = cheap[0]
     while True:
         _, _, leave, g, _ = _violations(h, f, test, movable, part, z)
-        if not leave.any():
+        if not np.count_nonzero(leave):
             break
         if its == budget:
             return None, its
@@ -400,7 +417,7 @@ def _dual(h, f, lb, ub, x_unc, test, movable, part, cheap, blocks, budget):
             # sign at the trial; releasing it on roundoff would undo the pin.
             _, _, wrong, g_trial, _ = _violations(h, f, test, movable, part, trial)
             wrong[j] = False
-            if not wrong.any():
+            if not np.count_nonzero(wrong):
                 z, g = trial, g_trial
                 break
             # Step to where the first wrong-signed multiplier reaches zero.
@@ -664,7 +681,7 @@ def solve_box_qp(qp: TrackingQp, start: np.ndarray | None = None,
         if start.shape != (nv,) or not ((start == 0) | (np.abs(start) == 1)).all():
             raise ValueError(f"start must hold {nv} entries of -1, 0 or 1, got {start!r}")
     fixed = lb == ub  # equality-pinned coordinates never pivot
-    movable = ~fixed
+    movable = ~fixed if np.count_nonzero(fixed) else None
     test = lb, ub, 0.0  # the violation test, widened in the primal phase
     # The table's partition for f comes first where it names one; the
     # unconstrained solve is then formed only if the search reaches the
@@ -754,7 +771,7 @@ def solve_box_qp(qp: TrackingQp, start: np.ndarray | None = None,
                     z, exact = cheap[0], True
                     too_low, too_high, leave, g, n_viol = viol
         blocking = too_low | too_high
-        if not blocking.any():
+        if not np.count_nonzero(blocking):
             # A subspace minimizer inside the box: release the pinned
             # coordinate with the most negative multiplier.
             point = z

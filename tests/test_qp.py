@@ -321,6 +321,23 @@ def test_structured_prediction_keeps_the_sign_of_zero(linearize, psi, beta):
             (sx.tobytes(), su.tobytes(), sk.tobytes())
 
 
+@pytest.mark.parametrize("kind", ["initial", "position", "velocity"])
+@pytest.mark.parametrize("n,m", [(20, 20), (6, 6), (20, 5), (40, 20), (7, 1)])
+def test_prediction_and_cost_keep_the_layout_their_bits_depend_on(kind, n, m):
+    # GEMM and GEMV round by their operands' memory order, so the bits of H
+    # and f hold only while Su, Sx, Sk, Su' Qbar and H are C-ordered; Su is
+    # copied out of a strided view of a buffer and shares memory with no
+    # other array of the prediction or the cost
+    model = _random_model(np.random.default_rng(10 * n + m), kind, 0.05)
+    pred = build_prediction(model, n, m)
+    cost = condense_cost(pred, _weights(q_heading=0.5))
+    arrays = {"sx": pred.sx, "su": pred.su, "sk": pred.sk, "suq": cost.suq, "h": cost.h}
+    assert [name for name, a in arrays.items() if not a.flags.c_contiguous] == []
+    assert not cost.h.flags.writeable
+    assert not np.shares_memory(pred.su, pred.sx) and not np.shares_memory(pred.su, pred.sk)
+    assert not np.shares_memory(pred.su, cost.suq)
+
+
 def test_prediction_rejects_drift_through_the_heading_coupling():
     # K[2] != 0 turns the heading drift into position drift through c, which
     # the running sum of K does not model; no linearization builds this

@@ -655,7 +655,10 @@ def _angles(lo: float, hi: float):
 
 @st.composite
 def prediction_cases(draw):
-    """A linearization at a drawn vehicle, ts, (psi, beta) and 1 <= M <= N <= 25."""
+    """A linearization at a drawn vehicle, ts, (psi, beta) and 1 <= M <= N <= 60.
+
+    N reaches past 40, where the held column sums over many passes and the
+    buffer Su is read from holds many zero rows."""
     params = VehicleParams(lf=draw(_floats(0.3, 4.0)), lr=draw(_floats(0.3, 4.0)),
                            v=draw(_floats(0.1, 50.0)))
     ts = draw(st.one_of(st.just(0.0), _floats(1e-3, 0.5)))
@@ -667,7 +670,7 @@ def prediction_cases(draw):
         model = linearize_initial(params, ts)
     else:
         model = (linearize_position if kind == "position" else linearize_velocity)(state, params, ts)
-    n = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 60))
     return model, n, draw(st.integers(1, n))
 
 
